@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <istream>
+#include <map>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -144,6 +145,49 @@ void parse_power_gating(const ValuePtr& root, PowerGatingSpec& g) {
   g.perf_loss_budget = get_double(v, "perf_loss_budget", g.perf_loss_budget);
 }
 
+/// v1's flat spellings, each with the v2 nested field it normalizes to.
+/// Fields every version spells alike (scheme, sweep, num_tox, ...) need no
+/// entry.
+struct V1Spelling {
+  RequestKind kind;
+  const char* flat_key;
+  const char* object;  ///< v2 nested object: "target", "knobs" or "delay"
+  const char* key;     ///< field inside that object
+};
+
+constexpr V1Spelling kV1Spellings[] = {
+    {RequestKind::kEval, "level", "target", "level"},
+    {RequestKind::kEval, "size_bytes", "target", "size_bytes"},
+    {RequestKind::kEval, "vth_v", "knobs", "vth_v"},
+    {RequestKind::kEval, "tox_a", "knobs", "tox_a"},
+    {RequestKind::kOptimize, "level", "target", "level"},
+    {RequestKind::kOptimize, "size_bytes", "target", "size_bytes"},
+    {RequestKind::kOptimize, "delay_ps", "delay", "target_ps"},
+    {RequestKind::kSweep, "cache_size_bytes", "target", "size_bytes"},
+    {RequestKind::kSweep, "amat_ps", "delay", "target_ps"},
+    {RequestKind::kSweep, "delay_targets_ps", "delay", "targets_ps"},
+    {RequestKind::kTupleMenu, "amat_targets_ps", "delay", "targets_ps"},
+};
+
+/// A v1 request in its v2 shape: the nested objects are rebuilt from the
+/// flat spellings alone (v1 never read nested objects); every other field
+/// carries over as is.
+ValuePtr v1_as_v2(const ValuePtr& root, RequestKind kind) {
+  json::Value::Object fields = root->as_object();
+  for (const char* name : {"target", "knobs", "delay"}) fields.erase(name);
+  std::map<std::string, json::Value::Object> nested;
+  for (const auto& s : kV1Spellings) {
+    if (s.kind != kind) continue;
+    if (auto value = root->get(s.flat_key)) {
+      nested[s.object][s.key] = std::move(value);
+    }
+  }
+  for (auto& [name, object] : nested) {
+    fields[name] = json::Value::make_object(std::move(object));
+  }
+  return json::Value::make_object(std::move(fields));
+}
+
 Request request_from_value(const ValuePtr& root) {
   NC_REQUIRE(root->is_object(), "request must be a JSON object");
   Request r;
@@ -154,42 +198,34 @@ Request request_from_value(const ValuePtr& root) {
              "unsupported schema_version " + std::to_string(v) +
                  " (this build speaks " + std::to_string(kMinSchemaVersion) +
                  ".." + std::to_string(kSchemaVersion) + ")");
-  // v1 flat fields normalize into the v2 structs below, v3 design-space
-  // fields are read only from v3+ requests, and the v4 exactness selector
-  // only from v4 requests (absent fields keep their paper-default values);
-  // the request carries the current schema version from here on.
-  const bool v1 = v == 1;
-  const bool v3 = v >= 3;
-  const bool v4 = v >= 4;
   r.schema_version = kSchemaVersion;
   if (const auto id = root->get("id")) r.id = id->as_string();
   const auto kind = root->get("kind");
   NC_REQUIRE(kind != nullptr, "request is missing kind");
   r.kind = parse_kind(kind->as_string());
+  // One reader for every version: v1 lines are first rewritten into the v2
+  // shape, v3 design-space fields are read only from v3+ requests, and the
+  // v4 exactness selector only from v4 requests (absent fields keep their
+  // paper-default values).  The request carries the current schema version
+  // from here on.
+  const ValuePtr body = v == 1 ? v1_as_v2(root, r.kind) : root;
+  const bool v3 = v >= 3;
+  const bool v4 = v >= 4;
   switch (r.kind) {
     case RequestKind::kEval: {
       auto& e = r.eval;
-      if (v1) {
-        if (const auto level = root->get("level")) {
-          e.target.level = parse_level(level->as_string());
-        }
-        e.target.size_bytes = get_uint(root, "size_bytes", e.target.size_bytes);
-        e.knobs.vth_v = get_double(root, "vth_v", e.knobs.vth_v);
-        e.knobs.tox_a = get_double(root, "tox_a", e.knobs.tox_a);
-        break;
-      }
-      parse_grid_spec(root, e.target);
-      if (const auto knobs = root->get("knobs")) {
+      parse_grid_spec(body, e.target);
+      if (const auto knobs = body->get("knobs")) {
         NC_REQUIRE(knobs->is_object(), "'knobs' must be an object");
         e.knobs.vth_v = get_double(knobs, "vth_v", e.knobs.vth_v);
         e.knobs.tox_a = get_double(knobs, "tox_a", e.knobs.tox_a);
       }
       if (v3) {
-        parse_organization(root, e.organization);
-        e.node_nm = get_int(root, "node_nm", e.node_nm);
+        parse_organization(body, e.organization);
+        e.node_nm = get_int(body, "node_nm", e.node_nm);
       }
       if (v4) {
-        if (const auto exactness = root->get("exactness")) {
+        if (const auto exactness = body->get("exactness")) {
           e.exactness = parse_exactness(exactness->as_string());
         }
       }
@@ -197,29 +233,18 @@ Request request_from_value(const ValuePtr& root) {
     }
     case RequestKind::kOptimize: {
       auto& o = r.optimize;
-      if (v1) {
-        if (const auto level = root->get("level")) {
-          o.target.level = parse_level(level->as_string());
-        }
-        o.target.size_bytes = get_uint(root, "size_bytes", o.target.size_bytes);
-        if (const auto scheme = root->get("scheme")) {
-          o.scheme = parse_scheme(scheme->as_string());
-        }
-        o.delay.target_ps = get_double(root, "delay_ps", o.delay.target_ps);
-        break;
-      }
-      parse_grid_spec(root, o.target);
-      if (const auto scheme = root->get("scheme")) {
+      parse_grid_spec(body, o.target);
+      if (const auto scheme = body->get("scheme")) {
         o.scheme = parse_scheme(scheme->as_string());
       }
-      parse_delay(root, o.delay);
+      parse_delay(body, o.delay);
       if (v3) {
-        parse_organization(root, o.organization);
-        parse_power_gating(root, o.power_gating);
-        o.node_nm = get_int(root, "node_nm", o.node_nm);
+        parse_organization(body, o.organization);
+        parse_power_gating(body, o.power_gating);
+        o.node_nm = get_int(body, "node_nm", o.node_nm);
       }
       if (v4) {
-        if (const auto exactness = root->get("exactness")) {
+        if (const auto exactness = body->get("exactness")) {
           o.exactness = parse_exactness(exactness->as_string());
         }
       }
@@ -227,38 +252,27 @@ Request request_from_value(const ValuePtr& root) {
     }
     case RequestKind::kSweep: {
       auto& s = r.sweep;
-      if (const auto kindv = root->get("sweep")) {
+      if (const auto kindv = body->get("sweep")) {
         s.kind = parse_sweep_kind(kindv->as_string());
       }
-      s.ladder_steps = get_int(root, "ladder_steps", s.ladder_steps);
-      if (const auto scheme = root->get("scheme")) {
+      s.ladder_steps = get_int(body, "ladder_steps", s.ladder_steps);
+      if (const auto scheme = body->get("scheme")) {
         s.l2_scheme = parse_scheme(scheme->as_string());
       }
-      if (v1) {
-        s.target.size_bytes =
-            get_uint(root, "cache_size_bytes", s.target.size_bytes);
-        s.delay.targets_ps = get_double_array(root, "delay_targets_ps");
-        s.delay.target_ps = get_double(root, "amat_ps", s.delay.target_ps);
-        break;
-      }
-      parse_grid_spec(root, s.target);
-      parse_delay(root, s.delay);
-      if (v3) s.node_nm = get_int(root, "node_nm", s.node_nm);
+      parse_grid_spec(body, s.target);
+      parse_delay(body, s.delay);
+      if (v3) s.node_nm = get_int(body, "node_nm", s.node_nm);
       break;
     }
     case RequestKind::kTupleMenu: {
       auto& t = r.tuple_menu;
-      t.num_tox = get_int(root, "num_tox", t.num_tox);
-      t.num_vth = get_int(root, "num_vth", t.num_vth);
-      if (v1) {
-        t.delay.targets_ps = get_double_array(root, "amat_targets_ps");
-      } else {
-        parse_delay(root, t.delay);
-      }
+      t.num_tox = get_int(body, "num_tox", t.num_tox);
+      t.num_vth = get_int(body, "num_vth", t.num_vth);
+      parse_delay(body, t.delay);
       t.include_frontier =
-          get_bool(root, "include_frontier", t.include_frontier);
+          get_bool(body, "include_frontier", t.include_frontier);
       t.frontier_max_points =
-          get_int(root, "frontier_max_points", t.frontier_max_points);
+          get_int(body, "frontier_max_points", t.frontier_max_points);
       break;
     }
     case RequestKind::kCapabilities:

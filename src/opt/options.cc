@@ -11,7 +11,6 @@ namespace nanocache::opt {
 
 using cachemodel::ComponentKind;
 using cachemodel::ComponentMetrics;
-using cachemodel::kAllComponents;
 
 namespace {
 
@@ -78,15 +77,15 @@ std::vector<std::vector<ComponentMetrics>> batch_eval(
 /// the same left fold the scalar loops perform, term for term.
 ComponentOption fold_option_row(
     const std::vector<std::vector<ComponentMetrics>>& metrics, std::size_t r,
-    const tech::DeviceKnobs& knobs, const char* delay_msg,
-    const char* leakage_msg, const char* dynamic_msg) {
+    const tech::DeviceKnobs& knobs) {
   ComponentOption opt;
   opt.knobs = knobs;
   for (const auto& table : metrics) {
     const auto& m = table[r];
-    opt.delay_s += num::ensure_finite(m.delay_s, delay_msg);
-    opt.leakage_w += num::ensure_finite(m.leakage_w, leakage_msg);
-    opt.dynamic_j += num::ensure_finite(m.dynamic_energy_j, dynamic_msg);
+    opt.delay_s += num::ensure_finite(m.delay_s, "block option delay");
+    opt.leakage_w += num::ensure_finite(m.leakage_w, "block option leakage");
+    opt.dynamic_j +=
+        num::ensure_finite(m.dynamic_energy_j, "block option dynamic energy");
   }
   return opt;
 }
@@ -151,47 +150,6 @@ std::vector<ComponentOption> component_options(
       /*cost_hint_ns=*/kEvalCostHintNs);
 }
 
-std::vector<ComponentOption> periphery_options(
-    const ComponentEvaluator& eval,
-    const std::vector<tech::DeviceKnobs>& pairs) {
-  NC_REQUIRE(!pairs.empty(), "option table needs at least one pair");
-  count_grid_points(pairs.size());
-  static const std::vector<ComponentKind> kPeriphery{
-      ComponentKind::kDecoder, ComponentKind::kAddressDrivers,
-      ComponentKind::kDataDrivers};
-  if (const auto& batch = eval.batch()) {
-    const auto metrics = batch_eval(batch, kPeriphery, pairs);
-    std::vector<ComponentOption> out;
-    out.reserve(pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      out.push_back(fold_option_row(metrics, i, pairs[i],
-                                    "periphery option delay",
-                                    "periphery option leakage",
-                                    "periphery option dynamic energy"));
-    }
-    return out;
-  }
-  return par::parallel_map(
-      pairs.size(),
-      [&](std::size_t i) {
-        const auto& k = pairs[i];
-        ComponentOption opt;
-        opt.knobs = k;
-        for (ComponentKind kind : kPeriphery) {
-          const auto m = eval(kind, k);
-          opt.delay_s +=
-              num::ensure_finite(m.delay_s, "periphery option delay");
-          opt.leakage_w +=
-              num::ensure_finite(m.leakage_w, "periphery option leakage");
-          opt.dynamic_j += num::ensure_finite(
-              m.dynamic_energy_j, "periphery option dynamic energy");
-        }
-        return opt;
-      },
-      option_threads(pairs.size()), /*chunk_size=*/0,
-      /*cost_hint_ns=*/kEvalCostHintNs * kPeriphery.size());
-}
-
 std::vector<ComponentOption> block_options(
     const ComponentEvaluator& eval,
     const std::vector<ComponentKind>& kinds,
@@ -204,10 +162,7 @@ std::vector<ComponentOption> block_options(
     std::vector<ComponentOption> out;
     out.reserve(pairs.size());
     for (std::size_t i = 0; i < pairs.size(); ++i) {
-      out.push_back(fold_option_row(metrics, i, pairs[i],
-                                    "block option delay",
-                                    "block option leakage",
-                                    "block option dynamic energy"));
+      out.push_back(fold_option_row(metrics, i, pairs[i]));
     }
     return out;
   }
@@ -250,14 +205,6 @@ OptSpace OptSpace::extended() {
                   ComponentKind::kWayComparators};
   s.array_count = 2;
   return s;
-}
-
-bool OptSpace::is_base() const {
-  return array_count == 1 && components.size() == cachemodel::kNumComponents &&
-         components[0] == ComponentKind::kCellArray &&
-         components[1] == ComponentKind::kDecoder &&
-         components[2] == ComponentKind::kAddressDrivers &&
-         components[3] == ComponentKind::kDataDrivers;
 }
 
 std::vector<ComponentOption> with_gating(std::vector<ComponentOption> options,
@@ -318,46 +265,6 @@ std::vector<ComponentOption> space_uniform_options(
     const std::vector<tech::DeviceKnobs>& pairs) {
   return with_gating(block_options(eval, space.components, pairs),
                      space.gating);
-}
-
-std::vector<ComponentOption> uniform_options(
-    const ComponentEvaluator& eval,
-    const std::vector<tech::DeviceKnobs>& pairs) {
-  NC_REQUIRE(!pairs.empty(), "option table needs at least one pair");
-  count_grid_points(pairs.size());
-  static const std::vector<ComponentKind> kUniform(kAllComponents.begin(),
-                                                   kAllComponents.end());
-  if (const auto& batch = eval.batch()) {
-    const auto metrics = batch_eval(batch, kUniform, pairs);
-    std::vector<ComponentOption> out;
-    out.reserve(pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      out.push_back(fold_option_row(metrics, i, pairs[i],
-                                    "uniform option delay",
-                                    "uniform option leakage",
-                                    "uniform option dynamic energy"));
-    }
-    return out;
-  }
-  return par::parallel_map(
-      pairs.size(),
-      [&](std::size_t i) {
-        const auto& k = pairs[i];
-        ComponentOption opt;
-        opt.knobs = k;
-        for (ComponentKind kind : kAllComponents) {
-          const auto m = eval(kind, k);
-          opt.delay_s +=
-              num::ensure_finite(m.delay_s, "uniform option delay");
-          opt.leakage_w +=
-              num::ensure_finite(m.leakage_w, "uniform option leakage");
-          opt.dynamic_j += num::ensure_finite(
-              m.dynamic_energy_j, "uniform option dynamic energy");
-        }
-        return opt;
-      },
-      option_threads(pairs.size()), /*chunk_size=*/0,
-      /*cost_hint_ns=*/kEvalCostHintNs * kAllComponents.size());
 }
 
 }  // namespace nanocache::opt

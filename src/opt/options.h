@@ -100,14 +100,11 @@ struct OptSpace {
   std::size_t array_count = 1;
   GatingSpec gating;
 
-  /// The paper's fixed four-component space.  Optimizations over this
-  /// space (without gating) take the original code paths untouched.
+  /// The paper's fixed four-component space.
   static OptSpace base();
   /// All six components of a split-tag organization: cell + tag arrays in
   /// the array block; decoder, drivers, and comparators in the periphery.
   static OptSpace extended();
-
-  bool is_base() const;
 };
 
 /// Option tables for every component of a space, in space order, with
@@ -148,17 +145,6 @@ std::vector<ComponentOption> component_options(
 std::vector<ComponentOption> block_options(
     const ComponentEvaluator& eval,
     const std::vector<cachemodel::ComponentKind>& kinds,
-    const std::vector<tech::DeviceKnobs>& pairs);
-
-/// Options for a "merged periphery" pseudo-component: decoder + address
-/// drivers + data drivers all at the same pair (Scheme II's second knob).
-std::vector<ComponentOption> periphery_options(
-    const ComponentEvaluator& eval,
-    const std::vector<tech::DeviceKnobs>& pairs);
-
-/// Options for the whole cache at a uniform pair (Scheme III).
-std::vector<ComponentOption> uniform_options(
-    const ComponentEvaluator& eval,
     const std::vector<tech::DeviceKnobs>& pairs);
 
 }  // namespace nanocache::opt

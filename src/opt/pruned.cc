@@ -1,52 +1,25 @@
 #include "opt/pruned.h"
 
-#include <algorithm>
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "opt/engine.h"
 #include "opt/pareto.h"
-#include "util/error.h"
-#include "util/metrics.h"
 
 namespace nanocache::opt {
 
-using cachemodel::ComponentAssignment;
-using cachemodel::ComponentKind;
-using cachemodel::kAllComponents;
-using cachemodel::kNumComponents;
-
-namespace detail {
-
-void count_combos_evaluated(std::size_t n) {
-  static auto& evaluated =
-      metrics::Registry::instance().counter("opt.combos_evaluated");
-  evaluated.add(n);
-}
-
-void count_combos_skipped(std::size_t n) {
-  static auto& skipped =
-      metrics::Registry::instance().counter("opt.combos_skipped");
-  skipped.add(n);
-}
-
-}  // namespace detail
+using detail::Combo;
 
 namespace {
 
-/// Same diagnosis (same bytes) as the exhaustive path in schemes.cc.
-OptOutcome<SchemeResult> infeasible_delay(double delay_constraint_s,
-                                          double fastest_s, Scheme scheme) {
-  return OptOutcome<SchemeResult>::infeasible(InfeasibleInfo{
-      "access time <= delay constraint [s]", delay_constraint_s, fastest_s,
-      "scheme " + scheme_name(scheme)});
-}
+using Tables = std::vector<std::vector<ComponentOption>>;
 
-/// (delay, leakage) frontier of one component's option table.  pareto_min2
-/// is stable and first-wins, so among exactly-equal points the lowest grid
-/// index survives — the identical representative the exhaustive DP keeps.
-/// The result is a strict staircase: delay strictly increasing, leakage
+/// (delay, leakage) frontier of one option table.  pareto_min2 is stable
+/// and first-wins, so among exactly-equal points the lowest grid index
+/// survives — the identical representative the exhaustive DP keeps.  The
+/// result is a strict staircase: delay strictly increasing, leakage
 /// strictly decreasing.
 std::vector<ComponentOption> option_frontier(std::vector<ComponentOption> v) {
   return pareto_min2(
@@ -58,48 +31,13 @@ std::vector<ComponentOption> option_frontier(std::vector<ComponentOption> v) {
 // Scheme I: per-component assignment via frontier-merge + branch-and-bound.
 // ---------------------------------------------------------------------------
 
-/// Partial state over a prefix of components.  `choice[i]` indexes the
-/// PRUNED option table of component i.
-struct Combo {
-  double delay_s = 0.0;
-  double leakage_w = 0.0;
-  double dynamic_j = 0.0;
-  std::array<std::uint16_t, kNumComponents> choice{};
-};
-
-/// One frontier-merge step: identical arithmetic (and thus identical
-/// floating-point association) to the exhaustive DP's combine(), only the
-/// option table has been pre-filtered to its frontier.
-std::vector<Combo> merge_frontier(const std::vector<Combo>& partial,
-                                  const std::vector<ComponentOption>& options,
-                                  std::size_t component_index) {
-  std::vector<Combo> next;
-  next.reserve(partial.size() * options.size());
-  for (const auto& p : partial) {
-    for (std::size_t oi = 0; oi < options.size(); ++oi) {
-      Combo c = p;
-      c.delay_s += options[oi].delay_s;
-      c.leakage_w += options[oi].leakage_w;
-      c.dynamic_j += options[oi].dynamic_j;
-      c.choice[component_index] = static_cast<std::uint16_t>(oi);
-      next.push_back(c);
-    }
-  }
-  detail::count_combos_evaluated(next.size());
-  return pareto_min2(
-      std::move(next), [](const Combo& c) { return c.delay_s; },
-      [](const Combo& c) { return c.leakage_w; });
-}
-
 /// Minimum completion delay of a partial state, accumulated in the same
 /// left-to-right order the DP adds components.  Floating-point addition is
 /// weakly monotone, so this equals — bitwise — the delay of the cheapest
 /// full assignment extending the state.
-double completion_delay(
-    double delay_s,
-    const std::array<std::vector<ComponentOption>, kNumComponents>& pruned,
-    std::size_t next_component) {
-  for (std::size_t j = next_component; j < kNumComponents; ++j) {
+double completion_delay(double delay_s, const Tables& pruned,
+                        std::size_t next_component) {
+  for (std::size_t j = next_component; j < pruned.size(); ++j) {
     delay_s += pruned[j][0].delay_s;  // frontier head = per-component min
   }
   return delay_s;
@@ -108,34 +46,31 @@ double completion_delay(
 /// Minimum completion leakage, same left-fold association.  The frontier
 /// is a staircase, so its last entry carries the component's minimum
 /// leakage.
-double completion_leakage(
-    double leakage_w,
-    const std::array<std::vector<ComponentOption>, kNumComponents>& pruned,
-    std::size_t next_component) {
-  for (std::size_t j = next_component; j < kNumComponents; ++j) {
+double completion_leakage(double leakage_w, const Tables& pruned,
+                          std::size_t next_component) {
+  for (std::size_t j = next_component; j < pruned.size(); ++j) {
     leakage_w += pruned[j].back().leakage_w;
   }
   return leakage_w;
 }
 
 OptOutcome<SchemeResult> scheme1_pruned(
-    const ComponentEvaluator& eval,
-    const std::vector<tech::DeviceKnobs>& pairs, double delay_constraint_s) {
-  std::array<std::vector<ComponentOption>, kNumComponents> pruned;
-  std::array<std::size_t, kNumComponents> full_n{};
-  for (ComponentKind kind : kAllComponents) {
-    const auto i = static_cast<std::size_t>(kind);
-    auto table = component_options(eval, kind, pairs);
-    full_n[i] = table.size();
-    pruned[i] = option_frontier(std::move(table));
+    const ComponentEvaluator& eval, const std::vector<tech::DeviceKnobs>& pairs,
+    double delay_constraint_s, const OptSpace& space) {
+  Tables pruned = space_component_tables(eval, space, pairs);
+  const std::size_t n = pruned.size();
+  std::vector<std::size_t> full_n(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    full_n[i] = pruned[i].size();
+    pruned[i] = option_frontier(std::move(pruned[i]));
   }
 
   // Feasibility bound first: the fastest assignment sums the frontier
   // heads, bit-identical to the exhaustive front's fastest member.
   const double fastest = completion_delay(0.0, pruned, 0);
   if (fastest > delay_constraint_s) {
-    return infeasible_delay(delay_constraint_s, fastest,
-                            Scheme::kPerComponent);
+    return detail::infeasible_delay(delay_constraint_s, fastest,
+                                    Scheme::kPerComponent);
   }
 
   // Branch-and-bound incumbent: the all-minimum-leakage chain is a real
@@ -145,23 +80,23 @@ OptOutcome<SchemeResult> scheme1_pruned(
   // engage at equal leakage), so they are safe to drop mid-search.
   double incumbent_leak = std::numeric_limits<double>::infinity();
   double chain_delay = 0.0;
-  for (std::size_t j = 0; j < kNumComponents; ++j) {
+  for (std::size_t j = 0; j < n; ++j) {
     chain_delay += pruned[j].back().delay_s;
   }
   if (chain_delay <= delay_constraint_s) {
     incumbent_leak = completion_leakage(0.0, pruned, 0);
   }
 
-  // Frontier-merge the first kNumComponents-1 components.  Fronts come
-  // back sorted by delay ascending (leakage descending), and the two
-  // completion bounds are monotone along the staircase, so the delay cut
-  // removes a suffix (too slow to finish) and the leakage cut a prefix
-  // (too leaky to beat the incumbent).
+  // Frontier-merge the first n-1 components.  Fronts come back sorted by
+  // delay ascending (leakage descending), and the two completion bounds are
+  // monotone along the staircase, so the delay cut removes a suffix (too
+  // slow to finish) and the leakage cut a prefix (too leaky to beat the
+  // incumbent).
   std::vector<Combo> combos{Combo{}};
-  for (std::size_t i = 0; i + 1 < kNumComponents; ++i) {
+  for (std::size_t i = 0; i + 1 < n; ++i) {
     detail::count_combos_skipped(combos.size() *
                                  (full_n[i] - pruned[i].size()));
-    combos = merge_frontier(combos, pruned[i], i);
+    combos = detail::merge_component(combos, pruned[i], i);
     std::size_t keep = combos.size();
     while (keep > 0 && completion_delay(combos[keep - 1].delay_s, pruned,
                                         i + 1) > delay_constraint_s) {
@@ -186,7 +121,7 @@ OptOutcome<SchemeResult> scheme1_pruned(
   // order here is (front rank, frontier option rank), matching the DP's
   // stable (partial, option) product order, so keeping the first incumbent
   // on full ties reproduces the same representative.
-  const std::size_t last = kNumComponents - 1;
+  const std::size_t last = n - 1;
   const auto& tail = pruned[last];
   const double tail_min_leak = tail.back().leakage_w;  // staircase end
 
@@ -194,7 +129,6 @@ OptOutcome<SchemeResult> scheme1_pruned(
     bool has = false;
     double leakage_w = 0.0;
     double delay_s = 0.0;
-    double dynamic_j = 0.0;
     std::size_t front_rank = 0;
     std::size_t option_rank = 0;
   };
@@ -222,8 +156,7 @@ OptOutcome<SchemeResult> scheme1_pruned(
             (delay == best.delay_s &&
              (fi < best.front_rank ||
               (fi == best.front_rank && oi < best.option_rank)))))) {
-        best = Best{true, leak, delay, f.dynamic_j + tail[oi].dynamic_j, fi,
-                    oi};
+        best = Best{true, leak, delay, fi, oi};
       }
     }
   }
@@ -233,26 +166,22 @@ OptOutcome<SchemeResult> scheme1_pruned(
   if (!best.has) {
     // Unreachable once fastest <= constraint: the head×head pair above is
     // feasible by construction.  Kept as a defensive diagnosis.
-    return infeasible_delay(delay_constraint_s, fastest,
-                            Scheme::kPerComponent);
+    return detail::infeasible_delay(delay_constraint_s, fastest,
+                                    Scheme::kPerComponent);
   }
-  SchemeResult r;
-  r.leakage_w = best.leakage_w;
-  r.access_time_s = best.delay_s;
-  r.dynamic_energy_j = best.dynamic_j;
-  const Combo& f = combos[best.front_rank];
-  for (std::size_t i = 0; i + 1 < kNumComponents; ++i) {
-    r.assignment.set(static_cast<ComponentKind>(i), pruned[i][f.choice[i]].knobs);
-  }
-  r.assignment.set(static_cast<ComponentKind>(last),
-                   tail[best.option_rank].knobs);
-  return r;
+  Combo winner = combos[best.front_rank];
+  winner.delay_s = best.delay_s;
+  winner.leakage_w = best.leakage_w;
+  winner.choice[last] = static_cast<std::uint16_t>(best.option_rank);
+  return detail::combo_result(space, pruned, winner);
 }
 
 // ---------------------------------------------------------------------------
-// Schemes II / III: frontier prune + feasible-prefix scan.  The exhaustive
-// searches break (leakage, delay) ties on the ORIGINAL flat grid index, so
-// the pruned tables carry their original indices through the filter.
+// Schemes II / III: frontier prune + feasible-prefix scan over the block
+// pair.  The exhaustive scan breaks (leakage, delay) ties on the ORIGINAL
+// flat grid index, so the pruned tables carry their original indices
+// through the filter.  Scheme III's periphery block is one all-zero option,
+// so the scan keeps the last feasible member of the uniform frontier.
 // ---------------------------------------------------------------------------
 
 struct Indexed {
@@ -269,20 +198,17 @@ std::vector<Indexed> indexed_frontier(const std::vector<ComponentOption>& v) {
       [](const Indexed& o) { return o.opt.leakage_w; });
 }
 
-OptOutcome<SchemeResult> scheme2_pruned(
-    const ComponentEvaluator& eval,
-    const std::vector<tech::DeviceKnobs>& pairs, double delay_constraint_s) {
-  const auto array_opts =
-      component_options(eval, ComponentKind::kCellArray, pairs);
-  const auto periph_opts = periphery_options(eval, pairs);
-  const std::size_t np = periph_opts.size();
-  const auto af = indexed_frontier(array_opts);
-  const auto pf = indexed_frontier(periph_opts);
+OptOutcome<SchemeResult> blocks_pruned(
+    const ComponentEvaluator& eval, const std::vector<tech::DeviceKnobs>& pairs,
+    Scheme scheme, double delay_constraint_s, const OptSpace& space) {
+  const auto blocks = detail::block_tables(eval, space, scheme, pairs);
+  const std::size_t np = blocks.periphery.size();
+  const auto af = indexed_frontier(blocks.array);
+  const auto pf = indexed_frontier(blocks.periphery);
 
   const double fastest = af.front().opt.delay_s + pf.front().opt.delay_s;
   if (fastest > delay_constraint_s) {
-    return infeasible_delay(delay_constraint_s, fastest,
-                            Scheme::kArrayPeriphery);
+    return detail::infeasible_delay(delay_constraint_s, fastest, scheme);
   }
   const double periph_min_leak = pf.back().opt.leakage_w;
 
@@ -290,7 +216,6 @@ OptOutcome<SchemeResult> scheme2_pruned(
     bool has = false;
     double leakage_w = 0.0;
     double delay_s = 0.0;
-    double dynamic_j = 0.0;
     std::size_t flat = 0;  ///< original ai * np + pi — the exhaustive key
     std::size_t ai = 0;
     std::size_t pi = 0;
@@ -312,321 +237,18 @@ OptOutcome<SchemeResult> scheme2_pruned(
           (leak == best.leakage_w &&
            (delay < best.delay_s ||
             (delay == best.delay_s && flat < best.flat)))) {
-        best = Best{true, leak, delay, a.opt.dynamic_j + p.opt.dynamic_j,
-                    flat, a.orig, p.orig};
+        best = Best{true, leak, delay, flat, a.orig, p.orig};
       }
     }
   }
   detail::count_combos_evaluated(evaluated);
-  detail::count_combos_skipped(array_opts.size() * np - evaluated);
+  detail::count_combos_skipped(blocks.array.size() * np - evaluated);
 
   if (!best.has) {
-    return infeasible_delay(delay_constraint_s, fastest,
-                            Scheme::kArrayPeriphery);
+    return detail::infeasible_delay(delay_constraint_s, fastest, scheme);
   }
-  SchemeResult r;
-  r.assignment = ComponentAssignment::split(array_opts[best.ai].knobs,
-                                            periph_opts[best.pi].knobs);
-  r.leakage_w = best.leakage_w;
-  r.access_time_s = best.delay_s;
-  r.dynamic_energy_j = best.dynamic_j;
-  return r;
-}
-
-OptOutcome<SchemeResult> scheme3_pruned(
-    const ComponentEvaluator& eval,
-    const std::vector<tech::DeviceKnobs>& pairs, double delay_constraint_s) {
-  const auto opts = uniform_options(eval, pairs);
-  const auto uf = indexed_frontier(opts);
-
-  const double fastest = uf.front().opt.delay_s;
-  if (fastest > delay_constraint_s) {
-    return infeasible_delay(delay_constraint_s, fastest, Scheme::kUniform);
-  }
-  // On the staircase leakage strictly decreases with delay, so the optimum
-  // is simply the last feasible frontier member; no sums are formed, so the
-  // equivalence to the exhaustive flat argmin is exact with no FP caveat.
-  std::size_t winner = 0;
-  std::size_t evaluated = 0;
-  for (std::size_t i = 0; i < uf.size(); ++i) {
-    ++evaluated;
-    if (uf[i].opt.delay_s > delay_constraint_s) break;
-    winner = i;
-  }
-  detail::count_combos_evaluated(evaluated);
-  detail::count_combos_skipped(opts.size() - evaluated);
-
-  SchemeResult r;
-  r.assignment = ComponentAssignment(opts[uf[winner].orig].knobs);
-  r.leakage_w = uf[winner].opt.leakage_w;
-  r.access_time_s = uf[winner].opt.delay_s;
-  r.dynamic_energy_j = uf[winner].opt.dynamic_j;
-  return r;
-}
-
-// ---------------------------------------------------------------------------
-// Generalized design-space engine: the same three layers over any component
-// list (plus the power-gating axis).  Tables come from the same opt::space_*
-// builders the generalized exhaustive engine uses, fold order is the same
-// left-to-right DP order, and all tie-breaks are reproduced, so §10's
-// byte-identity argument extends unchanged to the enlarged axes (§11).
-// ---------------------------------------------------------------------------
-
-using cachemodel::kMaxComponents;
-
-struct VecCombo {
-  double delay_s = 0.0;
-  double leakage_w = 0.0;
-  double dynamic_j = 0.0;
-  std::array<std::uint16_t, kMaxComponents> choice{};
-};
-
-std::vector<VecCombo> merge_frontier_vec(
-    const std::vector<VecCombo>& partial,
-    const std::vector<ComponentOption>& options,
-    std::size_t component_index) {
-  std::vector<VecCombo> next;
-  next.reserve(partial.size() * options.size());
-  for (const auto& p : partial) {
-    for (std::size_t oi = 0; oi < options.size(); ++oi) {
-      VecCombo c = p;
-      c.delay_s += options[oi].delay_s;
-      c.leakage_w += options[oi].leakage_w;
-      c.dynamic_j += options[oi].dynamic_j;
-      c.choice[component_index] = static_cast<std::uint16_t>(oi);
-      next.push_back(c);
-    }
-  }
-  detail::count_combos_evaluated(next.size());
-  return pareto_min2(
-      std::move(next), [](const VecCombo& c) { return c.delay_s; },
-      [](const VecCombo& c) { return c.leakage_w; });
-}
-
-double completion_delay_vec(
-    double delay_s, const std::vector<std::vector<ComponentOption>>& pruned,
-    std::size_t next_component) {
-  for (std::size_t j = next_component; j < pruned.size(); ++j) {
-    delay_s += pruned[j][0].delay_s;
-  }
-  return delay_s;
-}
-
-double completion_leakage_vec(
-    double leakage_w, const std::vector<std::vector<ComponentOption>>& pruned,
-    std::size_t next_component) {
-  for (std::size_t j = next_component; j < pruned.size(); ++j) {
-    leakage_w += pruned[j].back().leakage_w;
-  }
-  return leakage_w;
-}
-
-void apply_option(ComponentAssignment& asg, ComponentKind kind,
-                  const ComponentOption& opt) {
-  asg.set(kind, opt.knobs);
-  asg.set_gated(kind, opt.gated);
-}
-
-OptOutcome<SchemeResult> scheme1_pruned_space(
-    const ComponentEvaluator& eval,
-    const std::vector<tech::DeviceKnobs>& pairs, double delay_constraint_s,
-    const OptSpace& space) {
-  const auto full = space_component_tables(eval, space, pairs);
-  const std::size_t n = full.size();
-  std::vector<std::vector<ComponentOption>> pruned(n);
-  std::vector<std::size_t> full_n(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    full_n[i] = full[i].size();
-    pruned[i] = option_frontier(full[i]);
-  }
-
-  const double fastest = completion_delay_vec(0.0, pruned, 0);
-  if (fastest > delay_constraint_s) {
-    return infeasible_delay(delay_constraint_s, fastest,
-                            Scheme::kPerComponent);
-  }
-
-  double incumbent_leak = std::numeric_limits<double>::infinity();
-  double chain_delay = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    chain_delay += pruned[j].back().delay_s;
-  }
-  if (chain_delay <= delay_constraint_s) {
-    incumbent_leak = completion_leakage_vec(0.0, pruned, 0);
-  }
-
-  std::vector<VecCombo> combos{VecCombo{}};
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    detail::count_combos_skipped(combos.size() *
-                                 (full_n[i] - pruned[i].size()));
-    combos = merge_frontier_vec(combos, pruned[i], i);
-    std::size_t keep = combos.size();
-    while (keep > 0 && completion_delay_vec(combos[keep - 1].delay_s, pruned,
-                                            i + 1) > delay_constraint_s) {
-      --keep;
-    }
-    std::size_t drop = 0;
-    while (drop < keep &&
-           completion_leakage_vec(combos[drop].leakage_w, pruned, i + 1) >
-               incumbent_leak) {
-      ++drop;
-    }
-    detail::count_combos_skipped((combos.size() - (keep - drop)) *
-                                 full_n[i + 1]);
-    combos.erase(combos.begin() + static_cast<std::ptrdiff_t>(keep),
-                 combos.end());
-    combos.erase(combos.begin(),
-                 combos.begin() + static_cast<std::ptrdiff_t>(drop));
-  }
-
-  const std::size_t last = n - 1;
-  const auto& tail = pruned[last];
-  const double tail_min_leak = tail.back().leakage_w;
-
-  struct Best {
-    bool has = false;
-    double leakage_w = 0.0;
-    double delay_s = 0.0;
-    double dynamic_j = 0.0;
-    std::size_t front_rank = 0;
-    std::size_t option_rank = 0;
-  };
-  Best best;
-  std::size_t evaluated = 0;
-  for (std::size_t fi = combos.size(); fi-- > 0;) {
-    const VecCombo& f = combos[fi];
-    if (best.has && f.leakage_w + tail_min_leak > best.leakage_w) break;
-    for (std::size_t oi = 0; oi < tail.size(); ++oi) {
-      const double delay = f.delay_s + tail[oi].delay_s;
-      ++evaluated;
-      if (delay > delay_constraint_s) break;
-      const double leak = f.leakage_w + tail[oi].leakage_w;
-      if (!best.has || leak < best.leakage_w ||
-          (leak == best.leakage_w &&
-           (delay < best.delay_s ||
-            (delay == best.delay_s &&
-             (fi < best.front_rank ||
-              (fi == best.front_rank && oi < best.option_rank)))))) {
-        best = Best{true, leak, delay, f.dynamic_j + tail[oi].dynamic_j, fi,
-                    oi};
-      }
-    }
-  }
-  detail::count_combos_evaluated(evaluated);
-  detail::count_combos_skipped(combos.size() * full_n[last] - evaluated);
-
-  if (!best.has) {
-    return infeasible_delay(delay_constraint_s, fastest,
-                            Scheme::kPerComponent);
-  }
-  SchemeResult r;
-  r.leakage_w = best.leakage_w;
-  r.access_time_s = best.delay_s;
-  r.dynamic_energy_j = best.dynamic_j;
-  const VecCombo& f = combos[best.front_rank];
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    apply_option(r.assignment, space.components[i], pruned[i][f.choice[i]]);
-  }
-  apply_option(r.assignment, space.components[last], tail[best.option_rank]);
-  return r;
-}
-
-OptOutcome<SchemeResult> scheme2_pruned_space(
-    const ComponentEvaluator& eval,
-    const std::vector<tech::DeviceKnobs>& pairs, double delay_constraint_s,
-    const OptSpace& space) {
-  const auto array_opts = space_block_options(eval, space, true, pairs);
-  const auto periph_opts = space_block_options(eval, space, false, pairs);
-  const std::size_t np = periph_opts.size();
-  const auto af = indexed_frontier(array_opts);
-  const auto pf = indexed_frontier(periph_opts);
-
-  const double fastest = af.front().opt.delay_s + pf.front().opt.delay_s;
-  if (fastest > delay_constraint_s) {
-    return infeasible_delay(delay_constraint_s, fastest,
-                            Scheme::kArrayPeriphery);
-  }
-  const double periph_min_leak = pf.back().opt.leakage_w;
-
-  struct Best {
-    bool has = false;
-    double leakage_w = 0.0;
-    double delay_s = 0.0;
-    double dynamic_j = 0.0;
-    std::size_t flat = 0;
-    std::size_t ai = 0;
-    std::size_t pi = 0;
-  };
-  Best best;
-  std::size_t evaluated = 0;
-  for (const auto& a : af) {
-    if (a.opt.delay_s + pf.front().opt.delay_s > delay_constraint_s) break;
-    if (best.has && a.opt.leakage_w + periph_min_leak > best.leakage_w) {
-      continue;
-    }
-    for (const auto& p : pf) {
-      const double delay = a.opt.delay_s + p.opt.delay_s;
-      ++evaluated;
-      if (delay > delay_constraint_s) break;
-      const double leak = a.opt.leakage_w + p.opt.leakage_w;
-      const std::size_t flat = a.orig * np + p.orig;
-      if (!best.has || leak < best.leakage_w ||
-          (leak == best.leakage_w &&
-           (delay < best.delay_s ||
-            (delay == best.delay_s && flat < best.flat)))) {
-        best = Best{true, leak, delay, a.opt.dynamic_j + p.opt.dynamic_j,
-                    flat, a.orig, p.orig};
-      }
-    }
-  }
-  detail::count_combos_evaluated(evaluated);
-  detail::count_combos_skipped(array_opts.size() * np - evaluated);
-
-  if (!best.has) {
-    return infeasible_delay(delay_constraint_s, fastest,
-                            Scheme::kArrayPeriphery);
-  }
-  SchemeResult r;
-  for (std::size_t i = 0; i < space.components.size(); ++i) {
-    apply_option(r.assignment, space.components[i],
-                 i < space.array_count ? array_opts[best.ai]
-                                       : periph_opts[best.pi]);
-  }
-  r.leakage_w = best.leakage_w;
-  r.access_time_s = best.delay_s;
-  r.dynamic_energy_j = best.dynamic_j;
-  return r;
-}
-
-OptOutcome<SchemeResult> scheme3_pruned_space(
-    const ComponentEvaluator& eval,
-    const std::vector<tech::DeviceKnobs>& pairs, double delay_constraint_s,
-    const OptSpace& space) {
-  const auto opts = space_uniform_options(eval, space, pairs);
-  const auto uf = indexed_frontier(opts);
-
-  const double fastest = uf.front().opt.delay_s;
-  if (fastest > delay_constraint_s) {
-    return infeasible_delay(delay_constraint_s, fastest, Scheme::kUniform);
-  }
-  std::size_t winner = 0;
-  std::size_t evaluated = 0;
-  for (std::size_t i = 0; i < uf.size(); ++i) {
-    ++evaluated;
-    if (uf[i].opt.delay_s > delay_constraint_s) break;
-    winner = i;
-  }
-  detail::count_combos_evaluated(evaluated);
-  detail::count_combos_skipped(opts.size() - evaluated);
-
-  SchemeResult r;
-  for (std::size_t i = 0; i < space.components.size(); ++i) {
-    apply_option(r.assignment, space.components[i], opts[uf[winner].orig]);
-  }
-  r.leakage_w = uf[winner].opt.leakage_w;
-  r.access_time_s = uf[winner].opt.delay_s;
-  r.dynamic_energy_j = uf[winner].opt.dynamic_j;
-  return r;
+  return detail::block_result(space, scheme, blocks.array[best.ai],
+                              blocks.periphery[best.pi]);
 }
 
 }  // namespace
@@ -635,26 +257,10 @@ OptOutcome<SchemeResult> optimize_single_cache_pruned(
     const ComponentEvaluator& eval, const KnobGrid& grid, Scheme scheme,
     double delay_constraint_s, const OptSpace& space) {
   const auto pairs = grid.pairs();
-  if (!(space.is_base() && !space.gating.enabled)) {
-    switch (scheme) {
-      case Scheme::kPerComponent:
-        return scheme1_pruned_space(eval, pairs, delay_constraint_s, space);
-      case Scheme::kArrayPeriphery:
-        return scheme2_pruned_space(eval, pairs, delay_constraint_s, space);
-      case Scheme::kUniform:
-        return scheme3_pruned_space(eval, pairs, delay_constraint_s, space);
-    }
-    throw Error("unknown scheme");
+  if (scheme == Scheme::kPerComponent) {
+    return scheme1_pruned(eval, pairs, delay_constraint_s, space);
   }
-  switch (scheme) {
-    case Scheme::kPerComponent:
-      return scheme1_pruned(eval, pairs, delay_constraint_s);
-    case Scheme::kArrayPeriphery:
-      return scheme2_pruned(eval, pairs, delay_constraint_s);
-    case Scheme::kUniform:
-      return scheme3_pruned(eval, pairs, delay_constraint_s);
-  }
-  throw Error("unknown scheme");
+  return blocks_pruned(eval, pairs, scheme, delay_constraint_s, space);
 }
 
 }  // namespace nanocache::opt

@@ -1,7 +1,8 @@
 // Dominance-pruned single-cache assignment search (the SearchMode::kPruned
 // engine behind opt::optimize_single_cache).
 //
-// Three layers, each provably argmin-preserving (docs/MODELING.md §10):
+// Scheme I runs three layers, each provably argmin-preserving
+// (docs/MODELING.md §10):
 //  1. Per-component Pareto pre-filter: any (Vth,Tox) grid point dominated
 //     in both delay and leakage by another point of the same component can
 //     never appear in an optimum, because both objectives add monotonically
@@ -14,6 +15,8 @@
 //     (accumulated in DP order) already exceeds the constraint are cut, and
 //     the final scan skips frontier states that cannot beat the incumbent
 //     even with the minimum-leakage tail.
+// Schemes II and III pre-filter their two block tables the same way and
+// scan only the feasible prefix of the block-pair product.
 //
 // The engine reproduces the exhaustive search's grid-index tie-breaks, so
 // results are byte-identical — the one theoretical exception (a strict
@@ -21,8 +24,6 @@
 // which would need sub-ULP spacing the physical models never produce) is
 // documented in docs/MODELING.md and guarded by differential tests.
 #pragma once
-
-#include <cstddef>
 
 #include "opt/outcome.h"
 #include "opt/schemes.h"
@@ -32,22 +33,11 @@ namespace nanocache::opt {
 /// Pruned counterpart of the exhaustive search in schemes.cc.  Same
 /// contract: minimize leakage subject to access_time <= delay_constraint_s,
 /// infeasible outcomes carry the fastest achievable time.  The byte-identity
-/// guarantee holds for any `space`: both engines build their option tables
-/// through the same opt::space_* builders and keep the same tie-breaks.
+/// guarantee holds for any `space`: both engines build their tables and
+/// results through the shared building blocks of opt/engine.h and keep the
+/// same tie-breaks.
 OptOutcome<SchemeResult> optimize_single_cache_pruned(
     const ComponentEvaluator& eval, const KnobGrid& grid, Scheme scheme,
     double delay_constraint_s, const OptSpace& space = OptSpace::base());
-
-namespace detail {
-
-/// Shared search-effort counters.  `evaluated` counts candidate pair
-/// states actually materialized (products formed and compared);
-/// `skipped` counts the states a nested product loop over the unpruned
-/// option tables would have formed for the same partial sets but the
-/// pruned engine never touched.
-void count_combos_evaluated(std::size_t n);
-void count_combos_skipped(std::size_t n);
-
-}  // namespace detail
 
 }  // namespace nanocache::opt

@@ -1,10 +1,10 @@
 #include "opt/schemes.h"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 #include <optional>
 
+#include "opt/engine.h"
 #include "opt/pareto.h"
 #include "opt/pruned.h"
 #include "util/error.h"
@@ -14,9 +14,7 @@
 namespace nanocache::opt {
 
 using cachemodel::ComponentAssignment;
-using cachemodel::ComponentKind;
-using cachemodel::kAllComponents;
-using cachemodel::kNumComponents;
+using detail::Combo;
 
 std::string scheme_name(Scheme scheme) {
   switch (scheme) {
@@ -30,16 +28,125 @@ std::string scheme_name(Scheme scheme) {
   return "unknown";
 }
 
+// ---------------------------------------------------------------------------
+// Building blocks shared with the pruned engine (opt/engine.h).
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+std::vector<Combo> merge_component(const std::vector<Combo>& partial,
+                                   const std::vector<ComponentOption>& options,
+                                   std::size_t component_index) {
+  std::vector<Combo> next;
+  next.reserve(partial.size() * options.size());
+  for (const auto& p : partial) {
+    for (std::size_t oi = 0; oi < options.size(); ++oi) {
+      Combo c = p;
+      c.delay_s += options[oi].delay_s;
+      c.leakage_w += options[oi].leakage_w;
+      c.choice[component_index] = static_cast<std::uint16_t>(oi);
+      next.push_back(c);
+    }
+  }
+  count_combos_evaluated(next.size());
+  // A dominated partial state can never become optimal because both
+  // objectives add monotonically.
+  return pareto_min2(
+      std::move(next), [](const Combo& c) { return c.delay_s; },
+      [](const Combo& c) { return c.leakage_w; });
+}
+
+SchemeResult combo_result(
+    const OptSpace& space,
+    const std::vector<std::vector<ComponentOption>>& tables,
+    const Combo& combo) {
+  SchemeResult r;
+  r.leakage_w = combo.leakage_w;
+  r.access_time_s = combo.delay_s;
+  for (std::size_t i = 0; i < space.components.size(); ++i) {
+    const ComponentOption& option = tables[i][combo.choice[i]];
+    r.dynamic_energy_j += option.dynamic_j;
+    apply_option(r.assignment, space.components[i], option);
+  }
+  return r;
+}
+
+BlockTables block_tables(const ComponentEvaluator& eval, const OptSpace& space,
+                         Scheme scheme,
+                         const std::vector<tech::DeviceKnobs>& pairs) {
+  switch (scheme) {
+    case Scheme::kArrayPeriphery:
+      return {space_block_options(eval, space, /*array_block=*/true, pairs),
+              space_block_options(eval, space, /*array_block=*/false, pairs)};
+    case Scheme::kUniform:
+      return {space_uniform_options(eval, space, pairs), {ComponentOption{}}};
+    case Scheme::kPerComponent:
+      break;
+  }
+  throw Error("scheme " + scheme_name(scheme) + " has no block structure");
+}
+
+void apply_option(ComponentAssignment& assignment,
+                  cachemodel::ComponentKind kind,
+                  const ComponentOption& option) {
+  assignment.set(kind, option.knobs);
+  assignment.set_gated(kind, option.gated);
+}
+
+SchemeResult block_result(const OptSpace& space, Scheme scheme,
+                          const ComponentOption& array,
+                          const ComponentOption& periphery) {
+  const bool uniform = scheme == Scheme::kUniform;
+  SchemeResult r;
+  // Components outside the space (the tag path of a fixed organization)
+  // still follow the paper's block convention.
+  r.assignment = uniform
+                     ? ComponentAssignment(array.knobs)
+                     : ComponentAssignment::split(array.knobs, periphery.knobs);
+  for (std::size_t i = 0; i < space.components.size(); ++i) {
+    apply_option(r.assignment, space.components[i],
+                 uniform || i < space.array_count ? array : periphery);
+  }
+  r.leakage_w = array.leakage_w + periphery.leakage_w;
+  r.access_time_s = array.delay_s + periphery.delay_s;
+  r.dynamic_energy_j = array.dynamic_j + periphery.dynamic_j;
+  return r;
+}
+
+OptOutcome<SchemeResult> infeasible_delay(double delay_constraint_s,
+                                          double fastest_s, Scheme scheme) {
+  return OptOutcome<SchemeResult>::infeasible(InfeasibleInfo{
+      "access time <= delay constraint [s]", delay_constraint_s, fastest_s,
+      "scheme " + scheme_name(scheme)});
+}
+
+void count_combos_evaluated(std::size_t n) {
+  static auto& evaluated =
+      metrics::Registry::instance().counter("opt.combos_evaluated");
+  evaluated.add(n);
+}
+
+void count_combos_skipped(std::size_t n) {
+  static auto& skipped =
+      metrics::Registry::instance().counter("opt.combos_skipped");
+  skipped.add(n);
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
+// The exhaustive engine: the differential-testing reference.
+// ---------------------------------------------------------------------------
+
 namespace {
 
-/// Partial DP state for Scheme I: accumulated delay/leak/dynamic plus the
-/// option index chosen for each component combined so far.
-struct Combo {
-  double delay_s = 0.0;
-  double leakage_w = 0.0;
-  double dynamic_j = 0.0;
-  std::array<std::uint16_t, kNumComponents> choice{};
-};
+/// Candidate-space observability: every (assignment, scheme) combination a
+/// single-cache optimization considers, across all three schemes.
+void count_combos(std::size_t n) {
+  static auto& combos =
+      metrics::Registry::instance().counter("opt.combos_considered");
+  combos.add(n);
+}
 
 /// Argmin order for feasible candidates: lowest leakage, then lowest
 /// delay, then lowest grid index (the per-component option-index tuple,
@@ -52,41 +159,23 @@ bool better_combo(const Combo& a, const Combo& b) {
   return a.choice < b.choice;
 }
 
-std::vector<Combo> combine(const std::vector<Combo>& partial,
-                           const std::vector<ComponentOption>& options,
-                           std::size_t component_index) {
-  std::vector<Combo> next;
-  next.reserve(partial.size() * options.size());
-  for (const auto& p : partial) {
-    for (std::size_t oi = 0; oi < options.size(); ++oi) {
-      Combo c = p;
-      c.delay_s += options[oi].delay_s;
-      c.leakage_w += options[oi].leakage_w;
-      c.dynamic_j += options[oi].dynamic_j;
-      c.choice[component_index] = static_cast<std::uint16_t>(oi);
-      next.push_back(c);
-    }
+/// Scheme I's Pareto DP over a space's component tables, in space order.
+std::vector<Combo> pareto_dp(
+    const std::vector<std::vector<ComponentOption>>& tables) {
+  std::vector<Combo> combos{Combo{}};
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    combos = detail::merge_component(combos, tables[i], i);
   }
-  detail::count_combos_evaluated(next.size());
-  // Pareto filter on (delay, leakage): any dominated partial state can
-  // never become optimal because both objectives add monotonically.
-  return pareto_min2(
-      std::move(next), [](const Combo& c) { return c.delay_s; },
-      [](const Combo& c) { return c.leakage_w; });
+  return combos;
 }
 
-/// Infeasibility diagnosis shared by every scheme branch.
-OptOutcome<SchemeResult> infeasible_delay(double delay_constraint_s,
-                                          double fastest_s, Scheme scheme) {
-  return OptOutcome<SchemeResult>::infeasible(InfeasibleInfo{
-      "access time <= delay constraint [s]", delay_constraint_s, fastest_s,
-      "scheme " + scheme_name(scheme)});
-}
+OptOutcome<SchemeResult> scheme1_exhaustive(
+    const ComponentEvaluator& eval, const std::vector<tech::DeviceKnobs>& pairs,
+    double delay_constraint_s, const OptSpace& space) {
+  const auto tables = space_component_tables(eval, space, pairs);
+  const auto combos = pareto_dp(tables);
+  count_combos(combos.size());
 
-OptOutcome<SchemeResult> pick_best(
-    const std::vector<Combo>& combos,
-    const std::array<std::vector<ComponentOption>, kNumComponents>& options,
-    double delay_constraint_s, Scheme scheme) {
   struct Acc {
     const Combo* best = nullptr;
     double fastest = std::numeric_limits<double>::infinity();
@@ -107,48 +196,20 @@ OptOutcome<SchemeResult> pick_best(
         }
       });
   if (acc.best == nullptr) {
-    return infeasible_delay(delay_constraint_s, acc.fastest, scheme);
+    return detail::infeasible_delay(delay_constraint_s, acc.fastest,
+                                    Scheme::kPerComponent);
   }
-  SchemeResult r;
-  r.leakage_w = acc.best->leakage_w;
-  r.access_time_s = acc.best->delay_s;
-  r.dynamic_energy_j = acc.best->dynamic_j;
-  for (std::size_t i = 0; i < kNumComponents; ++i) {
-    r.assignment.set(static_cast<ComponentKind>(i),
-                     options[i][acc.best->choice[i]].knobs);
-  }
-  return r;
+  return detail::combo_result(space, tables, *acc.best);
 }
 
-std::vector<Combo> scheme1_combos(
-    const std::array<std::vector<ComponentOption>, kNumComponents>& options) {
-  std::vector<Combo> combos{Combo{}};
-  for (std::size_t i = 0; i < kNumComponents; ++i) {
-    combos = combine(combos, options[i], i);
-  }
-  return combos;
-}
-
-std::array<std::vector<ComponentOption>, kNumComponents> all_options(
-    const ComponentEvaluator& eval,
-    const std::vector<tech::DeviceKnobs>& pairs) {
-  std::array<std::vector<ComponentOption>, kNumComponents> out;
-  for (ComponentKind kind : kAllComponents) {
-    out[static_cast<std::size_t>(kind)] =
-        component_options(eval, kind, pairs);
-  }
-  return out;
-}
-
-/// Feasible-argmin accumulator for the scheme II/III flat searches.
-/// Candidates are ordered by (leakage, delay, grid index) — see
+/// Feasible-argmin accumulator for the flat block-pair scan.  Candidates
+/// are ordered by (leakage, delay, flattened grid index) — see
 /// better_combo for why the index tie-break makes the reduction
 /// deterministic under any chunking.
 struct FlatBest {
   bool has = false;
   double leakage_w = 0.0;
   double delay_s = 0.0;
-  double dynamic_j = 0.0;
   std::size_t index = 0;  ///< flattened grid index of the candidate
   double fastest = std::numeric_limits<double>::infinity();
 
@@ -166,195 +227,41 @@ struct FlatBest {
       has = true;
       leakage_w = other.leakage_w;
       delay_s = other.delay_s;
-      dynamic_j = other.dynamic_j;
       index = other.index;
     }
   }
 };
 
-}  // namespace
-
-namespace {
-
-/// Candidate-space observability: every (assignment, scheme) combination a
-/// single-cache optimization considers, across all three schemes.
-void count_combos(std::size_t n) {
-  static auto& combos =
-      metrics::Registry::instance().counter("opt.combos_considered");
-  combos.add(n);
-}
-
-// ---------------------------------------------------------------------------
-// Generalized design-space engine: any component list plus the power-gating
-// axis.  Mirrors the fixed four-component code above step for step (same
-// fold order, same tie-breaks) so the pruned engine's byte-identity argument
-// carries over; the fixed space never routes through here.
-// ---------------------------------------------------------------------------
-
-using cachemodel::kMaxComponents;
-
-/// Partial DP state over a space's component prefix.  choice[i] indexes
-/// component i's (gating-expanded) option table.
-struct VecCombo {
-  double delay_s = 0.0;
-  double leakage_w = 0.0;
-  double dynamic_j = 0.0;
-  std::array<std::uint16_t, kMaxComponents> choice{};
-};
-
-bool better_vec_combo(const VecCombo& a, const VecCombo& b) {
-  if (a.leakage_w != b.leakage_w) return a.leakage_w < b.leakage_w;
-  if (a.delay_s != b.delay_s) return a.delay_s < b.delay_s;
-  return a.choice < b.choice;
-}
-
-std::vector<VecCombo> combine_vec(const std::vector<VecCombo>& partial,
-                                  const std::vector<ComponentOption>& options,
-                                  std::size_t component_index) {
-  std::vector<VecCombo> next;
-  next.reserve(partial.size() * options.size());
-  for (const auto& p : partial) {
-    for (std::size_t oi = 0; oi < options.size(); ++oi) {
-      VecCombo c = p;
-      c.delay_s += options[oi].delay_s;
-      c.leakage_w += options[oi].leakage_w;
-      c.dynamic_j += options[oi].dynamic_j;
-      c.choice[component_index] = static_cast<std::uint16_t>(oi);
-      next.push_back(c);
-    }
+OptOutcome<SchemeResult> blocks_exhaustive(
+    const ComponentEvaluator& eval, const std::vector<tech::DeviceKnobs>& pairs,
+    Scheme scheme, double delay_constraint_s, const OptSpace& space) {
+  const auto blocks = detail::block_tables(eval, space, scheme, pairs);
+  const std::size_t np = blocks.periphery.size();
+  const std::size_t n = blocks.array.size() * np;
+  count_combos(n);
+  detail::count_combos_evaluated(n);
+  const FlatBest best = par::parallel_reduce(
+      n, FlatBest{},
+      [&](FlatBest& acc, std::size_t i) {
+        const auto& a = blocks.array[i / np];
+        const auto& p = blocks.periphery[i % np];
+        const double delay = a.delay_s + p.delay_s;
+        acc.fastest = std::min(acc.fastest, delay);
+        if (delay > delay_constraint_s) return;
+        const double leak = a.leakage_w + p.leakage_w;
+        if (acc.candidate_better(leak, delay, i)) {
+          acc.has = true;
+          acc.leakage_w = leak;
+          acc.delay_s = delay;
+          acc.index = i;
+        }
+      },
+      [](FlatBest& into, FlatBest&& from) { into.merge(from); });
+  if (!best.has) {
+    return detail::infeasible_delay(delay_constraint_s, best.fastest, scheme);
   }
-  detail::count_combos_evaluated(next.size());
-  return pareto_min2(
-      std::move(next), [](const VecCombo& c) { return c.delay_s; },
-      [](const VecCombo& c) { return c.leakage_w; });
-}
-
-void apply_option(ComponentAssignment& asg, ComponentKind kind,
-                  const ComponentOption& opt) {
-  asg.set(kind, opt.knobs);
-  asg.set_gated(kind, opt.gated);
-}
-
-OptOutcome<SchemeResult> optimize_space_exhaustive(
-    const ComponentEvaluator& eval,
-    const std::vector<tech::DeviceKnobs>& pairs, Scheme scheme,
-    double delay_constraint_s, const OptSpace& space) {
-  switch (scheme) {
-    case Scheme::kPerComponent: {
-      const auto tables = space_component_tables(eval, space, pairs);
-      std::vector<VecCombo> combos{VecCombo{}};
-      for (std::size_t i = 0; i < tables.size(); ++i) {
-        combos = combine_vec(combos, tables[i], i);
-      }
-      count_combos(combos.size());
-
-      struct Acc {
-        const VecCombo* best = nullptr;
-        double fastest = std::numeric_limits<double>::infinity();
-      };
-      const Acc acc = par::parallel_reduce(
-          combos.size(), Acc{},
-          [&](Acc& a, std::size_t i) {
-            const VecCombo& c = combos[i];
-            a.fastest = std::min(a.fastest, c.delay_s);
-            if (c.delay_s > delay_constraint_s) return;
-            if (a.best == nullptr || better_vec_combo(c, *a.best)) a.best = &c;
-          },
-          [](Acc& into, Acc&& from) {
-            into.fastest = std::min(into.fastest, from.fastest);
-            if (from.best != nullptr &&
-                (into.best == nullptr ||
-                 better_vec_combo(*from.best, *into.best))) {
-              into.best = from.best;
-            }
-          });
-      if (acc.best == nullptr) {
-        return infeasible_delay(delay_constraint_s, acc.fastest, scheme);
-      }
-      SchemeResult r;
-      r.leakage_w = acc.best->leakage_w;
-      r.access_time_s = acc.best->delay_s;
-      r.dynamic_energy_j = acc.best->dynamic_j;
-      for (std::size_t i = 0; i < space.components.size(); ++i) {
-        apply_option(r.assignment, space.components[i],
-                     tables[i][acc.best->choice[i]]);
-      }
-      return r;
-    }
-
-    case Scheme::kArrayPeriphery: {
-      const auto array_opts = space_block_options(eval, space, true, pairs);
-      const auto periph_opts = space_block_options(eval, space, false, pairs);
-      const std::size_t np = periph_opts.size();
-      count_combos(array_opts.size() * np);
-      detail::count_combos_evaluated(array_opts.size() * np);
-      const FlatBest best = par::parallel_reduce(
-          array_opts.size() * np, FlatBest{},
-          [&](FlatBest& acc, std::size_t i) {
-            const auto& a = array_opts[i / np];
-            const auto& p = periph_opts[i % np];
-            const double delay = a.delay_s + p.delay_s;
-            acc.fastest = std::min(acc.fastest, delay);
-            if (delay > delay_constraint_s) return;
-            const double leak = a.leakage_w + p.leakage_w;
-            if (acc.candidate_better(leak, delay, i)) {
-              acc.has = true;
-              acc.leakage_w = leak;
-              acc.delay_s = delay;
-              acc.dynamic_j = a.dynamic_j + p.dynamic_j;
-              acc.index = i;
-            }
-          },
-          [](FlatBest& into, FlatBest&& from) { into.merge(from); });
-      if (!best.has) {
-        return infeasible_delay(delay_constraint_s, best.fastest, scheme);
-      }
-      SchemeResult r;
-      const auto& a = array_opts[best.index / np];
-      const auto& p = periph_opts[best.index % np];
-      for (std::size_t i = 0; i < space.components.size(); ++i) {
-        apply_option(r.assignment, space.components[i],
-                     i < space.array_count ? a : p);
-      }
-      r.leakage_w = best.leakage_w;
-      r.access_time_s = best.delay_s;
-      r.dynamic_energy_j = best.dynamic_j;
-      return r;
-    }
-
-    case Scheme::kUniform: {
-      const auto opts = space_uniform_options(eval, space, pairs);
-      count_combos(opts.size());
-      detail::count_combos_evaluated(opts.size());
-      const FlatBest best = par::parallel_reduce(
-          opts.size(), FlatBest{},
-          [&](FlatBest& acc, std::size_t i) {
-            const auto& o = opts[i];
-            acc.fastest = std::min(acc.fastest, o.delay_s);
-            if (o.delay_s > delay_constraint_s) return;
-            if (acc.candidate_better(o.leakage_w, o.delay_s, i)) {
-              acc.has = true;
-              acc.leakage_w = o.leakage_w;
-              acc.delay_s = o.delay_s;
-              acc.dynamic_j = o.dynamic_j;
-              acc.index = i;
-            }
-          },
-          [](FlatBest& into, FlatBest&& from) { into.merge(from); });
-      if (!best.has) {
-        return infeasible_delay(delay_constraint_s, best.fastest, scheme);
-      }
-      SchemeResult r;
-      for (std::size_t i = 0; i < space.components.size(); ++i) {
-        apply_option(r.assignment, space.components[i], opts[best.index]);
-      }
-      r.leakage_w = best.leakage_w;
-      r.access_time_s = best.delay_s;
-      r.dynamic_energy_j = best.dynamic_j;
-      return r;
-    }
-  }
-  throw Error("unknown scheme");
+  return detail::block_result(space, scheme, blocks.array[best.index / np],
+                              blocks.periphery[best.index % np]);
 }
 
 }  // namespace
@@ -371,159 +278,30 @@ OptOutcome<SchemeResult> optimize_single_cache(
                                         delay_constraint_s, space);
   }
   const auto pairs = grid.pairs();
-  if (!(space.is_base() && !space.gating.enabled)) {
-    return optimize_space_exhaustive(eval, pairs, scheme, delay_constraint_s,
-                                     space);
+  if (scheme == Scheme::kPerComponent) {
+    return scheme1_exhaustive(eval, pairs, delay_constraint_s, space);
   }
-
-  switch (scheme) {
-    case Scheme::kPerComponent: {
-      const auto options = all_options(eval, pairs);
-      auto combos = scheme1_combos(options);
-      count_combos(combos.size());
-      return pick_best(combos, options, delay_constraint_s, scheme);
-    }
-
-    case Scheme::kArrayPeriphery: {
-      const auto array_opts = component_options(
-          eval, ComponentKind::kCellArray, pairs);
-      const auto periph_opts = periphery_options(eval, pairs);
-      const std::size_t np = periph_opts.size();
-      count_combos(array_opts.size() * np);
-      detail::count_combos_evaluated(array_opts.size() * np);
-      const FlatBest best = par::parallel_reduce(
-          array_opts.size() * np, FlatBest{},
-          [&](FlatBest& acc, std::size_t i) {
-            const auto& a = array_opts[i / np];
-            const auto& p = periph_opts[i % np];
-            const double delay = a.delay_s + p.delay_s;
-            acc.fastest = std::min(acc.fastest, delay);
-            if (delay > delay_constraint_s) return;
-            const double leak = a.leakage_w + p.leakage_w;
-            if (acc.candidate_better(leak, delay, i)) {
-              acc.has = true;
-              acc.leakage_w = leak;
-              acc.delay_s = delay;
-              acc.dynamic_j = a.dynamic_j + p.dynamic_j;
-              acc.index = i;
-            }
-          },
-          [](FlatBest& into, FlatBest&& from) { into.merge(from); });
-      if (!best.has) {
-        return infeasible_delay(delay_constraint_s, best.fastest, scheme);
-      }
-      SchemeResult r;
-      r.assignment = ComponentAssignment::split(
-          array_opts[best.index / np].knobs, periph_opts[best.index % np].knobs);
-      r.leakage_w = best.leakage_w;
-      r.access_time_s = best.delay_s;
-      r.dynamic_energy_j = best.dynamic_j;
-      return r;
-    }
-
-    case Scheme::kUniform: {
-      const auto opts = uniform_options(eval, pairs);
-      count_combos(opts.size());
-      detail::count_combos_evaluated(opts.size());
-      const FlatBest best = par::parallel_reduce(
-          opts.size(), FlatBest{},
-          [&](FlatBest& acc, std::size_t i) {
-            const auto& o = opts[i];
-            acc.fastest = std::min(acc.fastest, o.delay_s);
-            if (o.delay_s > delay_constraint_s) return;
-            if (acc.candidate_better(o.leakage_w, o.delay_s, i)) {
-              acc.has = true;
-              acc.leakage_w = o.leakage_w;
-              acc.delay_s = o.delay_s;
-              acc.dynamic_j = o.dynamic_j;
-              acc.index = i;
-            }
-          },
-          [](FlatBest& into, FlatBest&& from) { into.merge(from); });
-      if (!best.has) {
-        return infeasible_delay(delay_constraint_s, best.fastest, scheme);
-      }
-      SchemeResult r;
-      r.assignment = ComponentAssignment(opts[best.index].knobs);
-      r.leakage_w = best.leakage_w;
-      r.access_time_s = best.delay_s;
-      r.dynamic_energy_j = best.dynamic_j;
-      return r;
-    }
-  }
-  throw Error("unknown scheme");
+  return blocks_exhaustive(eval, pairs, scheme, delay_constraint_s, space);
 }
 
 double min_access_time(const ComponentEvaluator& eval, const KnobGrid& grid,
                        Scheme scheme, const OptSpace& space) {
   const auto pairs = grid.pairs();
-  double best = std::numeric_limits<double>::infinity();
-  if (!(space.is_base() && !space.gating.enabled)) {
-    switch (scheme) {
-      case Scheme::kPerComponent: {
-        double total = 0.0;
-        for (const auto& table : space_component_tables(eval, space, pairs)) {
-          double comp_best = std::numeric_limits<double>::infinity();
-          for (const auto& o : table) {
-            comp_best = std::min(comp_best, o.delay_s);
-          }
-          total += comp_best;
-        }
-        return total;
-      }
-      case Scheme::kArrayPeriphery: {
-        double a_best = std::numeric_limits<double>::infinity();
-        for (const auto& o : space_block_options(eval, space, true, pairs)) {
-          a_best = std::min(a_best, o.delay_s);
-        }
-        double p_best = std::numeric_limits<double>::infinity();
-        for (const auto& o : space_block_options(eval, space, false, pairs)) {
-          p_best = std::min(p_best, o.delay_s);
-        }
-        return a_best + p_best;
-      }
-      case Scheme::kUniform: {
-        for (const auto& o : space_uniform_options(eval, space, pairs)) {
-          best = std::min(best, o.delay_s);
-        }
-        return best;
-      }
+  const auto fastest = [](const std::vector<ComponentOption>& table) {
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto& o : table) best = std::min(best, o.delay_s);
+    return best;
+  };
+  if (scheme == Scheme::kPerComponent) {
+    // Independent per-component minima sum to the overall minimum.
+    double total = 0.0;
+    for (const auto& table : space_component_tables(eval, space, pairs)) {
+      total += fastest(table);
     }
-    throw Error("unknown scheme");
+    return total;
   }
-  switch (scheme) {
-    case Scheme::kPerComponent: {
-      // Independent per-component minima sum to the overall minimum.
-      double total = 0.0;
-      for (ComponentKind kind : kAllComponents) {
-        double comp_best = std::numeric_limits<double>::infinity();
-        for (const auto& o : component_options(eval, kind, pairs)) {
-          comp_best = std::min(comp_best, o.delay_s);
-        }
-        total += comp_best;
-      }
-      return total;
-    }
-    case Scheme::kArrayPeriphery: {
-      double a_best = std::numeric_limits<double>::infinity();
-      for (const auto& o :
-           component_options(eval, ComponentKind::kCellArray, pairs)) {
-        a_best = std::min(a_best, o.delay_s);
-      }
-      double p_best = std::numeric_limits<double>::infinity();
-      for (const auto& o : periphery_options(eval, pairs)) {
-        p_best = std::min(p_best, o.delay_s);
-      }
-      return a_best + p_best;
-    }
-    case Scheme::kUniform: {
-      for (const auto& o : uniform_options(eval, pairs)) {
-        best = std::min(best, o.delay_s);
-      }
-      return best;
-    }
-  }
-  throw Error("unknown scheme");
+  const auto blocks = detail::block_tables(eval, space, scheme, pairs);
+  return fastest(blocks.array) + fastest(blocks.periphery);
 }
 
 std::vector<SchemeResult> scheme_frontier(const ComponentEvaluator& eval,
@@ -531,114 +309,20 @@ std::vector<SchemeResult> scheme_frontier(const ComponentEvaluator& eval,
                                           const OptSpace& space) {
   const auto pairs = grid.pairs();
   std::vector<SchemeResult> all;
-
-  if (!(space.is_base() && !space.gating.enabled)) {
-    switch (scheme) {
-      case Scheme::kPerComponent: {
-        const auto tables = space_component_tables(eval, space, pairs);
-        std::vector<VecCombo> combos{VecCombo{}};
-        for (std::size_t i = 0; i < tables.size(); ++i) {
-          combos = combine_vec(combos, tables[i], i);
-        }
-        for (const auto& c : combos) {
-          SchemeResult r;
-          r.leakage_w = c.leakage_w;
-          r.access_time_s = c.delay_s;
-          r.dynamic_energy_j = c.dynamic_j;
-          for (std::size_t i = 0; i < space.components.size(); ++i) {
-            apply_option(r.assignment, space.components[i],
-                         tables[i][c.choice[i]]);
-          }
-          all.push_back(std::move(r));
-        }
-        break;
-      }
-      case Scheme::kArrayPeriphery: {
-        const auto array_opts = space_block_options(eval, space, true, pairs);
-        const auto periph_opts =
-            space_block_options(eval, space, false, pairs);
-        all.reserve(array_opts.size() * periph_opts.size());
-        for (const auto& a : array_opts) {
-          for (const auto& p : periph_opts) {
-            SchemeResult r;
-            for (std::size_t i = 0; i < space.components.size(); ++i) {
-              apply_option(r.assignment, space.components[i],
-                           i < space.array_count ? a : p);
-            }
-            r.leakage_w = a.leakage_w + p.leakage_w;
-            r.access_time_s = a.delay_s + p.delay_s;
-            r.dynamic_energy_j = a.dynamic_j + p.dynamic_j;
-            all.push_back(std::move(r));
-          }
-        }
-        break;
-      }
-      case Scheme::kUniform: {
-        for (const auto& o : space_uniform_options(eval, space, pairs)) {
-          SchemeResult r;
-          for (std::size_t i = 0; i < space.components.size(); ++i) {
-            apply_option(r.assignment, space.components[i], o);
-          }
-          r.leakage_w = o.leakage_w;
-          r.access_time_s = o.delay_s;
-          r.dynamic_energy_j = o.dynamic_j;
-          all.push_back(std::move(r));
-        }
-        break;
-      }
+  if (scheme == Scheme::kPerComponent) {
+    const auto tables = space_component_tables(eval, space, pairs);
+    for (const auto& c : pareto_dp(tables)) {
+      all.push_back(detail::combo_result(space, tables, c));
     }
-    return pareto_min2(
-        std::move(all),
-        [](const SchemeResult& r) { return r.access_time_s; },
-        [](const SchemeResult& r) { return r.leakage_w; });
-  }
-
-  switch (scheme) {
-    case Scheme::kPerComponent: {
-      const auto options = all_options(eval, pairs);
-      for (const auto& c : scheme1_combos(options)) {
-        SchemeResult r;
-        r.leakage_w = c.leakage_w;
-        r.access_time_s = c.delay_s;
-        r.dynamic_energy_j = c.dynamic_j;
-        for (std::size_t i = 0; i < kNumComponents; ++i) {
-          r.assignment.set(static_cast<ComponentKind>(i),
-                           options[i][c.choice[i]].knobs);
-        }
-        all.push_back(std::move(r));
+  } else {
+    const auto blocks = detail::block_tables(eval, space, scheme, pairs);
+    all.reserve(blocks.array.size() * blocks.periphery.size());
+    for (const auto& a : blocks.array) {
+      for (const auto& p : blocks.periphery) {
+        all.push_back(detail::block_result(space, scheme, a, p));
       }
-      break;
-    }
-    case Scheme::kArrayPeriphery: {
-      const auto array_opts =
-          component_options(eval, ComponentKind::kCellArray, pairs);
-      const auto periph_opts = periphery_options(eval, pairs);
-      all.reserve(array_opts.size() * periph_opts.size());
-      for (const auto& a : array_opts) {
-        for (const auto& p : periph_opts) {
-          SchemeResult r;
-          r.assignment = ComponentAssignment::split(a.knobs, p.knobs);
-          r.leakage_w = a.leakage_w + p.leakage_w;
-          r.access_time_s = a.delay_s + p.delay_s;
-          r.dynamic_energy_j = a.dynamic_j + p.dynamic_j;
-          all.push_back(std::move(r));
-        }
-      }
-      break;
-    }
-    case Scheme::kUniform: {
-      for (const auto& o : uniform_options(eval, pairs)) {
-        SchemeResult r;
-        r.assignment = ComponentAssignment(o.knobs);
-        r.leakage_w = o.leakage_w;
-        r.access_time_s = o.delay_s;
-        r.dynamic_energy_j = o.dynamic_j;
-        all.push_back(std::move(r));
-      }
-      break;
     }
   }
-
   return pareto_min2(
       std::move(all), [](const SchemeResult& r) { return r.access_time_s; },
       [](const SchemeResult& r) { return r.leakage_w; });

@@ -36,8 +36,7 @@ struct SchemeResult {
 /// exhaustive mode is the differential-testing oracle.
 ///
 /// `space` selects the component structure (and the power-gating axis);
-/// the default is the paper's fixed four-component space, which runs the
-/// original code paths untouched.
+/// the default is the paper's fixed four-component space.
 OptOutcome<SchemeResult> optimize_single_cache(
     const ComponentEvaluator& eval, const KnobGrid& grid, Scheme scheme,
     double delay_constraint_s, SearchMode mode = SearchMode::kPruned,

@@ -3,8 +3,8 @@
 #include <array>
 #include <limits>
 
+#include "opt/engine.h"
 #include "opt/pareto.h"
-#include "opt/pruned.h"
 #include "util/error.h"
 #include "util/metrics.h"
 #include "util/parallel.h"

@@ -77,6 +77,28 @@ std::optional<SchemeResult> brute_force_scheme1(const ComponentEvaluator& eval,
   return best;
 }
 
+/// Brute-force Scheme II/III optimum leakage: every (array pair, periphery
+/// pair) combination, the two pairs forced equal for Scheme III.
+std::optional<double> brute_force_blocks(const ComponentEvaluator& eval,
+                                         const KnobGrid& grid, Scheme scheme,
+                                         double constraint) {
+  std::optional<double> best;
+  for (const auto& a : grid.pairs()) {
+    for (const auto& p : grid.pairs()) {
+      if (scheme == Scheme::kUniform && !(a == p)) continue;
+      double delay = 0.0;
+      double leak = 0.0;
+      for (ComponentKind kind : kAllComponents) {
+        const auto m = eval(kind, kind == ComponentKind::kCellArray ? a : p);
+        delay += m.delay_s;
+        leak += m.leakage_w;
+      }
+      if (delay <= constraint && (!best || leak < *best)) best = leak;
+    }
+  }
+  return best;
+}
+
 TEST(SchemeNames, AllDistinct) {
   EXPECT_NE(scheme_name(Scheme::kPerComponent),
             scheme_name(Scheme::kArrayPeriphery));
@@ -98,6 +120,27 @@ TEST(SchemeOptimizer, Scheme1MatchesBruteForce) {
       EXPECT_NEAR(fast->leakage_w, truth->leakage_w,
                   truth->leakage_w * 1e-9)
           << factor;
+    }
+  }
+}
+
+TEST(SchemeOptimizer, SchemesIIAndIIIMatchBruteForce) {
+  const auto eval = structural_evaluator(cache16k());
+  const auto grid = small_grid();
+  for (Scheme s : {Scheme::kArrayPeriphery, Scheme::kUniform}) {
+    const double lo = min_access_time(eval, grid, s);
+    for (double factor : {0.9, 1.05, 1.3, 2.0}) {
+      for (SearchMode mode : {SearchMode::kPruned, SearchMode::kExhaustive}) {
+        const auto fast =
+            optimize_single_cache(eval, grid, s, lo * factor, mode);
+        const auto truth = brute_force_blocks(eval, grid, s, lo * factor);
+        ASSERT_EQ(fast.has_value(), truth.has_value())
+            << scheme_name(s) << " " << factor;
+        if (fast) {
+          EXPECT_NEAR(fast->leakage_w, *truth, *truth * 1e-9)
+              << scheme_name(s) << " " << factor;
+        }
+      }
     }
   }
 }
@@ -236,7 +279,8 @@ TEST(LeakageDelayCurve, SkipsInfeasibleTargets) {
 TEST(Options, PeripheryIsSumOfThreeComponents) {
   const auto eval = structural_evaluator(cache16k());
   const auto pairs = small_grid().pairs();
-  const auto periph = periphery_options(eval, pairs);
+  const auto periph =
+      space_block_options(eval, OptSpace::base(), /*array_block=*/false, pairs);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     double delay = 0.0;
     double leak = 0.0;
@@ -255,7 +299,7 @@ TEST(Options, PeripheryIsSumOfThreeComponents) {
 TEST(Options, UniformIsSumOfAllFour) {
   const auto eval = structural_evaluator(cache16k());
   const auto pairs = small_grid().pairs();
-  const auto uni = uniform_options(eval, pairs);
+  const auto uni = space_uniform_options(eval, OptSpace::base(), pairs);
   const auto m = cache16k().evaluate_uniform(pairs[0]);
   EXPECT_NEAR(uni[0].delay_s, m.access_time_s, m.access_time_s * 1e-12);
   EXPECT_NEAR(uni[0].leakage_w, m.leakage_w, m.leakage_w * 1e-12);
