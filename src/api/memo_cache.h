@@ -55,12 +55,24 @@ class MemoCache {
   std::shared_ptr<const T> get_or_compute(
       const std::string& key,
       const std::function<std::shared_ptr<const T>()>& compute) {
-    if (auto hit = lookup(key)) {
-      return std::static_pointer_cast<const T>(hit);
-    }
-    std::shared_ptr<const T> fresh = compute();
-    const auto winner = publish(key, fresh);
-    return std::static_pointer_cast<const T>(winner);
+    if (auto hit = find<T>(key)) return hit;
+    return put<T>(key, compute());
+  }
+
+  /// The cached value for `key`, or nullptr (counted as a hit or a miss,
+  /// like get_or_compute's lookup).  For callers that compute several
+  /// entries in one pass and then put() each of them.
+  template <typename T>
+  std::shared_ptr<const T> find(const std::string& key) {
+    return std::static_pointer_cast<const T>(lookup(key));
+  }
+
+  /// Publish `value` under `key` unless another thread got there first;
+  /// returns the entry that ended up in the cache.
+  template <typename T>
+  std::shared_ptr<const T> put(const std::string& key,
+                               std::shared_ptr<const T> value) {
+    return std::static_pointer_cast<const T>(publish(key, std::move(value)));
   }
 
   Stats stats() const;

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -464,21 +465,81 @@ struct Service::Impl {
     });
   }
 
-  /// Memoized tuple-problem solutions ("menu*|" entries).
-  std::shared_ptr<const std::optional<opt::SystemDesignPoint>> menu_best_memo(
-      const opt::TupleMenuSolver& solver, const opt::MenuSpec& spec,
-      double target_s) const {
-    std::string key = "menu|";
-    key += std::to_string(spec.num_tox);
-    key += '|';
-    key += std::to_string(spec.num_vth);
-    key += '|';
-    key += key_double(target_s);
-    return memo.get_or_compute<std::optional<opt::SystemDesignPoint>>(
-        key, [&] {
-          return std::make_shared<const std::optional<opt::SystemDesignPoint>>(
-              solver.best_at(spec, target_s));
-        });
+  /// The memoized pieces of one tuple-menu request.
+  struct MenuPieces {
+    std::shared_ptr<const double> min_amat_s;
+    /// One per requested target, in request order.
+    std::vector<std::shared_ptr<const std::optional<opt::SystemDesignPoint>>>
+        best;
+    /// Null unless a frontier was asked for.
+    std::shared_ptr<const std::vector<opt::SystemDesignPoint>> frontier;
+  };
+
+  /// Memoized tuple-problem solutions ("menumin|", "menu|" and
+  /// "menufront|" entries).  Each piece is looked up under its own key;
+  /// if any misses, one solve() enumerates the spec's menus and every
+  /// missing piece is published from it.  A target repeated within the
+  /// request is looked up again after publishing, so it counts as a hit.
+  MenuPieces menu_memo(const opt::TupleMenuSolver& solver,
+                       const opt::MenuSpec& spec,
+                       const std::vector<double>& targets_s,
+                       std::optional<std::size_t> frontier_points) const {
+    using Best = std::optional<opt::SystemDesignPoint>;
+    using Front = std::vector<opt::SystemDesignPoint>;
+    const std::string spec_key =
+        std::to_string(spec.num_tox) + "|" + std::to_string(spec.num_vth);
+    const std::string min_key = "menumin|" + spec_key;
+    const auto best_key = [&](double target_s) {
+      return "menu|" + spec_key + "|" + key_double(target_s);
+    };
+    const std::string front_key =
+        frontier_points
+            ? "menufront|" + spec_key + "|" + std::to_string(*frontier_points)
+            : std::string();
+
+    MenuPieces out;
+    out.min_amat_s = memo.find<double>(min_key);
+    out.best.resize(targets_s.size());
+    std::vector<double> missing;           // distinct targets to solve
+    std::vector<std::size_t> missing_at;   // their request positions
+    std::vector<std::size_t> repeats;      // positions repeating a miss
+    for (std::size_t i = 0; i < targets_s.size(); ++i) {
+      if (std::find(missing.begin(), missing.end(), targets_s[i]) !=
+          missing.end()) {
+        repeats.push_back(i);
+        continue;
+      }
+      out.best[i] = memo.find<Best>(best_key(targets_s[i]));
+      if (!out.best[i]) {
+        missing.push_back(targets_s[i]);
+        missing_at.push_back(i);
+      }
+    }
+    if (frontier_points) out.frontier = memo.find<Front>(front_key);
+    const bool solve_frontier = frontier_points && !out.frontier;
+
+    if (!out.min_amat_s || !missing.empty() || solve_frontier) {
+      auto solution = solver.solve(
+          spec, missing, solve_frontier ? frontier_points : std::nullopt);
+      if (!out.min_amat_s) {
+        out.min_amat_s = memo.put(
+            min_key, std::make_shared<const double>(solution.min_amat_s));
+      }
+      for (std::size_t m = 0; m < missing.size(); ++m) {
+        out.best[missing_at[m]] = memo.put(
+            best_key(missing[m]),
+            std::make_shared<const Best>(std::move(solution.best[m])));
+      }
+      if (solve_frontier) {
+        out.frontier = memo.put(
+            front_key,
+            std::make_shared<const Front>(std::move(solution.frontier)));
+      }
+    }
+    for (const std::size_t i : repeats) {
+      out.best[i] = memo.find<Best>(best_key(targets_s[i]));
+    }
+    return out;
   }
 };
 
@@ -773,39 +834,25 @@ Outcome<TupleMenuResponse> Service::tuple_menu(
       targets_s = impl_->config.amat_targets_s();
     }
 
-    const auto min_amat = impl_->memo.get_or_compute<double>(
-        "menumin|" + std::to_string(spec.num_tox) + "|" +
-            std::to_string(spec.num_vth),
-        [&] { return std::make_shared<const double>(solver.min_amat_s(spec)); });
-    r.min_amat_ps = units::seconds_to_ps(*min_amat);
-
-    // Targets run serially: best_at fans its menu enumeration out over the
-    // pool already (parallelizing both layers would collapse the inner one).
-    for (const double target_s : targets_s) {
-      const auto best = impl_->menu_best_memo(solver, spec, target_s);
-      if (*best) {
+    const auto pieces = impl_->menu_memo(
+        solver, spec, targets_s,
+        request.include_frontier
+            ? std::optional<std::size_t>(request.frontier_max_points)
+            : std::nullopt);
+    r.min_amat_ps = units::seconds_to_ps(*pieces.min_amat_s);
+    for (std::size_t i = 0; i < targets_s.size(); ++i) {
+      const auto& best = *pieces.best[i];
+      if (best) {
         r.targets.push_back(
-            to_menu_design(**best, units::seconds_to_ps(target_s)));
+            to_menu_design(*best, units::seconds_to_ps(targets_s[i])));
       } else {
         MenuDesign d;
-        d.amat_target_ps = units::seconds_to_ps(target_s);
+        d.amat_target_ps = units::seconds_to_ps(targets_s[i]);
         r.targets.push_back(std::move(d));
       }
     }
-
-    if (request.include_frontier) {
-      std::string key = "menufront|" + std::to_string(spec.num_tox) + "|" +
-                        std::to_string(spec.num_vth) + "|" +
-                        std::to_string(request.frontier_max_points);
-      const auto frontier =
-          impl_->memo.get_or_compute<std::vector<opt::SystemDesignPoint>>(
-              key, [&] {
-                return std::make_shared<
-                    const std::vector<opt::SystemDesignPoint>>(solver.frontier(
-                    spec,
-                    static_cast<std::size_t>(request.frontier_max_points)));
-              });
-      for (const auto& point : *frontier) {
+    if (pieces.frontier) {
+      for (const auto& point : *pieces.frontier) {
         r.frontier.push_back(to_menu_design(point, 0.0));
       }
     }
@@ -1033,32 +1080,45 @@ BatchResult Service::run_batch(const std::vector<Request>& requests) const {
     peak_queue.record_max(static_cast<std::int64_t>(first_occurrence.size()));
   }
 
-  // Partition unique requests by expected cost.  Heavy requests (optimizer
-  // and sweep runs, milliseconds each) are dealt one at a time so a slow
-  // straggler never pins a whole chunk behind it; cheap ones (evals,
+  // Partition unique requests by expected cost.  Tuple-menu requests are
+  // the stragglers (one 3x3 menu outweighs the rest of a typical batch):
+  // they run first, one at a time on this thread, so each one's menu
+  // enumeration fans out across the whole pool instead of collapsing to
+  // serial inside a batch worker.  Other heavy requests (optimizer and
+  // sweep runs, milliseconds each) are dealt one at a time so a slow
+  // request never pins a whole chunk behind it; cheap ones (evals,
   // capabilities, tens of microseconds) keep the default contiguous
   // chunking, which hands each worker a run of requests per pool ticket —
   // and the cost hint collapses a batch of only-cheap requests to a serial
-  // loop that skips pool wake-up entirely.  Both regions write unique slot
-  // u, so response assembly is independent of the partition.
+  // loop that skips pool wake-up entirely.  Every region writes unique
+  // slot u, so response assembly is independent of the partition.
+  std::vector<std::size_t> menus;
   std::vector<std::size_t> cheap;
   std::vector<std::size_t> heavy;
   for (std::size_t u = 0; u < first_occurrence.size(); ++u) {
     const auto kind = requests[first_occurrence[u]].kind;
-    const bool is_cheap = kind == RequestKind::kEval ||
-                          kind == RequestKind::kCapabilities;
-    (is_cheap ? cheap : heavy).push_back(u);
+    if (kind == RequestKind::kTupleMenu) {
+      menus.push_back(u);
+    } else if (kind == RequestKind::kEval ||
+               kind == RequestKind::kCapabilities) {
+      cheap.push_back(u);
+    } else {
+      heavy.push_back(u);
+    }
   }
 
   // More workers than cores just adds contention on the memo shards and
-  // the metrics registry; requests themselves fan out no further (nested
-  // parallel regions run inline).  Capped here at the service layer so
-  // explicit oversubscribed thread counts still exercise the pool
+  // the metrics registry; requests dealt to workers fan out no further
+  // (nested parallel regions run inline).  Capped here at the service
+  // layer so explicit oversubscribed thread counts still exercise the pool
   // machinery in unit tests that call par::parallel_for directly.
   const int batch_threads =
       std::min(par::default_threads(), par::hardware_threads());
 
   std::vector<Response> unique_responses(first_occurrence.size());
+  for (const std::size_t u : menus) {
+    unique_responses[u] = serve(requests[first_occurrence[u]]);
+  }
   par::parallel_for(
       heavy.size(),
       [&](std::size_t i) {

@@ -551,13 +551,10 @@ Explorer::fig2_tuple_table(const std::vector<opt::MenuSpec>& specs,
   metrics::TraceSpan span("explorer.fig2_tuple_table");
   const auto system = default_system();
   const opt::TupleMenuSolver solver(system, config_.grid);
+  // One menu enumeration per spec answers every target of its row.
   std::vector<std::vector<std::optional<opt::SystemDesignPoint>>> table;
   for (const auto& spec : specs) {
-    std::vector<std::optional<opt::SystemDesignPoint>> row;
-    for (double target : amat_targets_s) {
-      row.push_back(solver.best_at(spec, target));
-    }
-    table.push_back(std::move(row));
+    table.push_back(solver.solve(spec, amat_targets_s).best);
   }
   return table;
 }

@@ -6,9 +6,13 @@
 //
 // Solved exactly per menu by Pareto-filtered DP over
 // (AMAT-weighted delay, leakage, weighted dynamic energy); menus are
-// enumerated exhaustively over grid subsets.
+// enumerated exhaustively over grid subsets.  One enumeration answers
+// every question about a spec (solve()): each menu scans its DP states
+// and only the winning states are ever turned into SystemDesignPoints.
 #pragma once
 
+#include <cstddef>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -34,14 +38,35 @@ struct SystemDesignPoint {
   std::vector<double> vth_menu;
 };
 
+/// Everything one enumeration of a spec's menus answers.
+struct MenuSolution {
+  /// Fastest achievable AMAT (feasibility bound).
+  double min_amat_s = std::numeric_limits<double>::infinity();
+  /// Minimum-energy design per AMAT target, in target order; nullopt where
+  /// the target is infeasible.
+  std::vector<std::optional<SystemDesignPoint>> best;
+  /// Energy/AMAT frontier; empty unless solve() was asked for one.
+  std::vector<SystemDesignPoint> frontier;
+};
+
 class TupleMenuSolver {
  public:
   /// `system` supplies the two cache models and the miss statistics;
   /// evaluators default to the structural models of each level.
   TupleMenuSolver(const energy::MemorySystemModel& system, KnobGrid grid);
 
+  /// Enumerate the spec's menus once and answer from that single pass: the
+  /// fastest AMAT, the minimum-energy design at each of `amat_targets_s`
+  /// and, when `frontier_max_points` is set, the frontier thinned to that
+  /// many points.  Each piece is bitwise what min_amat_s / best_at /
+  /// frontier return on their own.
+  MenuSolution solve(
+      const MenuSpec& spec, const std::vector<double>& amat_targets_s,
+      std::optional<std::size_t> frontier_max_points = std::nullopt) const;
+
   /// Energy/AMAT Pareto frontier achievable with menus of the given
-  /// cardinality (best menu chosen per point).
+  /// cardinality (best menu chosen per point), evenly thinned to at most
+  /// `max_points` (0 keeps the whole front; 1 keeps the fastest point).
   std::vector<SystemDesignPoint> frontier(const MenuSpec& spec,
                                           std::size_t max_points = 96) const;
 
@@ -53,11 +78,6 @@ class TupleMenuSolver {
   double min_amat_s(const MenuSpec& spec) const;
 
  private:
-  std::vector<SystemDesignPoint> designs_for_menu(
-      const std::vector<double>& vth_menu,
-      const std::vector<double>& tox_menu) const;
-  std::vector<SystemDesignPoint> all_designs(const MenuSpec& spec) const;
-
   const energy::MemorySystemModel& system_;
   KnobGrid grid_;
   /// DP state cap per combine step (documented approximation knob).

@@ -4,12 +4,14 @@
 // miss computed, so serialized responses never depend on cache state).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
 #include "api/batch_io.h"
 #include "core/explorer.h"
 #include "nanocache/api.h"
+#include "util/metrics.h"
 
 namespace nanocache::api {
 namespace {
@@ -138,6 +140,65 @@ TEST(ApiService, TupleMenuValidatesCardinality) {
   outcome = service->tuple_menu(request);
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.error().code, ErrorCode::kConfig);
+}
+
+TEST(ApiService, TupleMenuEnumeratesEachMenuOncePerRequest) {
+  const auto service = make_service();
+  auto& menus =
+      metrics::Registry::instance().counter("opt.menus_enumerated");
+  // C(5,2) Tox menus x C(7,1) Vth menus on the paper's 5 x 7 grid.
+  ASSERT_EQ(service->explorer().config().grid.tox_values.size(), 5u);
+  ASSERT_EQ(service->explorer().config().grid.vth_values.size(), 7u);
+  constexpr std::uint64_t kMenus = 10 * 7;
+
+  TupleMenuRequest request;
+  request.num_tox = 2;
+  request.num_vth = 1;
+  request.delay.targets_ps = {1300.0, 1700.0, 2000.0};
+  request.include_frontier = true;
+  request.frontier_max_points = 8;
+  const auto before = menus.value();
+  const auto first = service->tuple_menu(request);
+  ASSERT_TRUE(first.ok());
+  // The fastest AMAT, three targets and the frontier: one enumeration.
+  EXPECT_EQ(menus.value() - before, kMenus);
+
+  // Every piece was memoized: a repeat enumerates nothing.
+  const auto again = service->tuple_menu(request);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(menus.value() - before, kMenus);
+  EXPECT_EQ(again.value().targets.size(), 3u);
+  EXPECT_EQ(again.value().frontier.size(), first.value().frontier.size());
+
+  // A new target (and a repeat of it) costs one more enumeration in all.
+  request.delay.targets_ps = {1300.0, 1500.0, 1500.0};
+  const auto extended = service->tuple_menu(request);
+  ASSERT_TRUE(extended.ok());
+  EXPECT_EQ(menus.value() - before, 2 * kMenus);
+  EXPECT_EQ(extended.value().targets[1].energy_pj,
+            extended.value().targets[2].energy_pj);
+}
+
+TEST(ApiService, TupleMenuFrontierOfOnePointIsTheFastest) {
+  const auto service = make_service();
+  TupleMenuRequest request;
+  request.num_tox = 1;
+  request.num_vth = 2;
+  request.delay.targets_ps = {1700.0};
+  request.include_frontier = true;
+  request.frontier_max_points = 1;
+  const auto one = service->tuple_menu(request);
+  ASSERT_TRUE(one.ok());
+  ASSERT_EQ(one.value().frontier.size(), 1u);
+
+  request.frontier_max_points = 96;
+  const auto full = service->tuple_menu(request);
+  ASSERT_TRUE(full.ok());
+  ASSERT_GT(full.value().frontier.size(), 1u);
+  EXPECT_EQ(one.value().frontier.front().amat_ps,
+            full.value().frontier.front().amat_ps);
+  EXPECT_EQ(one.value().frontier.front().energy_pj,
+            full.value().frontier.front().energy_pj);
 }
 
 TEST(ApiService, MemoHitIsBitwiseEqualToMiss) {

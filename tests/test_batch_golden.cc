@@ -1,17 +1,21 @@
 // Differential byte-identity suite for the parallel-throughput work: the
-// checked-in 100-request fixture must produce a response stream byte-equal
-// to the pre-change golden at every thread count, through both the batch
-// path and a served unix socket under 8 concurrent connections (the latter
-// doubles as the tsan soak of the sharded MemoCache — tier-1 runs under
-// tools/run_sanitizers.sh tsan).
+// checked-in request fixtures must produce response streams byte-equal to
+// their pre-change goldens at every thread count, through both the batch
+// path and a served unix socket (8 concurrent connections for the
+// 100-request fixture — which doubles as the tsan soak of the sharded
+// MemoCache, since tier-1 runs under tools/run_sanitizers.sh tsan).  The
+// second fixture covers the Figure-2 tuple problem: all nine {1,2,3}^2 menu
+// specs, target ladders with an infeasible rung and one exactly at the
+// fastest AMAT, repeated targets, and two frontier requests.
 //
-// Regenerating the golden after an *intentional* model change:
+// Regenerating the goldens after an *intentional* model change:
 //   NANOCACHE_REGEN_GOLDEN=1 ./tests/test_batch_golden
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -60,49 +64,32 @@ std::string batch_output(const api::Service& service,
   return out.str();
 }
 
+/// A request fixture and its golden response stream (tests/data).
+struct Fixture {
+  const char* requests;
+  const char* golden;
+};
+constexpr Fixture kBatchFixture{"batch_requests.jsonl",
+                                "batch_responses_golden.jsonl"};
+constexpr Fixture kMenuFixture{"tuple_menu_requests.jsonl",
+                               "tuple_menu_responses_golden.jsonl"};
+
 /// True (and the golden rewritten) when the caller asked for regeneration;
 /// tests then skip their comparisons.
-bool maybe_regenerate_golden(const std::string& input) {
+bool maybe_regenerate_golden(const Fixture& fixture, const std::string& input) {
   if (std::getenv("NANOCACHE_REGEN_GOLDEN") == nullptr) return false;
   par::set_default_threads(1);
   const auto service = make_service();
-  std::ofstream out(data_path("batch_responses_golden.jsonl"),
-                    std::ios::binary);
+  std::ofstream out(data_path(fixture.golden), std::ios::binary);
   out << batch_output(*service, input);
   return true;
 }
 
-TEST(BatchGolden, ByteIdenticalToGoldenAtAnyThreadCount) {
-  ThreadCountGuard guard;
-  const std::string input = read_file(data_path("batch_requests.jsonl"));
-  ASSERT_FALSE(input.empty());
-  if (maybe_regenerate_golden(input)) {
-    GTEST_SKIP() << "golden regenerated";
-  }
-  const std::string golden = read_file(data_path("batch_responses_golden.jsonl"));
-  ASSERT_FALSE(golden.empty());
-
-  for (int threads : {1, 2, 8}) {
-    par::set_default_threads(threads);
-    // Fresh service per thread count: memo and disk state from a previous
-    // pass must not be able to mask a divergence.
-    const auto service = make_service();
-    EXPECT_EQ(batch_output(*service, input), golden)
-        << "threads=" << threads;
-  }
-}
-
-TEST(BatchGolden, EightServedConnectionsEachMatchGolden) {
-  ThreadCountGuard guard;
-  const std::string input = read_file(data_path("batch_requests.jsonl"));
-  ASSERT_FALSE(input.empty());
-  if (maybe_regenerate_golden(input)) {
-    GTEST_SKIP() << "golden regenerated";
-  }
-  const std::string golden = read_file(data_path("batch_responses_golden.jsonl"));
-
-  par::set_default_threads(8);
-  const auto service = make_service();
+/// Send `input` over each of `clients` concurrent connections to a server
+/// on `service` and return what each connection read back.
+std::vector<std::string> served_outputs(
+    const std::shared_ptr<api::Service>& service, const std::string& input,
+    int clients) {
   server::ListenSpec spec;
   spec.kind = server::ListenKind::kUnix;
   spec.path = testing::TempDir() + "nc_golden_" + std::to_string(::getpid()) +
@@ -111,13 +98,12 @@ TEST(BatchGolden, EightServedConnectionsEachMatchGolden) {
                                   /*workers=*/8});
   server.start();
 
-  constexpr int kClients = 8;
-  std::vector<std::string> got(kClients);
-  std::vector<std::string> errors(kClients);
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
+  std::vector<std::string> got(clients);
+  std::vector<std::string> errors(clients);
+  std::vector<std::thread> threads;
+  threads.reserve(clients);
+  for (int c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
       try {
         server::Client client = server::Client::connect(server.config().listen);
         client.send(input);
@@ -133,18 +119,121 @@ TEST(BatchGolden, EightServedConnectionsEachMatchGolden) {
       }
     });
   }
-  for (auto& t : clients) t.join();
+  for (auto& t : threads) t.join();
   server.shutdown();
   server.wait();
-
-  for (int c = 0; c < kClients; ++c) {
+  for (int c = 0; c < clients; ++c) {
     EXPECT_TRUE(errors[c].empty()) << "client " << c << ": " << errors[c];
+  }
+  return got;
+}
+
+/// The fixture's batch output at 1, 2 and 8 threads, each on a fresh
+/// service so memo state from a previous pass cannot mask a divergence.
+void expect_golden_at_any_thread_count(const Fixture& fixture) {
+  ThreadCountGuard guard;
+  const std::string input = read_file(data_path(fixture.requests));
+  ASSERT_FALSE(input.empty());
+  if (maybe_regenerate_golden(fixture, input)) {
+    GTEST_SKIP() << "golden regenerated";
+  }
+  const std::string golden = read_file(data_path(fixture.golden));
+  ASSERT_FALSE(golden.empty());
+  for (int threads : {1, 2, 8}) {
+    par::set_default_threads(threads);
+    const auto service = make_service();
+    EXPECT_EQ(batch_output(*service, input), golden)
+        << "threads=" << threads;
+  }
+}
+
+/// Each line of a JSONL stream keyed by its "id" value.
+std::map<std::string, std::string> lines_by_id(const std::string& stream) {
+  std::map<std::string, std::string> out;
+  std::istringstream in(stream);
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto at = line.find("\"id\":\"");
+    EXPECT_NE(at, std::string::npos) << line;
+    if (at == std::string::npos) continue;
+    const auto begin = at + 6;
+    const auto id = line.substr(begin, line.find('"', begin) - begin);
+    EXPECT_TRUE(out.emplace(id, line).second) << "duplicate id " << id;
+  }
+  return out;
+}
+
+TEST(BatchGolden, ByteIdenticalToGoldenAtAnyThreadCount) {
+  expect_golden_at_any_thread_count(kBatchFixture);
+}
+
+TEST(BatchGolden, NineMenuFixtureByteIdenticalAtAnyThreadCount) {
+  expect_golden_at_any_thread_count(kMenuFixture);
+}
+
+TEST(BatchGolden, EightServedConnectionsEachMatchGolden) {
+  ThreadCountGuard guard;
+  const std::string input = read_file(data_path(kBatchFixture.requests));
+  ASSERT_FALSE(input.empty());
+  if (maybe_regenerate_golden(kBatchFixture, input)) {
+    GTEST_SKIP() << "golden regenerated";
+  }
+  const std::string golden = read_file(data_path(kBatchFixture.golden));
+
+  par::set_default_threads(8);
+  const auto service = make_service();
+  constexpr int kClients = 8;
+  const auto got = served_outputs(service, input, kClients);
+  for (int c = 0; c < kClients; ++c) {
     EXPECT_EQ(got[c], golden) << "client " << c;
   }
   // The sharded memo cache must have been shared across connections: 8
   // identical 100-request streams can miss at most once per unique key.
   const auto stats = service->memo_stats();
   EXPECT_GT(stats.hits, 0u);
+}
+
+TEST(BatchGolden, NineMenuFixtureServedMatchesGolden) {
+  ThreadCountGuard guard;
+  const std::string input = read_file(data_path(kMenuFixture.requests));
+  ASSERT_FALSE(input.empty());
+  if (maybe_regenerate_golden(kMenuFixture, input)) {
+    GTEST_SKIP() << "golden regenerated";
+  }
+  par::set_default_threads(8);
+  const auto got = served_outputs(make_service(), input, /*clients=*/1);
+  EXPECT_EQ(got.front(), read_file(data_path(kMenuFixture.golden)));
+}
+
+TEST(BatchGolden, TupleMenuLinesMixedIntoTheFixtureKeepTheirBytes) {
+  // Tuple-menu lines run ahead of the other requests, one at a time across
+  // the pool.  Interleaved with optimize, sweep and eval lines they must
+  // still leave every response where it was and byte-equal to its golden.
+  ThreadCountGuard guard;
+  std::istringstream batch_lines(read_file(data_path(kBatchFixture.requests)));
+  std::istringstream menu_lines(read_file(data_path(kMenuFixture.requests)));
+  std::string input;
+  std::string line;
+  for (int n = 0; std::getline(batch_lines, line); ++n) {
+    input += line + '\n';
+    if (n % 9 == 4 && std::getline(menu_lines, line)) input += line + '\n';
+  }
+  while (std::getline(menu_lines, line)) input += line + '\n';
+
+  auto golden = lines_by_id(read_file(data_path(kBatchFixture.golden)));
+  golden.merge(lines_by_id(read_file(data_path(kMenuFixture.golden))));
+  std::string serial;
+  for (int threads : {1, 8}) {
+    par::set_default_threads(threads);
+    const std::string out = batch_output(*make_service(), input);
+    if (threads == 1) serial = out;
+    EXPECT_EQ(out, serial) << "threads=" << threads;
+    const auto got = lines_by_id(out);
+    ASSERT_EQ(got.size(), golden.size());
+    for (const auto& [id, response] : got) {
+      EXPECT_EQ(response, golden[id]) << "id=" << id << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

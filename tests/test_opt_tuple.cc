@@ -1,14 +1,18 @@
 // Tests for the (Tox, Vth) tuple-menu solver: feasibility, constraint
 // satisfaction, monotonicity in menu cardinality, agreement with a
-// brute-force assignment search on a tiny instance, and the Figure 2
-// orderings.
+// brute-force assignment search on a tiny instance, the Figure 2
+// orderings, and that one solve() pass answers bitwise what the per-piece
+// entry points answer at any thread count.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "energy/memory_system.h"
 #include "opt/tuple_menu.h"
 #include "util/error.h"
+#include "util/parallel.h"
 
 namespace nanocache::opt {
 namespace {
@@ -150,6 +154,87 @@ TEST(TupleSolver, Figure2HeadlineOrderings) {
   EXPECT_LE(e22->energy_j, e23->energy_j * 1.06);
   // Vth is the stronger knob: 1 Tox + 2 Vth beats 2 Tox + 1 Vth here.
   EXPECT_LT(e12->energy_j, e21->energy_j);
+}
+
+/// Field-by-field bitwise equality of two designs.
+void expect_same_design(const SystemDesignPoint& a,
+                        const SystemDesignPoint& b) {
+  EXPECT_EQ(a.amat_s, b.amat_s);
+  EXPECT_EQ(a.energy_j, b.energy_j);
+  EXPECT_EQ(a.leakage_w, b.leakage_w);
+  EXPECT_EQ(a.tox_menu, b.tox_menu);
+  EXPECT_EQ(a.vth_menu, b.vth_menu);
+  for (ComponentKind kind : kAllComponents) {
+    EXPECT_EQ(a.l1.get(kind).vth_v, b.l1.get(kind).vth_v);
+    EXPECT_EQ(a.l1.get(kind).tox_a, b.l1.get(kind).tox_a);
+    EXPECT_EQ(a.l2.get(kind).vth_v, b.l2.get(kind).vth_v);
+    EXPECT_EQ(a.l2.get(kind).tox_a, b.l2.get(kind).tox_a);
+  }
+}
+
+void expect_same_designs(const std::optional<SystemDesignPoint>& a,
+                         const std::optional<SystemDesignPoint>& b) {
+  ASSERT_EQ(a.has_value(), b.has_value());
+  if (a) expect_same_design(*a, *b);
+}
+
+void expect_same_designs(const std::vector<SystemDesignPoint>& a,
+                         const std::vector<SystemDesignPoint>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) expect_same_design(a[i], b[i]);
+}
+
+TEST(TupleSolver, SolveMatchesPerPieceEntryPointsBitwise) {
+  const TupleMenuSolver solver(*fixture().system, KnobGrid::paper_default());
+  const MenuSpec spec{2, 2};
+  std::optional<MenuSolution> serial;
+  for (int threads : {1, 8}) {
+    par::set_default_threads(threads);
+    const double min_amat = solver.min_amat_s(spec);
+    // An infeasible rung, one exactly at the fastest AMAT, two loose ones.
+    const std::vector<double> targets{min_amat * 0.9, min_amat,
+                                      min_amat * 1.2, min_amat * 1.5};
+    const auto solution = solver.solve(spec, targets, 24);
+    EXPECT_EQ(solution.min_amat_s, min_amat);
+    ASSERT_EQ(solution.best.size(), targets.size());
+    EXPECT_FALSE(solution.best[0].has_value());
+    EXPECT_TRUE(solution.best[1].has_value());
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      expect_same_designs(solution.best[t], solver.best_at(spec, targets[t]));
+    }
+    expect_same_designs(solution.frontier, solver.frontier(spec, 24));
+    // A solve without a frontier leaves it empty and changes nothing else.
+    const auto no_front = solver.solve(spec, targets);
+    EXPECT_TRUE(no_front.frontier.empty());
+    EXPECT_EQ(no_front.min_amat_s, min_amat);
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      expect_same_designs(no_front.best[t], solution.best[t]);
+    }
+    if (!serial) {
+      serial = solution;
+      continue;
+    }
+    EXPECT_EQ(solution.min_amat_s, serial->min_amat_s);
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      expect_same_designs(solution.best[t], serial->best[t]);
+    }
+    expect_same_designs(solution.frontier, serial->frontier);
+  }
+  par::set_default_threads(0);
+}
+
+TEST(TupleSolver, FrontierCapOfOneKeepsOnlyTheFastestPoint) {
+  const TupleMenuSolver solver(*fixture().system, KnobGrid::paper_default());
+  const auto whole = solver.frontier({1, 2}, 0);  // 0: no cap
+  ASSERT_GT(whole.size(), 2u);
+  const auto one = solver.frontier({1, 2}, 1);
+  ASSERT_EQ(one.size(), 1u);
+  expect_same_design(one.front(), whole.front());
+  // Caps from 2 up keep both ends, as before.
+  const auto two = solver.frontier({1, 2}, 2);
+  ASSERT_EQ(two.size(), 2u);
+  expect_same_design(two.front(), whole.front());
+  expect_same_design(two.back(), whole.back());
 }
 
 TEST(TupleSolver, RejectsBadSpecs) {
