@@ -189,7 +189,7 @@ ValuePtr v1_as_v2(const ValuePtr& root, RequestKind kind) {
 }
 
 Request request_from_value(const ValuePtr& root) {
-  NC_REQUIRE(root->is_object(), "request must be a JSON object");
+  NC_REQUIRE(root && root->is_object(), "request must be a JSON object");
   Request r;
   const auto version = root->get("schema_version");
   NC_REQUIRE(version != nullptr, "request is missing schema_version");
@@ -897,32 +897,36 @@ void key_doubles(std::string& key, const std::vector<double>& values) {
   key += ']';
 }
 
-}  // namespace
-
-Outcome<Request> parse_request_json(const std::string& line) {
+/// Run a parse step, mapping a thrown kConfig Error to a kConfig failure
+/// and anything else to kInternal, with the exception text as message.
+template <typename T, typename Fn>
+Outcome<T> parse_outcome(Fn&& parse) {
   try {
-    return request_from_value(json::parse(line));
+    return parse();
   } catch (const Error& e) {
     const ErrorCode code = e.category() == ErrorCategory::kConfig
                                ? ErrorCode::kConfig
                                : ErrorCode::kInternal;
-    return Outcome<Request>::failure(code, e.what());
+    return Outcome<T>::failure(code, e.what());
   } catch (const std::exception& e) {
-    return Outcome<Request>::failure(ErrorCode::kInternal, e.what());
+    return Outcome<T>::failure(ErrorCode::kInternal, e.what());
   }
 }
 
+}  // namespace
+
+Outcome<Request> parse_request_value(const json::ValuePtr& root) {
+  return parse_outcome<Request>([&] { return request_from_value(root); });
+}
+
+Outcome<Request> parse_request_json(const std::string& line) {
+  return parse_outcome<Request>(
+      [&] { return request_from_value(json::parse(line)); });
+}
+
 Outcome<Response> parse_response_json(const std::string& line) {
-  try {
-    return response_from_value(json::parse(line));
-  } catch (const Error& e) {
-    const ErrorCode code = e.category() == ErrorCategory::kConfig
-                               ? ErrorCode::kConfig
-                               : ErrorCode::kInternal;
-    return Outcome<Response>::failure(code, e.what());
-  } catch (const std::exception& e) {
-    return Outcome<Response>::failure(ErrorCode::kInternal, e.what());
-  }
+  return parse_outcome<Response>(
+      [&] { return response_from_value(json::parse(line)); });
 }
 
 std::string request_to_json(const Request& request) {

@@ -17,6 +17,7 @@
 #include "nanocache/responses.h"
 #include "nanocache/service.h"
 #include "nanocache/types.h"
+#include "util/json.h"
 
 namespace nanocache::api {
 
@@ -24,6 +25,13 @@ namespace nanocache::api {
 /// an unknown kind, or a type-mismatched field yield a typed kConfig
 /// failure (kIo for stream-level problems is the caller's business).
 Outcome<Request> parse_request_json(const std::string& line);
+
+/// parse_request_json for a line whose JSON the caller already parsed
+/// (the server inspects the root for control requests first): the same
+/// schema checks and the same error codes and messages.
+/// parse_request_json(line) == parse_request_value(json::parse(line))
+/// whenever the line is well-formed JSON.
+Outcome<Request> parse_request_value(const json::ValuePtr& root);
 
 /// Canonical JSON encoding of a request (round-trips through
 /// parse_request_json).  All payload fields of the active kind are written

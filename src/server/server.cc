@@ -21,7 +21,7 @@ namespace nanocache::server {
 namespace {
 
 /// A client that stops reading forfeits its remaining responses after this
-/// long, instead of parking a worker in send() forever.
+/// long, instead of parking a worker (or its own reader) in send() forever.
 constexpr int kSendTimeoutSeconds = 30;
 
 /// Signal handlers may only touch async-signal-safe state: they write one
@@ -34,6 +34,13 @@ void on_terminate_signal(int /*signum*/) {
     const char byte = 1;
     [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
   }
+}
+
+/// High watermark of requests being answered at once, inline or pooled.
+metrics::Gauge& peak_evaluating() {
+  static auto& gauge =
+      metrics::Registry::instance().gauge("server.peak_evaluating");
+  return gauge;
 }
 
 }  // namespace
@@ -184,6 +191,8 @@ ServerStats Server::stats() const {
 // --- accept / read / work -------------------------------------------------
 
 void Server::accept_loop() {
+  static auto& connections =
+      metrics::Registry::instance().counter("server.connections");
   for (;;) {
     const int fd = listener_->accept(wake_pipe_[0]);
     if (fd < 0) break;
@@ -193,7 +202,7 @@ void Server::accept_loop() {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
 
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    metrics::Registry::instance().counter("server.connections").add();
+    connections.add();
     auto conn = std::make_shared<Connection>(fd);
     std::thread reader([this, conn] { reader_loop(conn); });
     {
@@ -218,9 +227,10 @@ void Server::accept_loop() {
     std::lock_guard<std::mutex> lock(connections_mutex_);
     conns.swap(connections_);
   }
-  // After the readers join, no new work can appear; workers keep draining
-  // the queue the whole time, so a reader blocked on a full queue always
-  // makes progress to its EOF.
+  // After the readers join, no new work can appear, and a request a reader
+  // was answering inline has been delivered.  Workers keep draining the
+  // queue the whole time, so a reader blocked on a full queue always makes
+  // progress to its EOF.
   for (auto& [conn, thread] : conns) thread.join();
   queue_.close();
   for (auto& worker : workers_) worker.join();
@@ -254,6 +264,12 @@ void Server::reap_finished_readers() {
 }
 
 void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
+  static auto& requests =
+      metrics::Registry::instance().counter("server.requests");
+  static auto& answered_inline =
+      metrics::Registry::instance().counter("server.answered_inline");
+  // Requests answered inline evaluate serially, exactly like a worker's.
+  par::SerialRegionGuard serial;
   int fd = -1;
   {
     std::lock_guard<std::mutex> lock(conn->mutex);
@@ -276,17 +292,32 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
     task.conn = conn;
     task.line_number = line_number;
     task.too_long = status == LineStatus::kTooLong;
-    if (!task.too_long) task.line = line;
+    if (!task.too_long) task.line = std::move(line);
+    bool alone = false;
     {
       std::lock_guard<std::mutex> lock(conn->mutex);
       task.seq = conn->enqueued++;
+      alone = conn->written + 1 == conn->enqueued;
     }
-    // Count BEFORE the push: a worker that pops frame N and snapshots the
-    // registry (a metrics control request) must observe every admission up
-    // to and including its own — the queue's mutex orders these relaxed
-    // increments across threads.
+    // Count BEFORE answering or pushing: whoever answers frame N — this
+    // thread, or a worker that pops it and snapshots the registry for a
+    // metrics control request — must observe every admission up to and
+    // including its own (the queue's mutex orders these relaxed increments
+    // across threads).
     requests_admitted_.fetch_add(1, std::memory_order_relaxed);
-    metrics::Registry::instance().counter("server.requests").add();
+    requests.add();
+    // Answer here when nothing would run beside this request anyway: the
+    // connection has no other request in flight, the client has not
+    // pipelined a further line (those fan out across the pool), and fewer
+    // requests than there are workers are being answered.  This skips the
+    // queue handoff — a wake-up and a context switch — on every request of
+    // a closed-loop client.
+    if (alone && !reader.has_buffered_line() && try_claim_inline_slot()) {
+      answered_inline.add();
+      answer(task);
+      evaluating_.fetch_sub(1, std::memory_order_relaxed);
+      continue;
+    }
     if (!queue_.push(std::move(task))) {
       // Shutdown closed the queue while we blocked: retract the seq (it is
       // the newest — nothing was assigned after it) and stop reading.  The
@@ -304,23 +335,50 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
   conn->close_if_drained();
 }
 
+bool Server::try_claim_inline_slot() {
+  // workers_ is fixed once start() spawned the accept loop (and so every
+  // reader).
+  const int workers = static_cast<int>(workers_.size());
+  int busy = evaluating_.load(std::memory_order_relaxed);
+  while (busy < workers) {
+    if (evaluating_.compare_exchange_weak(busy, busy + 1,
+                                          std::memory_order_relaxed)) {
+      peak_evaluating().record_max(busy + 1);
+      return true;
+    }
+  }
+  return false;
+}
+
 void Server::worker_loop() {
+  static auto& answered_pooled =
+      metrics::Registry::instance().counter("server.answered_pooled");
   // Each worker evaluates its requests serially inline: cross-request
   // concurrency comes from the worker count, exactly like run_batch's
   // fan-out workers, and every response stays byte-identical to a serial
   // evaluation (the library's thread-count determinism contract).
   par::SerialRegionGuard serial;
   while (auto task = queue_.pop()) {
-    std::string line = respond(*task);
-    line += '\n';
-    task->conn->deliver(task->seq, std::move(line), *this);
+    peak_evaluating().record_max(
+        evaluating_.fetch_add(1, std::memory_order_relaxed) + 1);
+    answered_pooled.add();
+    answer(*task);
+    evaluating_.fetch_sub(1, std::memory_order_relaxed);
   }
+}
+
+void Server::answer(const Task& task) {
+  std::string line = respond(task);
+  line += '\n';
+  task.conn->deliver(task.seq, std::move(line), *this);
 }
 
 std::string Server::respond(const Task& task) {
   if (task.too_long) {
+    static auto& rejected_lines =
+        metrics::Registry::instance().counter("server.rejected_lines");
     lines_rejected_too_long_.fetch_add(1, std::memory_order_relaxed);
-    metrics::Registry::instance().counter("server.rejected_lines").add();
+    rejected_lines.add();
     api::Response r;
     r.ok = false;
     r.error.code = api::ErrorCode::kConfig;
@@ -329,12 +387,14 @@ std::string Server::respond(const Task& task) {
                       std::to_string(config_.max_line_bytes) + " bytes";
     return api::response_line(r);
   }
-  // {"kind":"metrics"} is a server-layer control request: RequestKind has
-  // no metrics member, so it is intercepted before the batch schema sees
-  // it.  Malformed JSON falls through to parse_request_json, which reports
-  // it exactly as the batch reader would.
+  // The line is parsed once.  {"kind":"metrics"} is a server-layer control
+  // request: RequestKind has no metrics member, so it is intercepted before
+  // the batch schema sees the root.  Malformed JSON leaves `root` empty and
+  // goes to parse_request_json, which reports it exactly as the batch
+  // reader would.
+  json::ValuePtr root;
   try {
-    const auto root = json::parse(task.line);
+    root = json::parse(task.line);
     const auto kind = root->get("kind");
     if (kind && kind->is_string() && kind->as_string() == "metrics") {
       control_requests_.fetch_add(1, std::memory_order_relaxed);
@@ -344,7 +404,8 @@ std::string Server::respond(const Task& task) {
     }
   } catch (const Error&) {
   }
-  auto parsed = api::parse_request_json(task.line);
+  auto parsed = root ? api::parse_request_value(root)
+                     : api::parse_request_json(task.line);
   if (!parsed.ok()) {
     api::Response r;
     r.ok = false;

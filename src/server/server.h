@@ -2,9 +2,9 @@
 //
 // One warm api::Service is multiplexed across many client connections:
 //
-//   accept loop ── per-connection reader ──> bounded queue ──> worker pool
-//                                                                  │
-//   client <──── per-connection in-order response writer <─────────┘
+//   accept loop ── per-connection reader ──┬──> bounded queue ──> worker pool
+//                    (idle: answer inline) │                          │
+//   client <──── per-connection in-order response writer <────────────┘
 //
 // Protocol: each connection speaks the batch-mode JSONL wire format
 // (docs/API.md).  Every non-blank request line produces exactly one
@@ -21,15 +21,23 @@
 //                            registry (server-only; excluded, like all
 //                            metrics, from the byte-identity contract)
 //
-// Concurrency model: requests from ALL connections funnel through one
-// bounded queue (admission control — a full queue blocks readers, which
-// propagates backpressure to clients through the socket) into a fixed pool
-// of worker threads.  Each worker evaluates requests serially inline
-// (par::SerialRegionGuard), mirroring run_batch's per-worker behavior, so
-// cross-request parallelism comes from the worker count while every
-// response stays byte-identical to a serial evaluation.  Workers share the
-// Service's memoization and disk caches, so concurrent clients asking for
-// the same computation get bitwise-equal answers with the cost paid once.
+// Concurrency model: each connection has a reader thread.  When the
+// connection has nothing else in flight, the client has not pipelined a
+// further line, and fewer requests than there are workers are being
+// answered, the reader answers the line itself — a closed-loop client
+// (one line outstanding, the common script) never pays a queue handoff.
+// Otherwise the line goes to one bounded queue shared by ALL connections
+// (admission control — a full queue blocks readers, which propagates
+// backpressure to clients through the socket) and a fixed pool of worker
+// threads answers it, so a pipelining or overloaded client still fans out.
+// The count of requests being answered, inline or pooled, stays bounded
+// by the worker count (`--threads`; at most twice that in a race), not by
+// the connection count.  Every request is evaluated serially on the thread
+// that answers it (par::SerialRegionGuard), mirroring run_batch's
+// per-worker behavior, so every response stays byte-identical to a serial
+// evaluation whichever thread answers.  All threads share the Service's
+// memoization and disk caches, so concurrent clients asking for the same
+// computation get bitwise-equal answers with the cost paid once.
 //
 // Shutdown (SIGINT/SIGTERM via install_signal_handlers, or shutdown()):
 // stop accepting, stop reading (half-close every connection's read side),
@@ -116,7 +124,8 @@ class Server {
   struct Connection {
     explicit Connection(int fd) : fd(fd) {}
 
-    /// Hand back worker results; writes every line that became contiguous.
+    /// Hand back a result (from a worker, or from the reader when it
+    /// answered inline); writes every line that became contiguous.
     void deliver(std::uint64_t seq, std::string line, Server& server);
     /// Half-close the read side so a blocked reader unblocks with EOF.
     void shutdown_read();
@@ -148,6 +157,12 @@ class Server {
   void accept_loop();
   void reader_loop(const std::shared_ptr<Connection>& conn);
   void worker_loop();
+  /// Raise evaluating_ for an inline answer if it is below the worker
+  /// count; false (nothing raised) when the pool is already saturated.
+  bool try_claim_inline_slot();
+  /// Answer one task on the calling thread and hand the line to its
+  /// connection's sequencer.
+  void answer(const Task& task);
   /// Compute the response line (no trailing newline) for one task.
   std::string respond(const Task& task);
   /// Join reader threads whose connection already drained (bounds thread
@@ -163,6 +178,8 @@ class Server {
 
   BoundedQueue<Task> queue_;
   std::vector<std::thread> workers_;
+  /// Requests being answered right now, inline or by a worker.
+  std::atomic<int> evaluating_{0};
   std::thread accept_thread_;
 
   std::mutex connections_mutex_;

@@ -4,6 +4,7 @@
 // at any thread count.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -11,6 +12,8 @@
 
 #include "api/batch_io.h"
 #include "nanocache/api.h"
+#include "util/error.h"
+#include "util/json.h"
 #include "util/parallel.h"
 
 namespace nanocache::api {
@@ -71,24 +74,72 @@ TEST(ApiBatch, RequestJsonRoundTrips) {
   }
 }
 
+/// Request lines every parser must reject with a kConfig error.
+const std::vector<std::string> kMalformedLines = {
+    "not json at all",
+    "{\"kind\":\"eval\"}",  // missing schema_version
+    "{\"schema_version\":99,\"kind\":\"eval\"}",
+    "{\"schema_version\":1}",  // missing kind
+    "{\"schema_version\":1,\"kind\":\"bogus\"}",
+    "{\"schema_version\":1,\"kind\":\"eval\",\"level\":\"l3\"}",
+};
+
 TEST(ApiBatch, ParseRejectsMalformedRequests) {
-  const auto expect_config_error = [](const std::string& line) {
+  for (const auto& line : kMalformedLines) {
     const auto parsed = parse_request_json(line);
     ASSERT_FALSE(parsed.ok()) << line;
     EXPECT_EQ(parsed.error().code, ErrorCode::kConfig) << line;
-  };
-  expect_config_error("not json at all");
-  expect_config_error("{\"kind\":\"eval\"}");  // missing schema_version
-  expect_config_error("{\"schema_version\":99,\"kind\":\"eval\"}");
-  expect_config_error("{\"schema_version\":1}");  // missing kind
-  expect_config_error("{\"schema_version\":1,\"kind\":\"bogus\"}");
-  expect_config_error(
-      "{\"schema_version\":1,\"kind\":\"eval\",\"level\":\"l3\"}");
+  }
 
   // Unknown keys are ignored (additive schema evolution).
   const auto parsed = parse_request_json(
       "{\"schema_version\":1,\"kind\":\"eval\",\"future_field\":42}");
   EXPECT_TRUE(parsed.ok());
+}
+
+TEST(ApiBatch, ParseRequestValueMatchesParseRequestJson) {
+  std::vector<std::string> lines;
+  std::ifstream fixture(std::string(NANOCACHE_TEST_DATA_DIR) +
+                        "/batch_requests.jsonl");
+  ASSERT_TRUE(fixture.good());
+  for (std::string line; std::getline(fixture, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 100u);
+  lines.insert(lines.end(), kMalformedLines.begin(), kMalformedLines.end());
+  // v1 flat spellings, an unknown key, and non-object JSON.
+  lines.push_back("{\"schema_version\":1,\"id\":\"e1\",\"kind\":\"eval\"}");
+  lines.push_back(
+      "{\"schema_version\":1,\"id\":\"o1\",\"kind\":\"optimize\","
+      "\"delay_ps\":1500}");
+  lines.push_back(
+      "{\"schema_version\":1,\"kind\":\"eval\",\"future_field\":42}");
+  lines.push_back("[1,2]");
+  lines.push_back("\"eval\"");
+
+  for (const auto& line : lines) {
+    const auto from_text = parse_request_json(line);
+    json::ValuePtr root;
+    try {
+      root = json::parse(line);
+    } catch (const Error& e) {
+      // Malformed JSON never reaches parse_request_value: the text path
+      // reports the JSON parser's own error.
+      ASSERT_FALSE(from_text.ok()) << line;
+      EXPECT_EQ(from_text.error().code, ErrorCode::kConfig) << line;
+      EXPECT_EQ(from_text.error().message, e.what()) << line;
+      continue;
+    }
+    const auto from_value = parse_request_value(root);
+    ASSERT_EQ(from_value.ok(), from_text.ok()) << line;
+    if (from_text.ok()) {
+      EXPECT_EQ(request_to_json(from_value.value()),
+                request_to_json(from_text.value()))
+          << line;
+    } else {
+      EXPECT_EQ(from_value.error().code, from_text.error().code) << line;
+      EXPECT_EQ(from_value.error().message, from_text.error().message)
+          << line;
+    }
+  }
 }
 
 TEST(ApiBatch, CanonicalKeyIgnoresIdOnly) {

@@ -1,10 +1,13 @@
 // End-to-end tests of the JSONL server (src/server): strict --listen
 // parsing, framing edge cases, per-connection byte-identity with batch
-// mode, cross-client cache sharing, concurrency, and graceful shutdown.
+// mode, cross-client cache sharing, concurrency, inline vs pooled
+// answering, and graceful shutdown.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +21,7 @@
 #include "server/server.h"
 #include "util/error.h"
 #include "util/json.h"
+#include "util/metrics.h"
 
 namespace nanocache::server {
 namespace {
@@ -63,6 +67,44 @@ std::string serve_roundtrip(const ListenSpec& spec, const std::string& input) {
     out += '\n';
   }
   return out;
+}
+
+/// Drive `input` as a closed-loop client: send one line, wait for its
+/// response, then send the next (blank lines get no response).
+std::string closed_loop_roundtrip(const ListenSpec& spec,
+                                  const std::string& input) {
+  Client client = Client::connect(spec);
+  std::istringstream lines(input);
+  std::string line;
+  std::string out;
+  while (std::getline(lines, line)) {
+    client.send(line + "\n");
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    const auto response = client.read_line();
+    if (!response) break;
+    out += *response;
+    out += '\n';
+  }
+  client.shutdown_write();
+  while (auto extra = client.read_line()) {
+    out += *extra;
+    out += '\n';
+  }
+  return out;
+}
+
+/// A checked-in fixture from tests/data.
+std::string read_fixture(const std::string& name) {
+  std::ifstream in(std::string(NANOCACHE_TEST_DATA_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing fixture " << name;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+std::uint64_t counter_value(const std::string& name) {
+  return metrics::Registry::instance().counter(name).value();
 }
 
 template <typename Fn>
@@ -371,6 +413,130 @@ TEST(Serve, EightConcurrentClientsGetOrderedIdenticalStreams) {
             static_cast<std::uint64_t>(kClients * 14));
   server.shutdown();
   server.wait();
+}
+
+// --- inline vs pooled answering ------------------------------------------
+
+TEST(ServeInline, ClosedLoopClientIsAnsweredInline) {
+  const auto service = make_service();
+  Server server(service, {unix_spec(unique_sock("closed")), 1u << 20, 16, 2});
+  server.start();
+  const auto inline_before = counter_value("server.answered_inline");
+  EXPECT_EQ(closed_loop_roundtrip(server.config().listen,
+                                  read_fixture("batch_requests.jsonl")),
+            read_fixture("batch_responses_golden.jsonl"));
+  // One line in flight, nothing buffered, an idle pool: every request is
+  // answered on the reader.
+  EXPECT_EQ(counter_value("server.answered_inline") - inline_before, 100u);
+  server.shutdown();
+  server.wait();
+}
+
+TEST(ServeInline, PipelinedClientMatchesGoldenAcrossBothPaths) {
+  const auto service = make_service();
+  Server server(service, {unix_spec(unique_sock("piped")), 1u << 20, 16, 2});
+  server.start();
+  const auto inline_before = counter_value("server.answered_inline");
+  const auto pooled_before = counter_value("server.answered_pooled");
+  EXPECT_EQ(serve_roundtrip(server.config().listen,
+                            read_fixture("batch_requests.jsonl")),
+            read_fixture("batch_responses_golden.jsonl"));
+  // Each admitted request is counted on exactly one path.
+  EXPECT_EQ(counter_value("server.answered_inline") - inline_before +
+                counter_value("server.answered_pooled") - pooled_before,
+            100u);
+  server.shutdown();
+  server.wait();
+}
+
+TEST(ServeInline, InlineMetricsRequestSeesItsOwnAdmission) {
+  const auto service = make_service();
+  Server server(service, {unix_spec(unique_sock("selfm")), 1u << 20, 16, 2});
+  server.start();
+  const auto requests_before = counter_value("server.requests");
+  const auto inline_before = counter_value("server.answered_inline");
+  Client client = Client::connect(server.config().listen);
+  client.send("{\"kind\":\"metrics\",\"id\":\"self\"}\n");
+  const auto response = client.read_line();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(counter_value("server.answered_inline") - inline_before, 1u);
+
+  const auto counters = json::parse(*response)->get("result")->get("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_GE(counters->get("server.requests")->as_uint(), requests_before + 1);
+  EXPECT_GE(counters->get("server.answered_inline")->as_uint(),
+            inline_before + 1);
+  client.close();
+  server.shutdown();
+  server.wait();
+}
+
+TEST(ServeInline, OneWorkerBoundsConcurrencyUnderEightClosedLoopClients) {
+  const auto service = make_service();
+  Server server(service, {unix_spec(unique_sock("bound")), 1u << 20, 16,
+                          /*workers=*/1});
+  server.start();
+  auto& peak = metrics::Registry::instance().gauge("server.peak_evaluating");
+  peak.reset();
+  const std::string input = read_fixture("batch_requests.jsonl");
+  const std::string golden = read_fixture("batch_responses_golden.jsonl");
+
+  constexpr int kClients = 8;
+  std::vector<std::string> got(kClients);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      try {
+        got[c] = closed_loop_roundtrip(server.config().listen, input);
+      } catch (const Error&) {
+        failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  server.shutdown();
+  server.wait();
+  EXPECT_EQ(failures.load(), 0);
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(got[c], golden) << "client " << c;
+  }
+  // Eight connections, one worker: at most one inline answer plus one
+  // pooled answer at any moment.
+  EXPECT_GE(peak.value(), 1);
+  EXPECT_LE(peak.value(), 2);
+}
+
+TEST(ServeInline, ShutdownDuringInlineAnswerStillDeliversIt) {
+  const auto service = make_service();
+  Server server(service, {unix_spec(unique_sock("inldrain")), 1u << 20, 16,
+                          2});
+  server.start();
+  // A 2x2 tuple_menu memo miss: long enough to be mid-computation when the
+  // drain starts.
+  const std::string menu =
+      "{\"schema_version\":2,\"id\":\"menu\",\"kind\":\"tuple_menu\","
+      "\"num_tox\":2,\"num_vth\":2,\"delay\":{\"targets_ps\":[1350,1700]}}\n";
+  const auto inline_before = counter_value("server.answered_inline");
+  Client client = Client::connect(server.config().listen);
+  client.send(menu);
+  // The reader counts an inline answer before it starts computing.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (counter_value("server.answered_inline") == inline_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_GT(counter_value("server.answered_inline"), inline_before);
+  server.shutdown();
+
+  const auto response = client.read_line();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(*response + "\n", batch_output(*make_service(), menu));
+  EXPECT_FALSE(client.read_line().has_value());
+  server.wait();
+  EXPECT_EQ(server.stats().responses_written, 1u);
 }
 
 // --- transports and shutdown ----------------------------------------------
