@@ -156,7 +156,6 @@ struct CapabilitiesResponse {
   /// fields stay at their defaults when no surrogate directory is
   /// configured or no usable tables were found.
   bool surrogate_loaded = false;
-  int surrogate_eval_tables = 0;
   int surrogate_optimize_tables = 0;
   /// Library fingerprint the tables were precomputed against (16 hex).
   std::string surrogate_fingerprint;
@@ -166,7 +165,7 @@ struct CapabilitiesResponse {
   std::vector<std::uint64_t> surrogate_sizes_bytes;  ///< covered sizes
   std::vector<int> surrogate_nodes_nm;               ///< covered nodes
   std::vector<std::string> surrogate_schemes;        ///< covered schemes
-  /// Worst certified per-answer error bound across all loaded tables.
+  /// Worst proven per-answer error bound across all loaded tables.
   double surrogate_max_error_leakage_mw = 0.0;
   double surrogate_max_error_access_time_ps = 0.0;
   double surrogate_max_error_dynamic_pj = 0.0;
@@ -175,7 +174,7 @@ struct CapabilitiesResponse {
 /// v4: which engine produced an eval/optimize answer.
 enum class ServedBy {
   kExact,      ///< the structural/fitted model (wire default; omitted)
-  kSurrogate,  ///< precomputed table + interpolation, `max_error` certified
+  kSurrogate,  ///< precomputed optimize-ladder rung, `max_error` proven
 };
 
 inline const char* served_by_name(ServedBy s) {
@@ -186,10 +185,11 @@ inline const char* served_by_name(ServedBy s) {
   return "exact";
 }
 
-/// v4: certified absolute error bounds of a surrogate answer, in the
-/// paper's reporting units.  The exact engine's answer for the same request
-/// is guaranteed to lie within these bounds of the served values
-/// (docs/MODELING.md §13 describes the certification).
+/// v4: proven absolute error bounds of a surrogate answer, in the paper's
+/// reporting units.  The served design is feasible for the request, and
+/// its leakage exceeds the exact optimum's by at most `leakage_mw`; access
+/// time and dynamic energy are the served design's own exact values, so
+/// their bounds are 0 (docs/MODELING.md §13 gives the bracketing proof).
 struct SurrogateErrorBounds {
   double leakage_mw = 0.0;
   double access_time_ps = 0.0;

@@ -502,7 +502,6 @@ CapabilitiesResponse parse_capabilities_response(const ValuePtr& v) {
   }
   const auto surrogate = req_field(v, "surrogate");
   c.surrogate_loaded = req_bool(surrogate, "loaded");
-  c.surrogate_eval_tables = req_int(surrogate, "eval_tables");
   c.surrogate_optimize_tables = req_int(surrogate, "optimize_tables");
   c.surrogate_fingerprint = req_string(surrogate, "fingerprint");
   c.surrogate_stamp = req_string(surrogate, "stamp");
@@ -860,7 +859,6 @@ std::string capabilities_json(const CapabilitiesResponse& c) {
   // v4 surrogate-tier discovery (also lockstep with the parser above).
   ObjectWriter surrogate;
   surrogate.bool_field("loaded", c.surrogate_loaded);
-  surrogate.int_field("eval_tables", c.surrogate_eval_tables);
   surrogate.int_field("optimize_tables", c.surrogate_optimize_tables);
   surrogate.string_field("fingerprint", c.surrogate_fingerprint);
   surrogate.string_field("stamp", c.surrogate_stamp);
@@ -874,18 +872,6 @@ std::string capabilities_json(const CapabilitiesResponse& c) {
   surrogate.field("max_error", bounds.str());
   w.field("surrogate", surrogate.str());
   return w.str();
-}
-
-/// Bit-pattern key of a double: structural identity, not decimal identity.
-std::string key_double(double d) {
-  const auto bits = std::bit_cast<std::uint64_t>(d);
-  char buf[17];
-  static const char* hex = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    buf[15 - i] = hex[(bits >> (i * 4)) & 0xF];
-  }
-  buf[16] = '\0';
-  return std::string(buf);
 }
 
 void key_doubles(std::string& key, const std::vector<double>& values) {
@@ -914,6 +900,17 @@ Outcome<T> parse_outcome(Fn&& parse) {
 }
 
 }  // namespace
+
+std::string key_double(double d) {
+  const auto bits = std::bit_cast<std::uint64_t>(d);
+  char buf[17];
+  static const char* hex = "0123456789abcdef";
+  for (int i = 15; i >= 0; --i) {
+    buf[15 - i] = hex[(bits >> (i * 4)) & 0xF];
+  }
+  buf[16] = '\0';
+  return std::string(buf);
+}
 
 Outcome<Request> parse_request_value(const json::ValuePtr& root) {
   return parse_outcome<Request>([&] { return request_from_value(root); });
@@ -1009,7 +1006,7 @@ std::string response_to_json(const Response& response) {
   }
   w.string_field("kind", request_kind_name(response.kind));
   w.bool_field("ok", true);
-  // served_by (and the certified bounds) only appear on surrogate answers:
+  // served_by (and the proven bounds) only appear on surrogate answers:
   // exact answers keep their pre-v4 bytes, and parse_response_json maps the
   // omission back to kExact.
   if (response.served_by == ServedBy::kSurrogate) {

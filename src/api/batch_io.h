@@ -55,6 +55,11 @@ Outcome<Response> parse_response_json(const std::string& line);
 /// pattern, so two spellings of the same number collide (as they must).
 std::string request_canonical_key(const Request& request);
 
+/// Bit-pattern key of a double (16 lower-case hex digits): structural
+/// identity, not decimal identity.  The one spelling every canonical and
+/// memo key uses for a double.
+std::string key_double(double d);
+
 /// `response_to_json`, hardened for the per-line batch path: when the
 /// response itself cannot be serialized (a non-finite double in a payload
 /// field — NaN/Inf are not JSON and format_double refuses them), the

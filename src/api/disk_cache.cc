@@ -126,17 +126,32 @@ void DiskCache::load() {
     }
   }
 
+  // Opening for append here (not per store) surfaces a read-only segment
+  // at open, not mid-batch.
+  open_segment(rewrite);
   if (rewrite) {
-    std::ofstream out(path_, std::ios::trunc);
-    out << header_line(fingerprint_) << '\n';
-    out.flush();
-    NC_REQUIRE_IO(out.good(), "cannot write cache segment: " + path_);
-    return;
+    NC_REQUIRE_IO(append_line(header_line(fingerprint_) + '\n'),
+                  "cannot write cache segment: " + path_);
   }
-  // Loaded (possibly with dropped entries): probe appendability now so a
-  // read-only segment surfaces at open, not mid-batch.
-  std::ofstream out(path_, std::ios::app);
-  NC_REQUIRE_IO(out.good(), "cannot append to cache segment: " + path_);
+}
+
+void DiskCache::open_segment(bool truncate) {
+  fd_ = ::open(path_.c_str(),
+               O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC |
+                   (truncate ? O_TRUNC : 0),
+               0644);
+  NC_REQUIRE_IO(fd_ >= 0, "cannot append to cache segment: " + path_);
+}
+
+bool DiskCache::append_line(const std::string& line) {
+  // A regular file takes the whole buffer or fails; a short count (disk
+  // full part-way) is a failure all the same.
+  const ssize_t n = ::write(fd_, line.data(), line.size());
+  return n == static_cast<ssize_t>(line.size());
+}
+
+DiskCache::~DiskCache() {
+  if (fd_ >= 0) ::close(fd_);
 }
 
 std::optional<std::string> DiskCache::lookup(const std::string& key) {
@@ -160,11 +175,8 @@ void DiskCache::store(const std::string& key,
   ++stores_;
   disk_counters().stores.add(1);
   if (!writable_) return;
-  std::ofstream out(path_, std::ios::app);
-  out << entry_line(key, response_json) << '\n';
-  out.flush();
-  if (!out.good()) {
-    // Persistence failed mid-run (disk full, segment deleted).  The
+  if (!append_line(entry_line(key, response_json) + '\n')) {
+    // Persistence failed mid-run (disk full, file size limit).  The
     // in-memory copy keeps serving this run; stop appending rather than
     // failing requests that already computed fine.
     writable_ = false;
@@ -174,16 +186,8 @@ void DiskCache::store(const std::string& key,
 
 std::size_t DiskCache::flush() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (writable_) {
-    const int fd = ::open(path_.c_str(), O_WRONLY | O_APPEND);
-    if (fd >= 0) {
-      if (::fsync(fd) != 0) {
-        metrics::Registry::instance().counter("api.disk.write_errors").add(1);
-      }
-      ::close(fd);
-    } else {
-      metrics::Registry::instance().counter("api.disk.write_errors").add(1);
-    }
+  if (writable_ && ::fsync(fd_) != 0) {
+    metrics::Registry::instance().counter("api.disk.write_errors").add(1);
   }
   return entries_.size();
 }

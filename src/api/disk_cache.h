@@ -24,7 +24,10 @@
 // cannot have.
 //
 // Concurrency: entries load fully into memory at open(); lookups and the
-// append-on-store run under one mutex.  The cache stores serialized
+// append-on-store run under one mutex.  The segment stays open (O_APPEND)
+// for the cache's lifetime and each entry line goes out in one write(), so
+// a store costs no open/close and concurrent appenders never interleave
+// within a line.  The cache stores serialized
 // response lines, not structs — a hit re-parses with parse_response_json,
 // whose round-trip exactness keeps cached responses byte-identical to
 // freshly computed ones.
@@ -62,17 +65,21 @@ class DiskCache {
   std::optional<std::string> lookup(const std::string& key);
 
   /// Append (key -> response_json) unless the key is already present.
-  /// Appends are flushed per entry; a failed append disables further writes
-  /// for this run (the in-memory copy stays serving) rather than throwing
-  /// mid-batch.
+  /// Each entry is one write() on the open segment; a failed append
+  /// disables further writes for this run (the in-memory copy stays
+  /// serving) rather than throwing mid-batch.
   void store(const std::string& key, const std::string& response_json);
 
-  /// Durability barrier: fsync the segment file.  store() flushes each
-  /// append out of the process, but only into the OS page cache; flush()
-  /// pushes the segment to stable storage (a server shutting down calls
-  /// this).  Returns the in-memory entry count.  A failed sync degrades
-  /// like a failed append: the in-memory copy keeps serving.
+  /// Durability barrier: fsync the segment file.  store() hands each
+  /// append to the OS page cache; flush() pushes the segment to stable
+  /// storage (a server shutting down calls this).  Returns the in-memory
+  /// entry count.  A failed sync degrades like a failed append: the
+  /// in-memory copy keeps serving.
   std::size_t flush();
+
+  ~DiskCache();
+  DiskCache(const DiskCache&) = delete;
+  DiskCache& operator=(const DiskCache&) = delete;
 
   const std::string& path() const { return path_; }
 
@@ -86,11 +93,17 @@ class DiskCache {
  private:
   DiskCache() = default;
   void load();
+  /// Open the segment for appending (truncating it first when `truncate`);
+  /// throws Error(kIo) when it cannot be opened.
+  void open_segment(bool truncate);
+  /// One whole line in a single write(); false on any failure.
+  bool append_line(const std::string& line);
 
   std::string path_;
   std::string fingerprint_;
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::string> entries_;
+  int fd_ = -1;  ///< the open segment (O_APPEND), or -1
   bool writable_ = true;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;

@@ -1,7 +1,6 @@
 #include "nanocache/service.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -68,19 +67,6 @@ auto guarded(Fn&& fn) -> Outcome<decltype(fn())> {
   }
 }
 
-/// Bit-pattern key of a double (same convention as batch_io's canonical
-/// request keys): memo entries match on structural identity.
-std::string key_double(double d) {
-  const auto bits = std::bit_cast<std::uint64_t>(d);
-  char buf[17];
-  static const char* hex = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    buf[15 - i] = hex[(bits >> (i * 4)) & 0xF];
-  }
-  buf[16] = '\0';
-  return std::string(buf);
-}
-
 /// Library fingerprint for the persistent disk cache: a hash over everything
 /// that can change an answer — model selection, degradation policy, default
 /// sizes, the exact grid bit patterns, schema/API version, and the search
@@ -118,8 +104,9 @@ std::string service_fingerprint(const core::ExperimentConfig& config) {
 }
 
 /// Routing counters of the surrogate serving tier.  Registered eagerly on
-/// the first served request (whether or not a store is loaded) so metrics
-/// snapshots always expose the full `api.surrogate.*` key set.
+/// the first optimize (or surrogate-pinned eval) request, whether or not a
+/// store is loaded, so metrics snapshots expose the full `api.surrogate.*`
+/// key set.
 struct SurrogateCounters {
   metrics::Counter& hits;
   metrics::Counter& fallbacks;
@@ -668,7 +655,6 @@ Outcome<CapabilitiesResponse> Service::capabilities(
     const auto* store = impl_->surrogate_store.get();
     c.surrogate_loaded = store != nullptr && store->loaded();
     if (c.surrogate_loaded) {
-      c.surrogate_eval_tables = static_cast<int>(store->eval_tables());
       c.surrogate_optimize_tables =
           static_cast<int>(store->optimize_tables());
       c.surrogate_fingerprint = store->fingerprint();
@@ -926,35 +912,16 @@ Response Service::serve_impl(const Request& request) const {
   }
   switch (request.kind) {
     case RequestKind::kEval: {
+      // No table covers an eval: `exact` and `auto` both run the model,
+      // and a surrogate pin is the typed reject of an uncovered request.
       const EvalRequest& e = request.eval;
-      auto& counters = surrogate_counters();
-      const auto* store = impl_->surrogate_store.get();
-      const bool store_loaded = store != nullptr && store->loaded();
-      if (e.exactness == Exactness::kExact) {
-        if (store_loaded) counters.exact_pins.add(1);
-      } else if (store_loaded && e.organization.is_default()) {
-        const Level level = e.target.level;
-        const std::uint64_t size =
-            impl_->resolve_size(level, e.target.size_bytes);
-        if (auto hit = store->lookup_eval(level, size, e.node_nm, e.knobs)) {
-          counters.hits.add(1);
-          response.ok = true;
-          response.served_by = ServedBy::kSurrogate;
-          response.max_error = hit->bounds;
-          response.eval = std::move(hit->response);
-          break;
-        }
-      }
       if (e.exactness == Exactness::kSurrogate) {
-        counters.rejects.add(1);
+        surrogate_counters().rejects.add(1);
         response.error = ErrorInfo{
             ErrorCode::kConfig,
             "exactness 'surrogate' requested but no loaded table covers "
             "this eval request"};
         break;
-      }
-      if (store_loaded && e.exactness != Exactness::kExact) {
-        counters.fallbacks.add(1);
       }
       auto out = evaluate(e);
       if (out) {

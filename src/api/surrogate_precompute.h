@@ -1,18 +1,14 @@
 // Offline precompute step of the surrogate serving tier.
 //
-// Drives the exact engine of an existing Service over a refined knob
-// lattice (evals) and a delay-target ladder (optimizes) and writes the
-// resulting answer tables to one segment keyed by the service's library
-// fingerprint — the same fingerprint a later Service::create computes, so
-// a serving process picks the tables up automatically when pointed at the
-// output directory via ServiceConfig::surrogate_dir.
+// Drives the exact optimizer of an existing Service over a delay-target
+// ladder per (level, size, node, scheme) and writes the resulting answer
+// tables to one segment keyed by the service's library fingerprint — the
+// same fingerprint a later Service::create computes, so a serving process
+// picks the tables up automatically when pointed at the output directory
+// via ServiceConfig::surrogate_dir.
 //
-// Error-bound certification happens here, against the exact engine: every
-// eval table's per-metric bound coefficients (see surrogate::BoundModel)
-// are calibrated on a validation lattice of cell midpoints — the worst
-// case for bilinear interpolation of the paper's smooth response surfaces
-// — with a 2x safety margin.  Optimize ladders need no calibration: their
-// adjacent-rung bound is rigorous by feasible-set nesting.
+// Nothing is calibrated: a ladder's adjacent-rung bound is rigorous by
+// feasible-set nesting (see surrogate/tables.h).
 #pragma once
 
 #include <cstddef>
@@ -31,12 +27,6 @@ struct PrecomputeOptions {
   std::vector<std::uint64_t> l2_sizes;
   /// Technology nodes to tabulate (0 = the configured default).
   std::vector<int> nodes{0};
-  /// Minimum lattice points per knob axis.  The axis starts from the
-  /// node's configured grid and inserts cell midpoints until it reaches
-  /// this size, so the original grid points are always on the lattice
-  /// (served bit-exact) and the defaults refine the paper's 7x5 grid once.
-  int vth_steps = 13;
-  int tox_steps = 9;
   /// Rungs per optimize ladder (per level, size, node, scheme).
   int target_steps = 25;
   /// Free-form provenance stamp written into the segment header (never
@@ -47,15 +37,14 @@ struct PrecomputeOptions {
 struct PrecomputeSummary {
   std::string fingerprint;    ///< segment key (= the service's fingerprint)
   std::string path;           ///< segment file written
-  std::size_t eval_tables = 0;
   std::size_t optimize_tables = 0;
-  std::size_t exact_evals = 0;      ///< exact engine calls spent on lattices
-  std::size_t exact_optimizes = 0;  ///< ... and on ladder rungs
+  std::size_t exact_evals = 0;      ///< exact evals spent on ladder windows
+  std::size_t exact_optimizes = 0;  ///< exact optimizes spent on rungs
 };
 
 /// Precompute tables for `service` and write them under `out_dir`.  Throws
 /// nanocache::Error (kConfig for bad options, kIo for unwritable output);
-/// exact-engine failures on individual lattice points propagate as-is.
+/// exact-engine failures on a ladder's window endpoints propagate as-is.
 PrecomputeSummary precompute_surrogate(const Service& service,
                                        const std::string& out_dir,
                                        const PrecomputeOptions& options);

@@ -1,14 +1,14 @@
 // SurrogateStore — the read side of the surrogate serving tier.
 //
 // A store loads the one table segment matching the service's library
-// fingerprint at Service::create time and answers covered eval/optimize
-// requests in microseconds: an O(1) keyed table lookup plus bilinear
-// interpolation (eval) or a ladder binary search (optimize).  Everything a
-// request needs beyond what a table covers — other sizes/nodes, explicit
-// organizations, power gating, out-of-lattice knobs or targets — is simply
-// "not covered": lookups return nullopt and the service falls back to the
-// exact engine.  Robustness mirrors DiskCache: a missing directory or
-// segment and any corrupt line degrade coverage, never answers.
+// fingerprint at Service::create time and answers covered optimize
+// requests in microseconds: a keyed table lookup plus a ladder binary
+// search.  Everything a request needs beyond what a table covers — other
+// sizes/nodes, explicit organizations, power gating, off-ladder targets —
+// is simply "not covered": lookups return nullopt and the service falls
+// back to the exact engine.  Evals are never covered.  Robustness mirrors
+// DiskCache: a missing directory or segment and any corrupt line degrade
+// coverage, never answers.
 //
 // Thread safety: a store is immutable after open(); concurrent lookups
 // need no synchronization.
@@ -25,17 +25,10 @@
 #include "nanocache/responses.h"
 #include "nanocache/types.h"
 #include "surrogate/tables.h"
-#include "util/interp.h"
 
 namespace nanocache::surrogate {
 
-/// A served eval answer plus its certified error bounds.
-struct EvalAnswer {
-  api::EvalResponse response;
-  api::SurrogateErrorBounds bounds;
-};
-
-/// A served optimize answer plus its certified error bounds (access time
+/// A served optimize answer plus its proven error bounds (access time
 /// and dynamic energy of the served design are exact, so those bounds are
 /// always 0).
 struct OptimizeAnswer {
@@ -53,9 +46,12 @@ class SurrogateStore {
   static std::unique_ptr<SurrogateStore> open(const std::string& dir,
                                               const std::string& fingerprint);
 
-  std::optional<EvalAnswer> lookup_eval(api::Level level,
-                                        std::uint64_t size_bytes, int node_nm,
-                                        const api::Knobs& knobs) const;
+  /// No table covers an eval (the exact model is as fast as a table
+  /// lookup), so this always answers "not covered".  It stays only because
+  /// the benchmark's in-process replay still probes it.
+  bool lookup_eval(api::Level, std::uint64_t, int, const api::Knobs&) const {
+    return false;
+  }
 
   std::optional<OptimizeAnswer> lookup_optimize(api::Level level,
                                                 std::uint64_t size_bytes,
@@ -63,9 +59,8 @@ class SurrogateStore {
                                                 api::SchemeId scheme,
                                                 double target_ps) const;
 
-  std::size_t eval_tables() const { return evals_.size(); }
   std::size_t optimize_tables() const { return optimizes_.size(); }
-  bool loaded() const { return !evals_.empty() || !optimizes_.empty(); }
+  bool loaded() const { return !optimizes_.empty(); }
   std::size_t corrupt_lines() const { return corrupt_lines_; }
 
   const std::string& fingerprint() const { return fingerprint_; }
@@ -80,7 +75,7 @@ class SurrogateStore {
   std::vector<std::uint64_t> covered_sizes() const;
   std::vector<int> covered_nodes() const;
   std::vector<std::string> covered_schemes() const;
-  /// Worst certified per-answer bound across all loaded tables.
+  /// Worst proven per-answer bound across all loaded tables.
   api::SurrogateErrorBounds worst_bounds() const { return worst_bounds_; }
 
  private:
@@ -88,18 +83,12 @@ class SurrogateStore {
   void load(const std::string& path);
   void index_tables();
 
-  struct EvalEntry {
-    EvalTable table;
-    std::unique_ptr<math::BilinearGrid> grid;
-  };
-
   std::string fingerprint_;
   std::string stamp_;
   std::string content_checksum_;
   std::size_t corrupt_lines_ = 0;
   api::SurrogateErrorBounds worst_bounds_{};
-  /// Keyed "level|size|node" and "level|size|node|scheme".
-  std::map<std::string, EvalEntry> evals_;
+  /// Keyed "level|size|node|scheme".
   std::map<std::string, OptimizeTable> optimizes_;
 };
 

@@ -25,93 +25,11 @@ api::SchemeId parse_scheme(const std::string& s) {
   throw Error(ErrorCategory::kConfig, "unknown scheme '" + s + "'");
 }
 
-std::string double_array_json(const std::vector<double>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ',';
-    out += json::format_double(values[i]);
-  }
-  out += ']';
-  return out;
-}
-
-std::string string_array_json(const std::vector<std::string>& values) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ',';
-    out += json::quote(values[i]);
-  }
-  out += ']';
-  return out;
-}
-
-std::string bound_model_json(const BoundModel& bound) {
-  return "{\"scale\":" + json::format_double(bound.scale) +
-         ",\"floor\":" + json::format_double(bound.floor) + "}";
-}
-
-BoundModel parse_bound_model(const json::ValuePtr& value) {
-  NC_REQUIRE(value && value->is_object(), "bound model must be an object");
-  BoundModel bound;
-  const auto scale = value->get("scale");
-  const auto floor = value->get("floor");
-  NC_REQUIRE(scale && floor, "bound model needs scale and floor");
-  bound.scale = scale->as_double();
-  bound.floor = floor->as_double();
-  return bound;
-}
-
-std::vector<double> parse_double_array(const json::ValuePtr& value,
-                                       const char* what) {
-  NC_REQUIRE(value && value->is_array(),
-             std::string("expected array for ") + what);
-  std::vector<double> out;
-  out.reserve(value->as_array().size());
-  for (const auto& v : value->as_array()) out.push_back(v->as_double());
-  return out;
-}
-
 json::ValuePtr require_field(const json::ValuePtr& root, const char* key) {
   auto v = root->get(key);
   NC_REQUIRE(v != nullptr, std::string("surrogate table missing '") + key +
                                "' field");
   return v;
-}
-
-void require_axis(const std::vector<double>& axis, const char* what) {
-  NC_REQUIRE(axis.size() >= 2,
-             std::string("surrogate table axis '") + what +
-                 "' needs >= 2 points");
-  for (std::size_t i = 1; i < axis.size(); ++i) {
-    NC_REQUIRE(axis[i] > axis[i - 1],
-               std::string("surrogate table axis '") + what +
-                   "' must be strictly increasing");
-  }
-}
-
-EvalTable parse_eval_table(const json::ValuePtr& root) {
-  EvalTable t;
-  t.level = parse_level(require_field(root, "level")->as_string());
-  t.size_bytes = require_field(root, "size_bytes")->as_uint();
-  t.node_nm = static_cast<int>(require_field(root, "node_nm")->as_int());
-  t.organization = require_field(root, "organization")->as_string();
-  for (const auto& c : require_field(root, "components")->as_array()) {
-    t.components.push_back(c->as_string());
-  }
-  NC_REQUIRE(!t.components.empty(), "surrogate eval table has no components");
-  t.vth_v = parse_double_array(require_field(root, "vth_v"), "vth_v");
-  t.tox_a = parse_double_array(require_field(root, "tox_a"), "tox_a");
-  require_axis(t.vth_v, "vth_v");
-  require_axis(t.tox_a, "tox_a");
-  t.values = parse_double_array(require_field(root, "values"), "values");
-  NC_REQUIRE(t.values.size() ==
-                 t.vth_v.size() * t.tox_a.size() * t.values_per_point(),
-             "surrogate eval table value count mismatch");
-  const auto bounds = require_field(root, "bounds");
-  t.bound_leakage = parse_bound_model(bounds->get("leakage_mw"));
-  t.bound_access = parse_bound_model(bounds->get("access_time_ps"));
-  t.bound_dynamic = parse_bound_model(bounds->get("dynamic_pj"));
-  return t;
 }
 
 OptimizeTable parse_optimize_table(const json::ValuePtr& root) {
@@ -145,23 +63,6 @@ OptimizeTable parse_optimize_table(const json::ValuePtr& root) {
 
 }  // namespace
 
-std::string eval_table_json(const EvalTable& table) {
-  std::string out = "{\"kind\":\"eval\"";
-  out += ",\"level\":" + json::quote(api::level_name(table.level));
-  out += ",\"size_bytes\":" + std::to_string(table.size_bytes);
-  out += ",\"node_nm\":" + std::to_string(table.node_nm);
-  out += ",\"organization\":" + json::quote(table.organization);
-  out += ",\"components\":" + string_array_json(table.components);
-  out += ",\"vth_v\":" + double_array_json(table.vth_v);
-  out += ",\"tox_a\":" + double_array_json(table.tox_a);
-  out += ",\"values\":" + double_array_json(table.values);
-  out += ",\"bounds\":{\"leakage_mw\":" + bound_model_json(table.bound_leakage);
-  out += ",\"access_time_ps\":" + bound_model_json(table.bound_access);
-  out += ",\"dynamic_pj\":" + bound_model_json(table.bound_dynamic);
-  out += "}}";
-  return out;
-}
-
 std::string optimize_table_json(const OptimizeTable& table) {
   std::string out = "{\"kind\":\"optimize\"";
   out += ",\"level\":" + json::quote(api::level_name(table.level));
@@ -191,21 +92,13 @@ std::string optimize_table_json(const OptimizeTable& table) {
   return out;
 }
 
-bool parse_table_json(const std::string& text, EvalTable* eval,
-                      OptimizeTable* optimize) {
+OptimizeTable parse_table_json(const std::string& text) {
   const auto root = json::parse(text);
   NC_REQUIRE(root->is_object(), "surrogate table line must be an object");
   const std::string kind = require_field(root, "kind")->as_string();
-  if (kind == "eval") {
-    *eval = parse_eval_table(root);
-    return true;
-  }
-  if (kind == "optimize") {
-    *optimize = parse_optimize_table(root);
-    return false;
-  }
-  throw Error(ErrorCategory::kConfig,
-              "unknown surrogate table kind '" + kind + "'");
+  NC_REQUIRE(kind == "optimize",
+             "unknown surrogate table kind '" + kind + "'");
+  return parse_optimize_table(root);
 }
 
 std::string segment_path(const std::string& dir,
@@ -215,7 +108,6 @@ std::string segment_path(const std::string& dir,
 
 void write_segment(const std::string& dir, const std::string& fingerprint,
                    const std::string& stamp,
-                   const std::vector<EvalTable>& evals,
                    const std::vector<OptimizeTable>& optimizes) {
   NC_REQUIRE(!dir.empty(), "surrogate directory must be non-empty");
   std::error_code ec;
@@ -232,12 +124,11 @@ void write_segment(const std::string& dir, const std::string& fingerprint,
     out << "{\"nanocache_surrogate\":1,\"fingerprint\":"
         << json::quote(fingerprint) << ",\"stamp\":" << json::quote(stamp)
         << "}\n";
-    const auto emit = [&out](const std::string& table) {
+    for (const auto& t : optimizes) {
+      const std::string table = optimize_table_json(t);
       out << "{\"checksum\":" << json::quote(fnv1a64_hex(table))
           << ",\"table\":" << json::quote(table) << "}\n";
-    };
-    for (const auto& t : evals) emit(eval_table_json(t));
-    for (const auto& t : optimizes) emit(optimize_table_json(t));
+    }
     out.flush();
     NC_REQUIRE_IO(out.good(),
                   "failed writing surrogate segment '" + tmp + "'");

@@ -1,16 +1,7 @@
 // Precomputed answer tables of the surrogate serving tier.
 //
-// Two table shapes cover the two expensive request kinds:
-//
-//  * EvalTable — a dense (Vth, Tox) lattice for one (level, size, node)
-//    cache, storing every metric an EvalResponse reports (six totals plus
-//    delay/leakage/dynamic per component).  Serving bilinearly interpolates
-//    inside the containing cell; the certified error bound of an answer is
-//    an affine function of the cell's corner spread, `scale * spread +
-//    floor`, whose per-metric coefficients the precompute step calibrates
-//    against the exact engine on a validation lattice (cell midpoints — the
-//    worst case for bilinear interpolation of the smooth, convex response
-//    surfaces the paper's Section 3 models produce).
+// One table shape covers the expensive request kind, single-cache
+// optimization:
 //
 //  * OptimizeTable — a ladder of exact optimizer answers over increasing
 //    delay targets for one (level, size, node, scheme).  Serving snaps a
@@ -22,6 +13,10 @@
 //    relaxes).  The bound is rigorous, not sampled; access time and dynamic
 //    energy of the served design are exact (bound 0).
 //
+// Evals are never tabulated: the exact model answers one in about a
+// microsecond, so an interpolated table buys nothing and could only add
+// error.
+//
 // Tables serialize to one JSONL segment per library fingerprint,
 // mirroring the DiskCache layout (header + checksummed lines, corruption
 // drops lines instead of ever serving a wrong answer):
@@ -31,7 +26,6 @@
 //     {"checksum":"<16 hex>","table":"{...}"}
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -39,51 +33,6 @@
 #include "nanocache/types.h"
 
 namespace nanocache::surrogate {
-
-/// Index arithmetic of EvalTable::values: per lattice point, the six
-/// totals in this order, then (delay_ps, leakage_mw, dynamic_pj) per
-/// component.
-enum EvalMetric {
-  kAccessTimePs = 0,
-  kLeakageMw = 1,
-  kLeakageSubMw = 2,
-  kLeakageGateMw = 3,
-  kDynamicPj = 4,
-  kAreaUm2 = 5,
-  kTotalsPerPoint = 6,
-  kPerComponent = 3,
-};
-
-/// Coefficients of one metric's certified bound: `scale * spread + floor`
-/// where `spread` is the max-min range of the metric over the containing
-/// cell's four corners.
-struct BoundModel {
-  double scale = 1.0;
-  double floor = 0.0;
-};
-
-struct EvalTable {
-  api::Level level = api::Level::kL1;
-  std::uint64_t size_bytes = 0;
-  int node_nm = 0;  ///< 0 = the service's configured default technology
-  std::string organization;  ///< describe() string echoed into responses
-  std::vector<std::string> components;
-  std::vector<double> vth_v;  ///< strictly increasing lattice axes
-  std::vector<double> tox_a;
-  /// Row-major [vth][tox][metric]; metric indexed per EvalMetric then
-  /// kPerComponent values per component.
-  std::vector<double> values;
-  BoundModel bound_leakage{};
-  BoundModel bound_access{};
-  BoundModel bound_dynamic{};
-
-  std::size_t values_per_point() const {
-    return kTotalsPerPoint + kPerComponent * components.size();
-  }
-  std::size_t point_index(std::size_t iv, std::size_t it) const {
-    return (iv * tox_a.size() + it) * values_per_point();
-  }
-};
 
 /// One exact optimizer answer at one tabulated delay target.
 struct OptimizeRung {
@@ -105,15 +54,12 @@ struct OptimizeTable {
 
 /// Serialize one table to its canonical single-line JSON (the bytes the
 /// segment checksum covers).
-std::string eval_table_json(const EvalTable& table);
 std::string optimize_table_json(const OptimizeTable& table);
 
-/// Parse a canonical table line back; returns true when it filled `eval`,
-/// false when it filled `optimize`.  Throws nanocache::Error(kConfig) on
-/// malformed input; the caller (segment loader) treats that as a corrupt
-/// line and drops the table.
-bool parse_table_json(const std::string& text, EvalTable* eval,
-                      OptimizeTable* optimize);
+/// Parse a canonical table line back.  Throws nanocache::Error(kConfig) on
+/// malformed input or any other table kind; the caller (segment loader)
+/// treats that as a corrupt line and drops the table.
+OptimizeTable parse_table_json(const std::string& text);
 
 /// Segment file naming, shared by reader and writer.
 std::string segment_path(const std::string& dir,
@@ -124,7 +70,6 @@ std::string segment_path(const std::string& dir,
 /// cannot be written.
 void write_segment(const std::string& dir, const std::string& fingerprint,
                    const std::string& stamp,
-                   const std::vector<EvalTable>& evals,
                    const std::vector<OptimizeTable>& optimizes);
 
 }  // namespace nanocache::surrogate

@@ -117,6 +117,39 @@ std::vector<FaultOutcome> run_all(const std::vector<FaultCase>& cases) {
   return outcomes;
 }
 
+std::vector<Mutant> mutation_corpus(const std::string& bytes,
+                                    std::size_t stride) {
+  NC_REQUIRE(stride > 0, "mutation stride must be positive");
+  std::vector<Mutant> corpus;
+  for (std::size_t at = 0; at < bytes.size(); at += stride) {
+    corpus.push_back({"truncate@" + std::to_string(at), bytes.substr(0, at)});
+  }
+  for (std::size_t at = stride / 2; at < bytes.size(); at += stride) {
+    std::string flipped = bytes;
+    flipped[at] = static_cast<char>(flipped[at] ^ (1 << (at % 8)));
+    corpus.push_back({"flip@" + std::to_string(at), std::move(flipped)});
+  }
+  std::vector<std::string> lines;
+  for (std::size_t start = 0; start < bytes.size();) {
+    const std::size_t end = bytes.find('\n', start);
+    const std::size_t stop = end == std::string::npos ? bytes.size() : end;
+    lines.push_back(bytes.substr(start, stop - start));
+    start = stop + 1;
+  }
+  for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
+    std::string spliced;
+    for (std::size_t j = 0; j < lines.size(); ++j) {
+      if (j == i + 1) continue;  // its tail went into line i
+      spliced += j == i ? lines[i].substr(0, lines[i].size() / 2) +
+                              lines[i + 1].substr(lines[i + 1].size() / 2)
+                        : lines[j];
+      spliced += '\n';
+    }
+    corpus.push_back({"splice@" + std::to_string(i), std::move(spliced)});
+  }
+  return corpus;
+}
+
 std::vector<FaultCase> build_standard_faults() {
   using EC = ErrorCategory;
   std::vector<FaultCase> cases;

@@ -5,9 +5,11 @@
 // no silent NaN, no miscategorized exception.
 //
 // The registry is a plain data structure so the GoogleTest suite, the
-// sanitizer presets and any future fuzz driver can share it.
+// sanitizer presets and any future fuzz driver can share it; the
+// mutation corpus feeds the deterministic parser fuzz tests.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -42,5 +44,19 @@ std::vector<FaultOutcome> run_all(const std::vector<FaultCase>& cases);
 
 /// The standard registry covering the library surface (>= 30 faults).
 std::vector<FaultCase> build_standard_faults();
+
+/// One deterministic mutant of a byte string, for parser fuzz tests.
+struct Mutant {
+  std::string name;   ///< e.g. "truncate@128", "flip@77", "splice@3"
+  std::string bytes;
+};
+
+/// A deterministic mutation corpus of `bytes` (typically a file a parser
+/// reads): the input cut short at every `stride`-th byte, one bit flipped
+/// at every `stride`-th byte (offset half a stride from the cuts), and per
+/// adjacent pair of lines the first half of one spliced onto the second
+/// half of the next.  Same input, same corpus: failures reproduce.
+std::vector<Mutant> mutation_corpus(const std::string& bytes,
+                                    std::size_t stride);
 
 }  // namespace nanocache::testing

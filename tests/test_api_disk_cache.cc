@@ -3,18 +3,24 @@
 // checksum mismatches, and stale fingerprints degrade to recomputation —
 // never to a wrong answer), typed kIo surfacing for an unusable directory,
 // the v1 -> v2 schema normalization goldens, and the parse_response_json
-// round-trip exactness the disk hit path depends on.
+// round-trip exactness the disk hit path depends on.  Appends go through
+// one open segment descriptor: many stores reopen byte-identically, and a
+// failed write degrades the cache to memory-only.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/batch_io.h"
 #include "api/disk_cache.h"
 #include "nanocache/api.h"
+#include "util/metrics.h"
 
 namespace nanocache::api {
 namespace {
@@ -250,6 +256,81 @@ TEST(ApiDiskCache, UnusableDirectoryIsATypedIoError) {
   const auto outcome = Service::create(std::move(config));
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.error().code, ErrorCode::kIo);
+  fs::remove_all(dir);
+}
+
+TEST(ApiDiskCache, ManyStoresReopenToByteIdenticalEntries) {
+  // Every store appends through the one segment descriptor the cache holds
+  // open; a reopen must load each entry back byte for byte.
+  const auto dir = test_cache_dir("many_stores");
+  const std::string fingerprint = "0123456789abcdef";
+  std::vector<std::pair<std::string, std::string>> stored;
+  for (int i = 0; i < 400; ++i) {
+    stored.emplace_back(
+        "key|" + std::to_string(i),
+        "{\"result\":{\"v\":" + std::to_string(i * 7) +
+            ",\"note\":\"quote \\\" tab \\t " + std::string(i % 97, 'x') +
+            "\"}}");
+  }
+  {
+    const auto cache = DiskCache::open(dir.string(), fingerprint);
+    for (const auto& [key, response] : stored) cache->store(key, response);
+    cache->store(stored[0].first, "a racing duplicate never overwrites");
+    EXPECT_EQ(cache->stores(), stored.size());
+    EXPECT_EQ(cache->flush(), stored.size());
+  }
+  std::ifstream in(segment_path(dir));
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  EXPECT_EQ(lines, stored.size() + 1);  // header + one line per entry
+
+  const auto reopened = DiskCache::open(dir.string(), fingerprint);
+  EXPECT_EQ(reopened->corrupt_lines(), 0u);
+  EXPECT_EQ(reopened->entries(), stored.size());
+  for (const auto& [key, response] : stored) {
+    const auto hit = reopened->lookup(key);
+    ASSERT_TRUE(hit.has_value()) << key;
+    EXPECT_EQ(*hit, response);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(ApiDiskCache, FailedWriteDegradesToMemoryOnly) {
+  // Cap the process's file size at the segment's current size so the next
+  // append fails (EFBIG; SIGXFSZ ignored) without any test hook in the
+  // cache itself.
+  const auto dir = test_cache_dir("write_failure");
+  const auto cache = DiskCache::open(dir.string(), "fedcba9876543210");
+  cache->store("kept", "{\"v\":1}");
+  auto& write_errors =
+      metrics::Registry::instance().counter("api.disk.write_errors");
+  const auto errors_before = write_errors.value();
+  const auto size_before = fs::file_size(cache->path());
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  const auto previous = std::signal(SIGXFSZ, SIG_IGN);
+  rlimit capped = saved;
+  capped.rlim_cur = static_cast<rlim_t>(size_before);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  cache->store("lost", "{\"v\":2}");
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, previous);
+
+  EXPECT_EQ(write_errors.value(), errors_before + 1);
+  // The answer still serves from memory, and the cache stops appending
+  // for the rest of the run even once writes would succeed again.
+  EXPECT_EQ(cache->lookup("lost").value_or(""), "{\"v\":2}");
+  cache->store("after", "{\"v\":3}");
+  EXPECT_EQ(cache->lookup("after").value_or(""), "{\"v\":3}");
+  EXPECT_EQ(cache->stores(), 3u);
+  EXPECT_EQ(fs::file_size(cache->path()), size_before);
+  EXPECT_EQ(write_errors.value(), errors_before + 1);
+
+  const auto reopened = DiskCache::open(dir.string(), "fedcba9876543210");
+  EXPECT_EQ(reopened->corrupt_lines(), 0u);
+  EXPECT_EQ(reopened->entries(), 1u);
+  EXPECT_TRUE(reopened->lookup("kept").has_value());
   fs::remove_all(dir);
 }
 

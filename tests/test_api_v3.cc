@@ -63,7 +63,7 @@ TEST(ApiV3, CapabilitiesGoldenJson) {
       "\"power_gating\":{\"supported\":true,\"sleep_leakage_factor\":0.05,"
       "\"wake_delay_factor\":0.1,\"max_perf_loss_budget\":1},"
       "\"nodes_nm\":[90,65,45,32,22],"
-      "\"surrogate\":{\"loaded\":false,\"eval_tables\":0,"
+      "\"surrogate\":{\"loaded\":false,"
       "\"optimize_tables\":0,\"fingerprint\":\"\",\"stamp\":\"\","
       "\"sizes_bytes\":[],\"nodes_nm\":[],\"schemes\":[],"
       "\"max_error\":{\"leakage_mw\":0,\"access_time_ps\":0,"

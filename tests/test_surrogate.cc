@@ -1,16 +1,16 @@
 // The surrogate serving tier, end to end: precompute -> store -> routed
-// serving.  Covers the differential contract (every surrogate answer's
-// measured error against the exact engine stays within its certified
-// bound; on-lattice answers are bit-exact), byte-stability across thread
-// counts and table reloads, the v4 exactness routing matrix (exact pin,
-// auto fallback on uncovered requests, typed kConfig for an uncoverable
-// surrogate pin), the corruption contract (truncated/garbage tables
-// degrade to exact serving, never to a wrong answer; only an unusable
-// surrogate_dir is a typed kIo), wire round-trips of served_by/max_error,
-// canonical-key exactness semantics, and the capabilities coverage report.
+// serving.  Covers the differential contract (every surrogate optimize
+// answer is feasible and over-estimates the exact optimum by at most its
+// proven bound; evals are always answered exactly, byte for byte as
+// without tables), byte-stability across thread counts and table reloads,
+// the v4 exactness routing matrix (exact pin, auto fallback on uncovered
+// requests, typed kConfig for an uncoverable surrogate pin), the
+// corruption contract (truncated/garbage tables degrade to exact serving,
+// never to a wrong answer; only an unusable surrogate_dir is a typed
+// kIo), wire round-trips of served_by/max_error, canonical-key exactness
+// semantics, and the capabilities coverage report.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -20,6 +20,7 @@
 #include "api/batch_io.h"
 #include "api/surrogate_precompute.h"
 #include "nanocache/api.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 
 namespace nanocache::api {
@@ -42,12 +43,9 @@ std::shared_ptr<Service> make_service(ServiceConfig config = {}) {
 
 /// Precompute tables for the default configuration into `dir`.  The
 /// reduced ladder keeps the exact optimizer work in the milliseconds.
-PrecomputeSummary precompute_into(const fs::path& dir, int vth_steps = 13,
-                                  int tox_steps = 9, int target_steps = 9) {
+PrecomputeSummary precompute_into(const fs::path& dir, int target_steps = 9) {
   const auto service = make_service();
   PrecomputeOptions options;
-  options.vth_steps = vth_steps;
-  options.tox_steps = tox_steps;
   options.target_steps = target_steps;
   options.stamp = "test-segment";
   return precompute_surrogate(*service, dir.string(), options);
@@ -72,13 +70,27 @@ Request eval_request(double vth_v, double tox_a,
 
 Request optimize_request(double target_ps,
                          Exactness exactness = Exactness::kAuto,
-                         SchemeId scheme = SchemeId::kII) {
+                         SchemeId scheme = SchemeId::kII,
+                         std::uint64_t size_bytes = 0) {
   Request r;
   r.kind = RequestKind::kOptimize;
+  r.optimize.target.size_bytes = size_bytes;
   r.optimize.scheme = scheme;
   r.optimize.delay.target_ps = target_ps;
   r.optimize.exactness = exactness;
   return r;
+}
+
+/// Sum of the api.surrogate.* routing counters.
+std::uint64_t routing_counts() {
+  auto& registry = metrics::Registry::instance();
+  std::uint64_t total = 0;
+  for (const char* name : {"api.surrogate.hits", "api.surrogate.fallbacks",
+                           "api.surrogate.exact_pins",
+                           "api.surrogate.rejects"}) {
+    total += registry.counter(name).value();
+  }
+  return total;
 }
 
 /// Restores the worker-pool default on scope exit (mirrors the golden
@@ -92,48 +104,39 @@ class ThreadCountGuard {
   int before_;
 };
 
-TEST(SurrogateDifferential, EvalErrorWithinCertifiedBound) {
+TEST(SurrogateDifferential, EvalsAreExactWithTablesLoaded) {
   const auto dir = test_dir("diff_eval");
-  const auto summary = precompute_into(dir);
-  ASSERT_GT(summary.eval_tables, 0u);
+  ASSERT_GT(precompute_into(dir).optimize_tables, 0u);
   const auto surrogate = surrogate_service(dir);
+  const auto exact_only = make_service();
 
-  // The paper's 7x5 grid points are on the refined lattice: surrogate
-  // answers there must be bit-exact.  Off-lattice probes (cell quarter
-  // points and irregular knobs) must stay within the per-answer bound.
-  const std::vector<double> grid_vth{0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5};
-  const std::vector<double> grid_tox{10, 11, 12, 13, 14};
-  for (const double vth : grid_vth) {
-    for (const double tox : grid_tox) {
-      const auto sur = surrogate->serve(eval_request(vth, tox));
-      const auto exact =
-          surrogate->serve(eval_request(vth, tox, Exactness::kExact));
-      ASSERT_TRUE(sur.ok && exact.ok);
-      ASSERT_EQ(sur.served_by, ServedBy::kSurrogate);
-      EXPECT_EQ(sur.eval.leakage_mw, exact.eval.leakage_mw);
-      EXPECT_EQ(sur.eval.access_time_ps, exact.eval.access_time_ps);
-      EXPECT_EQ(sur.eval.dynamic_pj, exact.eval.dynamic_pj);
-      EXPECT_EQ(sur.eval.area_um2, exact.eval.area_um2);
+  // No table covers an eval: on and off the paper's 7x5 grid, `auto` and
+  // `exact` answer exactly, byte for byte as a table-less service does,
+  // and touch no routing counter.
+  const std::vector<Knobs> knobs{{0.2, 10.0},     {0.35, 12.0},
+                                 {0.5, 14.0},     {0.33, 11.7},
+                                 {0.2062, 10.31}, {0.487, 13.93},
+                                 {0.41, 10.06},   {0.21, 9.5}};
+  for (const auto& k : knobs) {
+    for (const Exactness exactness : {Exactness::kAuto, Exactness::kExact}) {
+      const std::uint64_t before = routing_counts();
+      const auto served =
+          surrogate->serve(eval_request(k.vth_v, k.tox_a, exactness));
+      EXPECT_EQ(routing_counts(), before);
+      ASSERT_TRUE(served.ok) << served.error.message;
+      EXPECT_EQ(served.served_by, ServedBy::kExact);
+      EXPECT_EQ(response_to_json(served),
+                response_to_json(exact_only->serve(
+                    eval_request(k.vth_v, k.tox_a, exactness))))
+          << "vth=" << k.vth_v << " tox=" << k.tox_a;
     }
   }
 
-  const std::vector<Knobs> off_lattice{{0.33, 11.7},  {0.2062, 10.31},
-                                       {0.487, 13.93}, {0.31, 12.49},
-                                       {0.41, 10.06},  {0.26, 13.51}};
-  for (const auto& knobs : off_lattice) {
-    const auto sur = surrogate->serve(eval_request(knobs.vth_v, knobs.tox_a));
-    const auto exact = surrogate->serve(
-        eval_request(knobs.vth_v, knobs.tox_a, Exactness::kExact));
-    ASSERT_TRUE(sur.ok && exact.ok);
-    ASSERT_EQ(sur.served_by, ServedBy::kSurrogate);
-    EXPECT_LE(std::abs(sur.eval.leakage_mw - exact.eval.leakage_mw),
-              sur.max_error.leakage_mw)
-        << "vth=" << knobs.vth_v << " tox=" << knobs.tox_a;
-    EXPECT_LE(std::abs(sur.eval.access_time_ps - exact.eval.access_time_ps),
-              sur.max_error.access_time_ps);
-    EXPECT_LE(std::abs(sur.eval.dynamic_pj - exact.eval.dynamic_pj),
-              sur.max_error.dynamic_pj);
-  }
+  // A surrogate pin on an eval is the typed reject of an uncovered request.
+  const auto pinned =
+      surrogate->serve(eval_request(0.35, 12.0, Exactness::kSurrogate));
+  ASSERT_FALSE(pinned.ok);
+  EXPECT_EQ(pinned.error.code, ErrorCode::kConfig);
 }
 
 TEST(SurrogateDifferential, OptimizeStaysFeasibleWithinLeakageBound) {
@@ -152,7 +155,7 @@ TEST(SurrogateDifferential, OptimizeStaysFeasibleWithinLeakageBound) {
           optimize_request(target_ps, Exactness::kExact, scheme));
       ASSERT_TRUE(exact.ok && exact.optimize.result.feasible);
       // The served design is feasible for the request and its leakage
-      // over-estimates the true optimum by at most the certified bound.
+      // over-estimates the true optimum by at most the proven bound.
       EXPECT_LE(sur.optimize.result.access_time_ps, target_ps);
       EXPECT_EQ(sur.max_error.access_time_ps, 0.0);
       EXPECT_EQ(sur.max_error.dynamic_pj, 0.0);
@@ -207,25 +210,26 @@ TEST(SurrogateRouting, FallbackAndRejectMatrix) {
   const auto service = surrogate_service(dir);
 
   // Covered + auto: surrogate with bounds on the wire.
-  const auto covered = service->serve(eval_request(0.33, 11.7));
-  ASSERT_TRUE(covered.ok);
+  const auto covered = service->serve(optimize_request(1522.7));
+  ASSERT_TRUE(covered.ok) << covered.error.message;
   EXPECT_EQ(covered.served_by, ServedBy::kSurrogate);
 
   // Exact pin: the exact engine answers even though a table covers it.
   const auto pinned =
-      service->serve(eval_request(0.33, 11.7, Exactness::kExact));
+      service->serve(optimize_request(1522.7, Exactness::kExact));
   ASSERT_TRUE(pinned.ok);
   EXPECT_EQ(pinned.served_by, ServedBy::kExact);
 
   // Untabulated size: silent exact fallback under auto.
-  const auto odd_size =
-      service->serve(eval_request(0.33, 11.7, Exactness::kAuto, 8 * 1024));
-  ASSERT_TRUE(odd_size.ok);
+  const auto odd_size = service->serve(
+      optimize_request(1522.7, Exactness::kAuto, SchemeId::kII, 8 * 1024));
+  ASSERT_TRUE(odd_size.ok) << odd_size.error.message;
   EXPECT_EQ(odd_size.served_by, ServedBy::kExact);
 
-  // Out-of-lattice knobs: exact fallback, not an interpolation.
-  const auto off_grid = service->serve(eval_request(0.21, 9.5));
-  EXPECT_EQ(off_grid.served_by, ServedBy::kExact);
+  // A target beyond the ladder: exact fallback, not an extrapolation.
+  const auto off_ladder = service->serve(optimize_request(1.0e5));
+  ASSERT_TRUE(off_ladder.ok) << off_ladder.error.message;
+  EXPECT_EQ(off_ladder.served_by, ServedBy::kExact);
 
   // Power gating is never tabulated: exact fallback under auto.
   Request gated = optimize_request(1400.0);
@@ -236,20 +240,20 @@ TEST(SurrogateRouting, FallbackAndRejectMatrix) {
   EXPECT_EQ(gated_out.served_by, ServedBy::kExact);
 
   // A surrogate pin that nothing covers is a typed config error...
-  const auto rejected = service->serve(
-      eval_request(0.33, 11.7, Exactness::kSurrogate, 8 * 1024));
+  const auto rejected = service->serve(optimize_request(
+      1522.7, Exactness::kSurrogate, SchemeId::kII, 8 * 1024));
   ASSERT_FALSE(rejected.ok);
   EXPECT_EQ(rejected.error.code, ErrorCode::kConfig);
   // ... and so is any surrogate pin when no tables were ever loaded.
   ServiceConfig no_tables;
   no_tables.surrogate_dir = test_dir("routing_missing").string();
   const auto empty_store = make_service(std::move(no_tables));
-  const auto no_cover =
-      empty_store->serve(eval_request(0.35, 12.0, Exactness::kSurrogate));
+  const auto no_cover = empty_store->serve(
+      optimize_request(1522.7, Exactness::kSurrogate));
   ASSERT_FALSE(no_cover.ok);
   EXPECT_EQ(no_cover.error.code, ErrorCode::kConfig);
   // Auto against the empty store serves exact without complaint.
-  const auto degraded = empty_store->serve(eval_request(0.35, 12.0));
+  const auto degraded = empty_store->serve(optimize_request(1522.7));
   ASSERT_TRUE(degraded.ok);
   EXPECT_EQ(degraded.served_by, ServedBy::kExact);
 }
@@ -267,11 +271,14 @@ TEST(SurrogateCorruption, DamagedTablesDegradeToExactNeverWrong) {
   std::string line;
   while (std::getline(in, line)) lines.push_back(line);
   in.close();
-  ASSERT_GT(lines.size(), 2u);
+  ASSERT_GT(lines.size(), 3u);
 
+  // Segment lines after the header: L1 ladders for schemes I, II, III.
+  const Request scheme_ii = optimize_request(1522.7);
+  const Request scheme_iii =
+      optimize_request(1522.7, Exactness::kAuto, SchemeId::kIII);
   const auto exact_bytes = [&] {
-    const auto r =
-        make_service()->serve(eval_request(0.35, 12.0, Exactness::kExact));
+    const auto r = make_service()->serve(scheme_ii);
     EXPECT_TRUE(r.ok);
     return response_to_json(r);
   }();
@@ -287,12 +294,14 @@ TEST(SurrogateCorruption, DamagedTablesDegradeToExactNeverWrong) {
     flipped[flipped.size() / 2] ^= 1;
     out << flipped << "\n";
     out << "{\"this is\": \"not a table\"}\n" << "garbage\n";
+    for (std::size_t i = 3; i < lines.size(); ++i) out << lines[i] << "\n";
   }
   const auto damaged = surrogate_service(dir);
-  const auto served = damaged->serve(eval_request(0.35, 12.0));
+  const auto served = damaged->serve(scheme_ii);
   ASSERT_TRUE(served.ok);
   EXPECT_EQ(served.served_by, ServedBy::kExact);
   EXPECT_EQ(response_to_json(served), exact_bytes);
+  EXPECT_EQ(damaged->serve(scheme_iii).served_by, ServedBy::kSurrogate);
 
   // A header from some other configuration rejects the whole segment.
   {
@@ -302,7 +311,7 @@ TEST(SurrogateCorruption, DamagedTablesDegradeToExactNeverWrong) {
     for (std::size_t i = 1; i < lines.size(); ++i) out << lines[i] << "\n";
   }
   const auto stale = surrogate_service(dir);
-  const auto after_reject = stale->serve(eval_request(0.35, 12.0));
+  const auto after_reject = stale->serve(scheme_ii);
   ASSERT_TRUE(after_reject.ok);
   EXPECT_EQ(after_reject.served_by, ServedBy::kExact);
   EXPECT_EQ(response_to_json(after_reject), exact_bytes);
@@ -348,7 +357,7 @@ TEST(SurrogateWire, DiskCacheReplaysSurrogateAnswersByteIdentically) {
   const auto tables = test_dir("replay_tables");
   const auto cache = test_dir("replay_cache");
   precompute_into(tables);
-  const auto request = eval_request(0.33, 11.7);
+  const auto request = optimize_request(1522.7);
 
   ServiceConfig cold_config;
   cold_config.surrogate_dir = tables.string();
@@ -407,8 +416,6 @@ TEST(SurrogateCapabilities, ReportsCoverageAndBounds) {
   ASSERT_TRUE(caps.ok());
   const auto& c = caps.value();
   EXPECT_TRUE(c.surrogate_loaded);
-  EXPECT_EQ(c.surrogate_eval_tables,
-            static_cast<int>(summary.eval_tables));
   EXPECT_EQ(c.surrogate_optimize_tables,
             static_cast<int>(summary.optimize_tables));
   EXPECT_EQ(c.surrogate_fingerprint, service->configuration_fingerprint());
@@ -418,14 +425,17 @@ TEST(SurrogateCapabilities, ReportsCoverageAndBounds) {
   EXPECT_EQ(c.surrogate_nodes_nm, std::vector<int>{0});
   EXPECT_EQ(c.surrogate_schemes,
             (std::vector<std::string>{"I", "II", "III"}));
+  // Only a ladder's leakage is bounded away from zero: a served design's
+  // access time and dynamic energy are its own exact values.
   EXPECT_GT(c.surrogate_max_error_leakage_mw, 0.0);
-  EXPECT_GT(c.surrogate_max_error_access_time_ps, 0.0);
+  EXPECT_EQ(c.surrogate_max_error_access_time_ps, 0.0);
+  EXPECT_EQ(c.surrogate_max_error_dynamic_pj, 0.0);
 
   // An exact-only service keeps the section, all-off.
   const auto exact_caps = make_service()->capabilities({});
   ASSERT_TRUE(exact_caps.ok());
   EXPECT_FALSE(exact_caps.value().surrogate_loaded);
-  EXPECT_EQ(exact_caps.value().surrogate_eval_tables, 0);
+  EXPECT_EQ(exact_caps.value().surrogate_optimize_tables, 0);
 }
 
 }  // namespace

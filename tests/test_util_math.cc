@@ -1,12 +1,11 @@
 // Unit tests for the numerical toolbox: linear algebra, the exponential
-// fits behind the paper's Eq. (1)/(2), power-law fitting, interpolation and
-// the deterministic RNG.
+// fits behind the paper's Eq. (1)/(2), power-law fitting and the
+// deterministic RNG.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "util/error.h"
-#include "util/interp.h"
 #include "util/math.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -156,34 +155,6 @@ TEST(FitPowerLaw, RecoversExponent) {
 TEST(FitPowerLaw, RejectsNonPositive) {
   EXPECT_THROW(fit_power_law({1.0, 2.0}, {1.0, -1.0}), Error);
   EXPECT_THROW(fit_power_law({0.0, 2.0}, {1.0, 1.0}), Error);
-}
-
-TEST(Interpolator, ExactAtKnots) {
-  LinearInterpolator f({1, 2, 4}, {10, 20, 40});
-  EXPECT_DOUBLE_EQ(f(1), 10);
-  EXPECT_DOUBLE_EQ(f(2), 20);
-  EXPECT_DOUBLE_EQ(f(4), 40);
-}
-
-TEST(Interpolator, LinearBetweenKnots) {
-  LinearInterpolator f({0, 10}, {0, 100});
-  EXPECT_DOUBLE_EQ(f(2.5), 25);
-  EXPECT_DOUBLE_EQ(f(7.5), 75);
-}
-
-TEST(Interpolator, ClampsOutsideRange) {
-  LinearInterpolator f({1, 2}, {5, 6});
-  EXPECT_DOUBLE_EQ(f(0), 5);
-  EXPECT_DOUBLE_EQ(f(3), 6);
-}
-
-TEST(Interpolator, RejectsUnsortedAbscissa) {
-  EXPECT_THROW(LinearInterpolator({2, 1}, {0, 0}), Error);
-  EXPECT_THROW(LinearInterpolator({1, 1}, {0, 0}), Error);
-}
-
-TEST(Interpolator, RejectsTinyTables) {
-  EXPECT_THROW(LinearInterpolator({1}, {1}), Error);
 }
 
 // --- RNG ---------------------------------------------------------------

@@ -66,8 +66,7 @@ int usage() {
       "  nanocache_cli capabilities\n"
       "  nanocache_cli precompute --out <dir> [--l1-sizes a,b] "
       "[--l2-sizes a,b]\n"
-      "               [--nodes 0,90,...] [--vth-steps N] [--tox-steps N]\n"
-      "               [--target-steps N] [--stamp TEXT]\n"
+      "               [--nodes 0,90,...] [--target-steps N] [--stamp TEXT]\n"
       "  nanocache_cli frontier --size <bytes> [--l2] --scheme I|II|III\n"
       "  nanocache_cli sensitivity --size <bytes> [--l2] [--vth V] "
       "[--tox A]\n"
@@ -91,15 +90,16 @@ int usage() {
       "               NANOCACHE_CACHE_DIR environment variable; the flag\n"
       "               wins).  Segments are fingerprinted by configuration,\n"
       "               so differently configured runs never share entries.\n"
-      "  --surrogate-dir <dir>  load precomputed answer tables and serve\n"
-      "               covered eval/optimize requests by interpolation (also\n"
-      "               the NANOCACHE_SURROGATE_DIR environment variable; the\n"
-      "               flag wins).  Uncovered requests fall back to the exact\n"
-      "               engine; see --exactness.\n"
+      "  --surrogate-dir <dir>  load precomputed optimize ladders and serve\n"
+      "               covered optimize requests from them (also the\n"
+      "               NANOCACHE_SURROGATE_DIR environment variable; the\n"
+      "               flag wins).  Uncovered requests and every eval fall\n"
+      "               back to the exact engine; see --exactness.\n"
       "  --exactness exact|surrogate|auto  v4 routing for cache/optimize:\n"
       "               'exact' always runs the exact engine, 'surrogate'\n"
-      "               errors unless a table covers the request, 'auto'\n"
-      "               (default) prefers tables and falls back\n"
+      "               errors unless a table covers the request (no table\n"
+      "               covers an eval), 'auto' (default) prefers tables and\n"
+      "               falls back\n"
       "  --search pruned|exhaustive  assignment search engine (default\n"
       "               pruned; both return byte-identical results, the\n"
       "               exhaustive oracle is for differential testing)\n"
@@ -123,11 +123,11 @@ int usage() {
       "  request, in input order.  Per-request failures stay in-band as\n"
       "  error responses; the process exits 0 unless the stream itself is\n"
       "  unreadable.  Dedup/memoization stats go to stderr.\n"
-      "precompute: drive the exact engine over a refined knob lattice and a\n"
-      "  delay-target ladder and write surrogate answer tables (with\n"
-      "  certified per-answer error bounds) under --out, keyed by the\n"
-      "  service configuration's fingerprint.  A later run pointed at the\n"
-      "  same directory via --surrogate-dir picks them up automatically.\n"
+      "precompute: drive the exact optimizer over a delay-target ladder and\n"
+      "  write surrogate answer tables (with proven per-answer error\n"
+      "  bounds) under --out, keyed by the service configuration's\n"
+      "  fingerprint.  A later run pointed at the same directory via\n"
+      "  --surrogate-dir picks them up automatically.\n"
       "serve: speak the batch JSONL protocol over a socket, multiplexing\n"
       "  concurrent clients onto one warm service (docs/API.md).  Responses\n"
       "  per connection are byte-identical to batch output for the same\n"
@@ -398,10 +398,6 @@ int cmd_precompute(const api::Service& service, const CliArgs& args) {
   if (const auto nodes = flag_uint_list(args, "nodes"); !nodes.empty()) {
     options.nodes.assign(nodes.begin(), nodes.end());
   }
-  options.vth_steps = static_cast<int>(
-      api::flag_uint(args, "vth-steps", options.vth_steps));
-  options.tox_steps = static_cast<int>(
-      api::flag_uint(args, "tox-steps", options.tox_steps));
   options.target_steps = static_cast<int>(
       api::flag_uint(args, "target-steps", options.target_steps));
   const auto stamp = args.flags.find("stamp");
@@ -410,8 +406,7 @@ int cmd_precompute(const api::Service& service, const CliArgs& args) {
   }
   const auto summary =
       api::precompute_surrogate(service, out_it->second, options);
-  std::cout << "wrote " << summary.eval_tables << " eval table(s) and "
-            << summary.optimize_tables << " optimize table(s) to "
+  std::cout << "wrote " << summary.optimize_tables << " optimize table(s) to "
             << summary.path << "\n"
             << "fingerprint " << summary.fingerprint << "; spent "
             << summary.exact_evals << " exact eval(s), "
