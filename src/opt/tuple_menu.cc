@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <optional>
 
 #include "opt/engine.h"
@@ -22,6 +23,15 @@ using cachemodel::kNumComponents;
 namespace {
 
 constexpr std::size_t kSystemComponents = 2 * kNumComponents;  // L1 + L2
+
+/// Menus solved per wave.  Fixed, never the thread count, so the set of
+/// menus a request solves — and every counter — is the same at any thread
+/// count (docs/MODELING.md §14).
+constexpr std::size_t kWaveWidth = 8;
+
+/// Relative margin taken off the McCormick bound: far above the rounding
+/// error of either side of the inequality (docs/MODELING.md §14).
+constexpr double kMcCormickMargin = 1e-9;
 
 /// DP state across the eight system components.
 struct SysCombo {
@@ -59,23 +69,43 @@ std::vector<ComponentOption> prefilter_options(
 /// Per-system-component option tables, AMAT-weighted.
 using OptionTables = std::array<std::vector<ComponentOption>, kSystemComponents>;
 
-/// One menu's Pareto-DP: its option tables and surviving states.
-struct MenuDp {
-  OptionTables options;
-  std::vector<SysCombo> combos;
+/// Main-memory terms every system design adds to its DP sums.
+struct MemoryTerms {
+  double amat_s = 0.0;
+  double dynamic_j = 0.0;
+  double background_w = 0.0;
 };
 
-MenuDp run_menu_dp(const energy::MemorySystemModel& system,
-                   const std::vector<double>& vth_menu,
-                   const std::vector<double>& tox_menu,
-                   std::size_t state_cap) {
-  const auto pairs = menu_pairs(vth_menu, tox_menu);
-  const double ml1 = system.miss().l1;
+MemoryTerms memory_terms(const energy::MemorySystemModel& system) {
+  return {system.memory_amat_term_s(), system.memory_dynamic_energy_j(),
+          system.memory().background_power_w};
+}
 
-  // Per-system-component option tables with AMAT weights:
-  // L1 components contribute delay/dynamic at weight 1, L2 at weight mL1.
-  MenuDp dp;
-  auto& options = dp.options;
+/// System metrics of one DP state.  The only place they are computed, so a
+/// scanned state, a design materialized from it and the bounds agree bit
+/// for bit.
+struct StateMetrics {
+  double amat_s = 0.0;
+  double leakage_w = 0.0;
+  double energy_j = 0.0;
+};
+
+StateMetrics state_metrics(const SysCombo& c, const MemoryTerms& mem) {
+  StateMetrics m;
+  m.amat_s = c.wdelay_s + mem.amat_s;
+  m.leakage_w = c.leakage_w + mem.background_w;
+  // Energy uses the achieved AMAT.
+  m.energy_j = c.wdyn_j + mem.dynamic_j + m.leakage_w * m.amat_s;
+  return m;
+}
+
+/// Every (Vth, Tox) grid pair evaluated once per system component, in
+/// menu_pairs(vth grid, tox grid) order, with the AMAT weights applied:
+/// L1 components contribute delay/dynamic at weight 1, L2 at weight mL1.
+OptionTables grid_tables(const energy::MemorySystemModel& system,
+                         const KnobGrid& grid) {
+  const auto pairs = menu_pairs(grid.vth_values, grid.tox_values);
+  const double ml1 = system.miss().l1;
   const auto l1_eval =
       [&system](ComponentKind kind, const tech::DeviceKnobs& k) {
         return system.l1().component(kind, k);
@@ -84,28 +114,109 @@ MenuDp run_menu_dp(const energy::MemorySystemModel& system,
       [&system](ComponentKind kind, const tech::DeviceKnobs& k) {
         return system.l2().component(kind, k);
       };
-  std::array<std::size_t, kSystemComponents> full_n{};
+  OptionTables tables;
   for (ComponentKind kind : kAllComponents) {
     const auto i = static_cast<std::size_t>(kind);
-    options[i] = component_options(l1_eval, kind, pairs);
-    options[kNumComponents + i] = component_options(l2_eval, kind, pairs);
-    for (auto& o : options[kNumComponents + i]) {
+    tables[i] = component_options(l1_eval, kind, pairs);
+    tables[kNumComponents + i] = component_options(l2_eval, kind, pairs);
+    for (auto& o : tables[kNumComponents + i]) {
       o.delay_s *= ml1;
       o.dynamic_j *= ml1;
     }
   }
-  // Dominance-prune each weighted table before the DP forms products.
-  for (std::size_t i = 0; i < kSystemComponents; ++i) {
-    full_n[i] = options[i].size();
-    options[i] = prefilter_options(std::move(options[i]));
+  return tables;
+}
+
+/// One menu ready for its DP: the weighted, prefiltered option tables and
+/// the two numbers the bound pass derives from them.
+struct Menu {
+  OptionTables options;
+  std::array<std::size_t, kSystemComponents> full_n{};  ///< before prefilter
+  detail::MenuBounds bounds;
+};
+
+/// Positions of a menu's values in their (strictly increasing) grid axis.
+std::vector<std::size_t> grid_indices(const std::vector<double>& axis,
+                                      const std::vector<double>& menu) {
+  std::vector<std::size_t> out;
+  out.reserve(menu.size());
+  for (const double v : menu) {
+    out.push_back(static_cast<std::size_t>(
+        std::lower_bound(axis.begin(), axis.end(), v) - axis.begin()));
+  }
+  return out;
+}
+
+Menu prepare_menu(const OptionTables& grid_options, const KnobGrid& grid,
+                  const std::vector<double>& vth_menu,
+                  const std::vector<double>& tox_menu,
+                  const MemoryTerms& mem) {
+  // Slice the grid tables in menu_pairs(vth_menu, tox_menu) order, then
+  // dominance-prune each weighted table before the DP forms products.
+  const auto vi = grid_indices(grid.vth_values, vth_menu);
+  const auto ti = grid_indices(grid.tox_values, tox_menu);
+  const std::size_t ntox = grid.tox_values.size();
+  Menu menu;
+  for (std::size_t c = 0; c < kSystemComponents; ++c) {
+    std::vector<ComponentOption> table;
+    table.reserve(vi.size() * ti.size());
+    for (const std::size_t v : vi) {
+      for (const std::size_t t : ti) {
+        table.push_back(grid_options[c][v * ntox + t]);
+      }
+    }
+    menu.full_n[c] = table.size();
+    menu.options[c] = prefilter_options(std::move(table));
   }
 
-  // Pareto-DP over the eight components.
+  // Per-component minima summed in the DP's component order: the DP keeps
+  // its least-wdelay state through every step, so this AMAT is its fastest
+  // state's, bit for bit, and the simple bound is state_metrics of the
+  // minima.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  SysCombo floor;
+  for (const auto& table : menu.options) {
+    double delay = kInf;
+    double leakage = kInf;
+    double dynamic = kInf;
+    for (const auto& o : table) {
+      delay = std::min(delay, o.delay_s);
+      leakage = std::min(leakage, o.leakage_w);
+      dynamic = std::min(dynamic, o.dynamic_j);
+    }
+    floor.wdelay_s += delay;
+    floor.leakage_w += leakage;
+    floor.wdyn_j += dynamic;
+  }
+  const auto simple = state_metrics(floor, mem);
+  const double amin = simple.amat_s;
+  const double lmin = simple.leakage_w;
+
+  // McCormick: (L - Lmin)(A - Amin) >= 0 makes L·A >= Lmin·A + Amin·L -
+  // Lmin·Amin, which is separable per component.
+  double s = 0.0;
+  for (const auto& table : menu.options) {
+    double best = kInf;
+    for (const auto& o : table) {
+      best = std::min(best, o.dynamic_j + lmin * o.delay_s + amin * o.leakage_w);
+    }
+    s += best;
+  }
+  s += mem.dynamic_j + lmin * mem.amat_s + amin * mem.background_w;
+  const double mccormick = s - lmin * amin - kMcCormickMargin * s;
+
+  menu.bounds = {amin, std::max(simple.energy_j, mccormick)};
+  return menu;
+}
+
+/// One menu's Pareto-DP over the eight components.
+std::vector<SysCombo> run_menu_dp(const Menu& menu, std::size_t state_cap) {
+  const auto& options = menu.options;
   std::vector<SysCombo> combos{SysCombo{}};
   for (std::size_t ci = 0; ci < kSystemComponents; ++ci) {
     detail::count_combos_evaluated(combos.size() * options[ci].size());
     detail::count_combos_skipped(combos.size() *
-                                 (full_n[ci] - options[ci].size()));
+                                 (menu.full_n[ci] - options[ci].size()));
     std::vector<SysCombo> next;
     next.reserve(combos.size() * options[ci].size());
     for (const auto& c : combos) {
@@ -125,32 +236,7 @@ MenuDp run_menu_dp(const energy::MemorySystemModel& system,
     thin_to(next, state_cap);
     combos = std::move(next);
   }
-  dp.combos = std::move(combos);
-  return dp;
-}
-
-/// Main-memory terms every system design adds to its DP sums.
-struct MemoryTerms {
-  double amat_s = 0.0;
-  double dynamic_j = 0.0;
-  double background_w = 0.0;
-};
-
-/// System metrics of one DP state.  The only place they are computed, so a
-/// scanned state and the design materialized from it agree bit for bit.
-struct StateMetrics {
-  double amat_s = 0.0;
-  double leakage_w = 0.0;
-  double energy_j = 0.0;
-};
-
-StateMetrics state_metrics(const SysCombo& c, const MemoryTerms& mem) {
-  StateMetrics m;
-  m.amat_s = c.wdelay_s + mem.amat_s;
-  m.leakage_w = c.leakage_w + mem.background_w;
-  // Energy uses the achieved AMAT.
-  m.energy_j = c.wdyn_j + mem.dynamic_j + m.leakage_w * m.amat_s;
-  return m;
+  return combos;
 }
 
 SystemDesignPoint materialize(const OptionTables& options, const SysCombo& c,
@@ -172,31 +258,111 @@ SystemDesignPoint materialize(const OptionTables& options, const SysCombo& c,
   return d;
 }
 
-/// A frontier candidate: one DP state of one menu, not yet materialized.
-struct FrontRecord {
+/// One DP state of one menu, not yet materialized: a target's candidate or
+/// a frontier record.
+struct StateRecord {
   double amat_s = 0.0;
   double energy_j = 0.0;
   std::size_t menu = 0;
   SysCombo state;
 };
 
-std::vector<FrontRecord> pareto_records(std::vector<FrontRecord> records) {
+std::vector<StateRecord> pareto_records(std::vector<StateRecord> records) {
   return pareto_min2(
-      std::move(records), [](const FrontRecord& r) { return r.amat_s; },
-      [](const FrontRecord& r) { return r.energy_j; });
+      std::move(records), [](const StateRecord& r) { return r.amat_s; },
+      [](const StateRecord& r) { return r.energy_j; });
 }
 
-/// What one menu contributes to a MenuSolution.
+/// True when `b` beats the incumbent `a`: lower energy, or equal energy
+/// from an earlier menu.  The same winner as a first-wins fold in menu
+/// order, whatever order the menus are solved in.
+bool beats(const StateRecord& b, const std::optional<StateRecord>& a) {
+  return !a || b.energy_j < a->energy_j ||
+         (b.energy_j == a->energy_j && b.menu < a->menu);
+}
+
+/// What one solved menu contributes to a MenuSolution.
 struct MenuScan {
-  double min_amat_s = std::numeric_limits<double>::infinity();
-  /// Per target: the menu's first strictly-lowest-energy feasible design.
-  std::vector<std::optional<SystemDesignPoint>> best;
+  /// Per target: the menu's first strictly-lowest-energy feasible state.
+  std::vector<std::optional<StateRecord>> best;
   std::size_t states = 0;
-  /// Frontier requests only: the menu's option tables and its states on
-  /// the menu-local (AMAT, energy) front.
-  OptionTables options;
-  std::vector<FrontRecord> front;
+  /// Frontier requests only: the states on the menu-local (AMAT, energy)
+  /// front.
+  std::vector<StateRecord> front;
 };
+
+MenuScan scan_menu(std::size_t index, const Menu& menu,
+                   const std::vector<double>& amat_targets_s, bool frontier,
+                   const MemoryTerms& mem, std::size_t state_cap) {
+  const auto combos = run_menu_dp(menu, state_cap);
+  MenuScan scan;
+  scan.states = combos.size();
+  scan.best.resize(amat_targets_s.size());
+  std::vector<StateRecord> records;
+  if (frontier) records.reserve(combos.size());
+  for (const auto& c : combos) {
+    const auto m = state_metrics(c, mem);
+    const StateRecord record{m.amat_s, m.energy_j, index, c};
+    for (std::size_t t = 0; t < amat_targets_s.size(); ++t) {
+      if (m.amat_s > amat_targets_s[t]) continue;
+      auto& best = scan.best[t];
+      if (!best || m.energy_j < best->energy_j) best = record;
+    }
+    if (frontier) records.push_back(record);
+  }
+  // A state off its own menu's front is off the global front too
+  // (pareto_min2's chunked-prefilter argument), so only the local front is
+  // kept.
+  if (frontier) scan.front = pareto_records(std::move(records));
+  return scan;
+}
+
+/// True when a point of `front` (sorted by AMAT, energy strictly falling)
+/// has AMAT <= `amat_s` and energy <= `energy_j`, one of the two strictly:
+/// then no state at or above those floors can reach the global front.
+bool front_excludes(const std::vector<StateRecord>& front, double amat_s,
+                    double energy_j) {
+  // Of the points with AMAT <= amat_s, the last has the least energy.
+  const auto it = std::upper_bound(
+      front.begin(), front.end(), amat_s,
+      [](double a, const StateRecord& r) { return a < r.amat_s; });
+  if (it == front.begin()) return false;
+  const auto& p = *std::prev(it);
+  return p.energy_j < energy_j || (p.energy_j == energy_j && p.amat_s < amat_s);
+}
+
+/// The menus of a spec with their tables and bounds, in enumeration order
+/// (Tox-major): menu i pairs tox_menus[i / nv] with vth_menus[i % nv].
+struct MenuSet {
+  std::vector<std::vector<double>> tox_menus;
+  std::vector<std::vector<double>> vth_menus;
+  std::vector<Menu> menus;
+
+  const std::vector<double>& vth(std::size_t i) const {
+    return vth_menus[i % vth_menus.size()];
+  }
+  const std::vector<double>& tox(std::size_t i) const {
+    return tox_menus[i / vth_menus.size()];
+  }
+};
+
+/// The bound pass: every grid pair evaluated once, then each menu's tables
+/// sliced, prefiltered and bounded in parallel.
+MenuSet bound_menus(const energy::MemorySystemModel& system,
+                    const KnobGrid& grid, const MenuSpec& spec,
+                    const MemoryTerms& mem) {
+  NC_REQUIRE(spec.num_tox >= 1 && spec.num_vth >= 1,
+             "menu cardinalities must be >= 1");
+  MenuSet set;
+  set.tox_menus = choose_subsets(grid.tox_values, spec.num_tox);
+  set.vth_menus = choose_subsets(grid.vth_values, spec.num_vth);
+  const auto grid_options = grid_tables(system, grid);
+  set.menus = par::parallel_map(
+      set.tox_menus.size() * set.vth_menus.size(), [&](std::size_t i) {
+        return prepare_menu(grid_options, grid, set.vth(i), set.tox(i), mem);
+      });
+  return set;
+}
 
 }  // namespace
 
@@ -212,90 +378,100 @@ MenuSolution TupleMenuSolver::solve(
   for (const double target : amat_targets_s) {
     NC_REQUIRE(target > 0.0, "AMAT target must be positive");
   }
-  NC_REQUIRE(spec.num_tox >= 1 && spec.num_vth >= 1,
-             "menu cardinalities must be >= 1");
-  const auto tox_menus = choose_subsets(grid_.tox_values, spec.num_tox);
-  const auto vth_menus = choose_subsets(grid_.vth_values, spec.num_vth);
-  const std::size_t nv = vth_menus.size();
-  const std::size_t num_menus = tox_menus.size() * nv;
-  const std::size_t num_targets = amat_targets_s.size();
-  const MemoryTerms mem{system_.memory_amat_term_s(),
-                        system_.memory_dynamic_energy_j(),
-                        system_.memory().background_power_w};
-
   metrics::TraceSpan span("opt.tuple_menu.solve");
-  static auto& menus =
-      metrics::Registry::instance().counter("opt.menus_enumerated");
-  menus.add(num_menus);
+  const MemoryTerms mem = memory_terms(system_);
+  const MenuSet set = bound_menus(system_, grid_, spec, mem);
+  const auto& menus = set.menus;
+  const std::size_t num_menus = menus.size();
+  const std::size_t num_targets = amat_targets_s.size();
+  const bool frontier = frontier_max_points.has_value();
 
-  // The menu enumeration is the hot axis of the Figure 2 sweep: every menu
-  // runs an independent Pareto-DP, so fan the (tox, vth) menu cross
-  // product over the pool.  Each task keeps only its menu's winners, and
-  // the folds below visit menus in enumeration order — the same
-  // first-wins order as one scan over every design, at any thread count.
-  auto scans = par::parallel_map(num_menus, [&](std::size_t i) {
-    const auto& vth_menu = vth_menus[i % nv];
-    const auto& tox_menu = tox_menus[i / nv];
-    MenuScan scan;
-    MenuDp dp = run_menu_dp(system_, vth_menu, tox_menu, state_cap_);
-    scan.states = dp.combos.size();
-    std::vector<const SysCombo*> winner(num_targets, nullptr);
-    std::vector<double> winner_energy(num_targets);
-    std::vector<FrontRecord> records;
-    if (frontier_max_points) records.reserve(dp.combos.size());
-    for (std::size_t c = 0; c < dp.combos.size(); ++c) {
-      const auto m = state_metrics(dp.combos[c], mem);
-      scan.min_amat_s = std::min(scan.min_amat_s, m.amat_s);
-      for (std::size_t t = 0; t < num_targets; ++t) {
-        if (m.amat_s > amat_targets_s[t]) continue;
-        if (winner[t] == nullptr || m.energy_j < winner_energy[t]) {
-          winner[t] = &dp.combos[c];
-          winner_energy[t] = m.energy_j;
-        }
-      }
-      if (frontier_max_points) {
-        records.push_back({m.amat_s, m.energy_j, i, dp.combos[c]});
-      }
-    }
-    scan.best.resize(num_targets);
-    for (std::size_t t = 0; t < num_targets; ++t) {
-      if (winner[t] != nullptr) {
-        scan.best[t] =
-            materialize(dp.options, *winner[t], mem, vth_menu, tox_menu);
-      }
-    }
-    if (frontier_max_points) {
-      // A state off its own menu's front is off the global front too
-      // (pareto_min2's chunked-prefilter argument), so only the local
-      // front is kept.
-      scan.front = pareto_records(std::move(records));
-      scan.options = std::move(dp.options);
-    }
-    return scan;
-  });
+  static auto& menus_enumerated =
+      metrics::Registry::instance().counter("opt.menus_enumerated");
+  menus_enumerated.add(num_menus);
 
   MenuSolution out;
-  out.best.resize(num_targets);
-  std::size_t states = 0;
-  for (auto& scan : scans) {
-    states += scan.states;
-    out.min_amat_s = std::min(out.min_amat_s, scan.min_amat_s);
+  for (const auto& menu : menus) {
+    out.min_amat_s = std::min(out.min_amat_s, menu.bounds.min_amat_s);
+  }
+
+  // Solve in ascending-bound waves.  A menu stays pending while some
+  // target or the frontier could still take one of its states; the
+  // incumbents only improve, so a dropped menu is never needed again.
+  std::vector<std::size_t> pending(num_menus);
+  std::iota(pending.begin(), pending.end(), std::size_t{0});
+  std::sort(pending.begin(), pending.end(),
+            [&](std::size_t a, std::size_t b) {
+              const double la = menus[a].bounds.lower_bound_j;
+              const double lb = menus[b].bounds.lower_bound_j;
+              return la != lb ? la < lb : a < b;
+            });
+  std::vector<std::optional<StateRecord>> incumbent(num_targets);
+  std::vector<std::vector<StateRecord>> fronts(frontier ? num_menus : 0);
+  std::vector<StateRecord> running;  // front over every state solved so far
+  const auto needed = [&](std::size_t i) {
+    const auto& m = menus[i].bounds;
     for (std::size_t t = 0; t < num_targets; ++t) {
-      auto& menu_best = scan.best[t];
-      if (menu_best &&
-          (!out.best[t] || menu_best->energy_j < out.best[t]->energy_j)) {
-        out.best[t] = std::move(menu_best);
+      if (m.min_amat_s > amat_targets_s[t]) continue;
+      const auto& inc = incumbent[t];
+      if (!inc || m.lower_bound_j < inc->energy_j ||
+          (m.lower_bound_j == inc->energy_j && i < inc->menu)) {
+        return true;
       }
     }
+    return frontier && !front_excludes(running, m.min_amat_s, m.lower_bound_j);
+  };
+  std::size_t solved = 0;
+  std::size_t states = 0;
+  while (true) {
+    pending.erase(std::remove_if(pending.begin(), pending.end(),
+                                 [&](std::size_t i) { return !needed(i); }),
+                  pending.end());
+    if (pending.empty()) break;
+    const std::size_t width = std::min(kWaveWidth, pending.size());
+    auto scans = par::parallel_map(width, [&](std::size_t k) {
+      return scan_menu(pending[k], menus[pending[k]], amat_targets_s, frontier,
+                       mem, kStateCap);
+    });
+    for (std::size_t k = 0; k < width; ++k) {
+      auto& scan = scans[k];
+      states += scan.states;
+      for (std::size_t t = 0; t < num_targets; ++t) {
+        if (scan.best[t] && beats(*scan.best[t], incumbent[t])) {
+          incumbent[t] = std::move(scan.best[t]);
+        }
+      }
+      if (frontier) {
+        running.insert(running.end(), scan.front.begin(), scan.front.end());
+        fronts[pending[k]] = std::move(scan.front);
+      }
+    }
+    if (frontier) running = pareto_records(std::move(running));
+    pending.erase(pending.begin(), pending.begin() + width);
+    solved += width;
   }
+  auto& registry = metrics::Registry::instance();
+  static auto& menus_solved = registry.counter("opt.menus_solved");
   static auto& designs_considered =
-      metrics::Registry::instance().counter("opt.designs_considered");
+      registry.counter("opt.designs_considered");
+  menus_solved.add(solved);
   designs_considered.add(states);
 
-  if (frontier_max_points) {
-    std::vector<FrontRecord> records;
-    for (auto& scan : scans) {
-      records.insert(records.end(), scan.front.begin(), scan.front.end());
+  const auto design = [&](const StateRecord& r) {
+    return materialize(menus[r.menu].options, r.state, mem, set.vth(r.menu),
+                       set.tox(r.menu));
+  };
+  out.best.resize(num_targets);
+  for (std::size_t t = 0; t < num_targets; ++t) {
+    if (incumbent[t]) out.best[t] = design(*incumbent[t]);
+  }
+
+  if (frontier) {
+    // Local fronts in menu order: the same input, minus states the skip
+    // rule proved off the front, as a fold over every menu.
+    std::vector<StateRecord> records;
+    for (const auto& front : fronts) {
+      records.insert(records.end(), front.begin(), front.end());
     }
     auto front = pareto_records(std::move(records));
     // thin_to keeps both ends, so it treats caps below 2 as "no cap"; a
@@ -303,11 +479,7 @@ MenuSolution TupleMenuSolver::solve(
     if (*frontier_max_points == 1 && !front.empty()) front.resize(1);
     thin_to(front, *frontier_max_points);
     out.frontier.reserve(front.size());
-    for (const auto& r : front) {
-      out.frontier.push_back(materialize(scans[r.menu].options, r.state, mem,
-                                         vth_menus[r.menu % nv],
-                                         tox_menus[r.menu / nv]));
-    }
+    for (const auto& r : front) out.frontier.push_back(design(r));
   }
   return out;
 }
@@ -325,5 +497,33 @@ std::optional<SystemDesignPoint> TupleMenuSolver::best_at(
 double TupleMenuSolver::min_amat_s(const MenuSpec& spec) const {
   return solve(spec, {}).min_amat_s;
 }
+
+namespace detail {
+
+std::vector<MenuBounds> menu_bounds(const energy::MemorySystemModel& system,
+                                    const KnobGrid& grid,
+                                    const MenuSpec& spec) {
+  const auto set = bound_menus(system, grid, spec, memory_terms(system));
+  std::vector<MenuBounds> out;
+  out.reserve(set.menus.size());
+  for (const auto& m : set.menus) out.push_back(m.bounds);
+  return out;
+}
+
+std::vector<SystemDesignPoint> menu_states(
+    const energy::MemorySystemModel& system, const KnobGrid& grid,
+    const MenuSpec& spec, std::size_t menu) {
+  const MemoryTerms mem = memory_terms(system);
+  const auto set = bound_menus(system, grid, spec, mem);
+  NC_REQUIRE(menu < set.menus.size(), "menu index out of range");
+  const auto& m = set.menus[menu];
+  std::vector<SystemDesignPoint> out;
+  for (const auto& c : run_menu_dp(m, TupleMenuSolver::kStateCap)) {
+    out.push_back(materialize(m.options, c, mem, set.vth(menu), set.tox(menu)));
+  }
+  return out;
+}
+
+}  // namespace detail
 
 }  // namespace nanocache::opt

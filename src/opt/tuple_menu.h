@@ -7,8 +7,10 @@
 // Solved exactly per menu by Pareto-filtered DP over
 // (AMAT-weighted delay, leakage, weighted dynamic energy); menus are
 // enumerated exhaustively over grid subsets.  One enumeration answers
-// every question about a spec (solve()): each menu scans its DP states
-// and only the winning states are ever turned into SystemDesignPoints.
+// every question about a spec (solve()): every menu is bounded from its
+// option tables alone, and only the menus no bound rules out run their DP,
+// in ascending-bound waves (docs/MODELING.md §14).  Only the winning
+// states are ever turned into SystemDesignPoints.
 #pragma once
 
 #include <cstddef>
@@ -51,6 +53,9 @@ struct MenuSolution {
 
 class TupleMenuSolver {
  public:
+  /// DP state cap per combine step (documented approximation).
+  static constexpr std::size_t kStateCap = 4096;
+
   /// `system` supplies the two cache models and the miss statistics;
   /// evaluators default to the structural models of each level.
   TupleMenuSolver(const energy::MemorySystemModel& system, KnobGrid grid);
@@ -59,7 +64,9 @@ class TupleMenuSolver {
   /// fastest AMAT, the minimum-energy design at each of `amat_targets_s`
   /// and, when `frontier_max_points` is set, the frontier thinned to that
   /// many points.  Each piece is bitwise what min_amat_s / best_at /
-  /// frontier return on their own.
+  /// frontier return on their own, and what a first-wins fold over every
+  /// menu's DP states in enumeration order returns: menus a proven bound
+  /// rules out are skipped, never approximated.
   MenuSolution solve(
       const MenuSpec& spec, const std::vector<double>& amat_targets_s,
       std::optional<std::size_t> frontier_max_points = std::nullopt) const;
@@ -80,8 +87,30 @@ class TupleMenuSolver {
  private:
   const energy::MemorySystemModel& system_;
   KnobGrid grid_;
-  /// DP state cap per combine step (documented approximation knob).
-  std::size_t state_cap_ = 4096;
 };
+
+namespace detail {
+
+/// What the bound pass knows about one menu before any DP runs.
+struct MenuBounds {
+  /// The fastest AMAT of any state the menu's DP keeps, exactly.
+  double min_amat_s = 0.0;
+  /// A lower bound on the energy of every state the menu's DP keeps.
+  double lower_bound_j = 0.0;
+};
+
+/// Bounds of every menu of `spec`, in enumeration order (Tox-major: menu i
+/// pairs Tox subset i / #Vth-subsets with Vth subset i % #Vth-subsets).
+std::vector<MenuBounds> menu_bounds(const energy::MemorySystemModel& system,
+                                    const KnobGrid& grid, const MenuSpec& spec);
+
+/// Every state the Pareto-DP of menu `menu` (enumeration index) keeps,
+/// materialized, in DP order.  solve() answers exactly what folding these
+/// over all menus in enumeration order, first wins, answers.
+std::vector<SystemDesignPoint> menu_states(
+    const energy::MemorySystemModel& system, const KnobGrid& grid,
+    const MenuSpec& spec, std::size_t menu);
+
+}  // namespace detail
 
 }  // namespace nanocache::opt

@@ -11,7 +11,9 @@
 #include "api/batch_io.h"
 #include "core/explorer.h"
 #include "nanocache/api.h"
+#include "opt/tuple_menu.h"
 #include "util/metrics.h"
+#include "util/units.h"
 
 namespace nanocache::api {
 namespace {
@@ -177,6 +179,18 @@ TEST(ApiService, TupleMenuEnumeratesEachMenuOncePerRequest) {
   EXPECT_EQ(menus.value() - before, 2 * kMenus);
   EXPECT_EQ(extended.value().targets[1].energy_pj,
             extended.value().targets[2].energy_pj);
+
+  // The fastest AMAT alone comes from the menu bounds: every menu is
+  // enumerated and none runs its DP.
+  auto& solved = metrics::Registry::instance().counter("opt.menus_solved");
+  const auto system = service->explorer().default_system();
+  const opt::TupleMenuSolver solver(system, service->explorer().config().grid);
+  const auto menus_before = menus.value();
+  const auto solved_before = solved.value();
+  EXPECT_EQ(units::seconds_to_ps(solver.min_amat_s({2, 1})),
+            first.value().min_amat_ps);
+  EXPECT_EQ(menus.value() - menus_before, kMenus);
+  EXPECT_EQ(solved.value() - solved_before, 0u);
 }
 
 TEST(ApiService, TupleMenuFrontierOfOnePointIsTheFastest) {

@@ -1,18 +1,25 @@
 // Tests for the (Tox, Vth) tuple-menu solver: feasibility, constraint
 // satisfaction, monotonicity in menu cardinality, agreement with a
 // brute-force assignment search on a tiny instance, the Figure 2
-// orderings, and that one solve() pass answers bitwise what the per-piece
-// entry points answer at any thread count.
+// orderings, that one solve() pass answers bitwise what the per-piece
+// entry points answer at any thread count, that the per-menu bounds hold
+// for every DP state, and that skipping bounded-out menus answers bitwise
+// what the full enumeration answers.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "core/explorer.h"
 #include "energy/memory_system.h"
+#include "opt/pareto.h"
 #include "opt/tuple_menu.h"
 #include "util/error.h"
 #include "util/parallel.h"
+#include "util/units.h"
 
 namespace nanocache::opt {
 namespace {
@@ -219,6 +226,166 @@ TEST(TupleSolver, SolveMatchesPerPieceEntryPointsBitwise) {
       expect_same_designs(solution.best[t], serial->best[t]);
     }
     expect_same_designs(solution.frontier, serial->frontier);
+  }
+  par::set_default_threads(0);
+}
+
+/// The paper's nine Figure 2 menu cardinalities.
+std::vector<MenuSpec> nine_specs() {
+  std::vector<MenuSpec> specs;
+  for (int tox = 1; tox <= 3; ++tox) {
+    for (int vth = 1; vth <= 3; ++vth) specs.push_back({tox, vth});
+  }
+  return specs;
+}
+
+TEST(TupleSolver, MenuBoundsHoldForEveryDpState) {
+  const core::Explorer explorer;
+  const auto system = explorer.default_system();
+  const auto& grid = explorer.config().grid;
+  par::set_default_threads(4);
+  for (const auto& spec : nine_specs()) {
+    const auto bounds = detail::menu_bounds(system, grid, spec);
+    // One task per menu; each reports how many of its states break a bound.
+    const auto violations = par::parallel_map(bounds.size(), [&](std::size_t m) {
+      const auto states = detail::menu_states(system, grid, spec, m);
+      double min_amat = std::numeric_limits<double>::infinity();
+      std::size_t below = 0;
+      for (const auto& s : states) {
+        min_amat = std::min(min_amat, s.amat_s);
+        if (s.energy_j < bounds[m].lower_bound_j) ++below;
+      }
+      return below + (min_amat == bounds[m].min_amat_s ? 0 : 1);
+    });
+    for (std::size_t m = 0; m < bounds.size(); ++m) {
+      EXPECT_EQ(violations[m], 0u)
+          << spec.num_tox << "x" << spec.num_vth << " menu " << m;
+    }
+  }
+  par::set_default_threads(0);
+}
+
+/// One DP state of the full enumeration, by position.
+struct StateRef {
+  double amat_s = 0.0;
+  double energy_j = 0.0;
+  std::size_t menu = 0;
+  std::size_t state = 0;
+};
+
+/// What folding every menu's DP states in enumeration order answers, first
+/// wins: the reference solve() must match bitwise.
+struct FullEnumeration {
+  double min_amat_s = std::numeric_limits<double>::infinity();
+  std::vector<std::optional<SystemDesignPoint>> best;
+  std::vector<StateRef> states;  ///< every state, menu by menu
+};
+
+FullEnumeration full_enumeration(const energy::MemorySystemModel& system,
+                                 const KnobGrid& grid, const MenuSpec& spec,
+                                 const std::vector<double>& targets) {
+  const std::size_t num_menus = detail::menu_bounds(system, grid, spec).size();
+  auto menus = par::parallel_map(num_menus, [&](std::size_t m) {
+    const auto states = detail::menu_states(system, grid, spec, m);
+    FullEnumeration fold;
+    fold.best.resize(targets.size());
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      const auto& s = states[i];
+      fold.min_amat_s = std::min(fold.min_amat_s, s.amat_s);
+      for (std::size_t t = 0; t < targets.size(); ++t) {
+        auto& best = fold.best[t];
+        if (s.amat_s <= targets[t] && (!best || s.energy_j < best->energy_j)) {
+          best = s;
+        }
+      }
+      fold.states.push_back({s.amat_s, s.energy_j, m, i});
+    }
+    return fold;
+  });
+  FullEnumeration out;
+  out.best.resize(targets.size());
+  for (auto& fold : menus) {
+    out.min_amat_s = std::min(out.min_amat_s, fold.min_amat_s);
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      auto& b = fold.best[t];
+      if (b && (!out.best[t] || b->energy_j < out.best[t]->energy_j)) {
+        out.best[t] = std::move(b);
+      }
+    }
+    out.states.insert(out.states.end(), fold.states.begin(),
+                      fold.states.end());
+  }
+  return out;
+}
+
+/// The full enumeration's frontier thinned to `max_points`, materialized.
+std::vector<SystemDesignPoint> full_frontier(
+    const energy::MemorySystemModel& system, const KnobGrid& grid,
+    const MenuSpec& spec, const FullEnumeration& full,
+    std::size_t max_points) {
+  auto front = pareto_min2(
+      full.states, [](const StateRef& r) { return r.amat_s; },
+      [](const StateRef& r) { return r.energy_j; });
+  if (max_points == 1 && !front.empty()) front.resize(1);
+  thin_to(front, max_points);
+  std::map<std::size_t, std::vector<SystemDesignPoint>> menus;
+  std::vector<SystemDesignPoint> out;
+  for (const auto& r : front) {
+    auto it = menus.find(r.menu);
+    if (it == menus.end()) {
+      it = menus
+               .emplace(r.menu,
+                        detail::menu_states(system, grid, spec, r.menu))
+               .first;
+    }
+    out.push_back(it->second[r.state]);
+  }
+  return out;
+}
+
+TEST(TupleSolver, BoundSkipMatchesFullEnumeration) {
+  const core::Explorer explorer;
+  const auto system = explorer.default_system();
+  const auto& grid = explorer.config().grid;
+  const TupleMenuSolver solver(system, grid);
+  // The fastest AMAT exactly, an infeasible target, loose ones across the
+  // Figure 2 range, and a repeat.
+  std::vector<double> targets;
+  for (const double ps : {1214.9003861611473, 1000.0, 1300.0, 1522.5, 1700.0,
+                          2393.2, 2832.4, 1700.0}) {
+    targets.push_back(units::ps_to_seconds(ps));
+  }
+  for (const auto& spec : nine_specs()) {
+    SCOPED_TRACE(testing::Message()
+                 << spec.num_tox << "x" << spec.num_vth);
+    par::set_default_threads(4);
+    const auto full = full_enumeration(system, grid, spec, targets);
+    EXPECT_EQ(full.min_amat_s, targets[0]);
+    EXPECT_FALSE(full.best[1].has_value());
+    const std::map<std::size_t, std::vector<SystemDesignPoint>> fronts{
+        {16, full_frontier(system, grid, spec, full, 16)},
+        {0, full_frontier(system, grid, spec, full, 0)}};
+    for (const int threads : {1, 4}) {
+      par::set_default_threads(threads);
+      for (const std::optional<std::size_t> points :
+           {std::optional<std::size_t>(), std::optional<std::size_t>(16),
+            std::optional<std::size_t>(0)}) {
+        const auto solution = solver.solve(spec, targets, points);
+        EXPECT_EQ(solution.min_amat_s, full.min_amat_s);
+        ASSERT_EQ(solution.best.size(), targets.size());
+        for (std::size_t t = 0; t < targets.size(); ++t) {
+          expect_same_designs(solution.best[t], full.best[t]);
+        }
+        if (points) {
+          expect_same_designs(solution.frontier, fronts.at(*points));
+          // Alone, the frontier's own skip rule decides which menus run.
+          expect_same_designs(solver.frontier(spec, *points),
+                              fronts.at(*points));
+        } else {
+          EXPECT_TRUE(solution.frontier.empty());
+        }
+      }
+    }
   }
   par::set_default_threads(0);
 }

@@ -5,6 +5,8 @@
 // argmin tie-breaking, buffered degradation logs).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "core/report.h"
 #include "opt/schemes.h"
 #include "opt/tuple_menu.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 
 namespace nanocache {
@@ -82,27 +85,47 @@ TEST(ParallelDeterminism, TupleMenuDesignsIdenticalAcrossThreadCounts) {
   const auto system = explorer.default_system();
   const opt::TupleMenuSolver solver(system, explorer.config().grid);
   const opt::MenuSpec spec{2, 2};
-  const auto frontier_at = [&](int threads) {
-    return with_threads(threads, [&] { return solver.frontier(spec); });
+  auto& registry = metrics::Registry::instance();
+  auto& designs = registry.counter("opt.designs_considered");
+  auto& solved = registry.counter("opt.menus_solved");
+  struct Run {
+    std::vector<opt::SystemDesignPoint> frontier;
+    std::optional<opt::SystemDesignPoint> best;
+    std::uint64_t designs = 0;  // opt.designs_considered delta
+    std::uint64_t solved = 0;   // opt.menus_solved delta
   };
-  const auto serial = frontier_at(1);
-  const auto parallel = frontier_at(8);
-  ASSERT_EQ(serial.size(), parallel.size());
-  ASSERT_FALSE(serial.empty());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].amat_s, parallel[i].amat_s);
-    EXPECT_EQ(serial[i].energy_j, parallel[i].energy_j);
-    EXPECT_EQ(serial[i].leakage_w, parallel[i].leakage_w);
-  }
-
-  const auto best_serial =
-      with_threads(1, [&] { return solver.best_at(spec, 1.7e-9); });
-  const auto best_parallel =
-      with_threads(8, [&] { return solver.best_at(spec, 1.7e-9); });
-  ASSERT_EQ(best_serial.has_value(), best_parallel.has_value());
-  if (best_serial) {
-    EXPECT_EQ(best_serial->energy_j, best_parallel->energy_j);
-    EXPECT_EQ(best_serial->amat_s, best_parallel->amat_s);
+  const auto run_at = [&](int threads) {
+    return with_threads(threads, [&] {
+      const auto designs_before = designs.value();
+      const auto solved_before = solved.value();
+      Run r;
+      r.frontier = solver.frontier(spec);
+      r.best = solver.best_at(spec, 1.7e-9);
+      r.designs = designs.value() - designs_before;
+      r.solved = solved.value() - solved_before;
+      return r;
+    });
+  };
+  const auto serial = run_at(1);
+  ASSERT_FALSE(serial.frontier.empty());
+  ASSERT_TRUE(serial.best.has_value());
+  EXPECT_GT(serial.solved, 0u);
+  for (const int threads : {2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    const auto parallel = run_at(threads);
+    ASSERT_EQ(serial.frontier.size(), parallel.frontier.size());
+    for (std::size_t i = 0; i < serial.frontier.size(); ++i) {
+      EXPECT_EQ(serial.frontier[i].amat_s, parallel.frontier[i].amat_s);
+      EXPECT_EQ(serial.frontier[i].energy_j, parallel.frontier[i].energy_j);
+      EXPECT_EQ(serial.frontier[i].leakage_w, parallel.frontier[i].leakage_w);
+    }
+    ASSERT_TRUE(parallel.best.has_value());
+    EXPECT_EQ(serial.best->energy_j, parallel.best->energy_j);
+    EXPECT_EQ(serial.best->amat_s, parallel.best->amat_s);
+    // Which menus a solve runs is fixed by the bounds and the fixed wave
+    // width alone, so the work counters repeat exactly.
+    EXPECT_EQ(serial.designs, parallel.designs);
+    EXPECT_EQ(serial.solved, parallel.solved);
   }
 }
 
