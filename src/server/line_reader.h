@@ -39,14 +39,6 @@ class LineReader {
   /// Blocking: the next frame, an oversized-frame report, or EOF.
   LineStatus next(std::string& line);
 
-  /// True when next() would return a frame without reading the socket: a
-  /// newline is already buffered, or the peer closed after a final
-  /// unterminated line.  The server uses this to spot pipelining clients.
-  bool has_buffered_line() const {
-    return buffer_.find('\n') != std::string::npos ||
-           (eof_ && !buffer_.empty());
-  }
-
  private:
   /// Append the next chunk from fd_; flips eof_ on close or hard error.
   void fill();

@@ -2,9 +2,9 @@
 //
 // One warm api::Service is multiplexed across many client connections:
 //
-//   accept loop ── per-connection reader ──┬──> bounded queue ──> worker pool
-//                    (idle: answer inline) │                          │
-//   client <──── per-connection in-order response writer <────────────┘
+//   accept loop ──> one thread per connection:
+//                   read line ─> take an evaluation slot ─> respond
+//                   ─> release the slot ─> write the response line
 //
 // Protocol: each connection speaks the batch-mode JSONL wire format
 // (docs/API.md).  Every non-blank request line produces exactly one
@@ -21,43 +21,37 @@
 //                            registry (server-only; excluded, like all
 //                            metrics, from the byte-identity contract)
 //
-// Concurrency model: each connection has a reader thread.  When the
-// connection has nothing else in flight, the client has not pipelined a
-// further line, and fewer requests than there are workers are being
-// answered, the reader answers the line itself — a closed-loop client
-// (one line outstanding, the common script) never pays a queue handoff.
-// Otherwise the line goes to one bounded queue shared by ALL connections
-// (admission control — a full queue blocks readers, which propagates
-// backpressure to clients through the socket) and a fixed pool of worker
-// threads answers it, so a pipelining or overloaded client still fans out.
-// The count of requests being answered, inline or pooled, stays bounded
-// by the worker count (`--threads`; at most twice that in a race), not by
-// the connection count.  Every request is evaluated serially on the thread
-// that answers it (par::SerialRegionGuard), mirroring run_batch's
-// per-worker behavior, so every response stays byte-identical to a serial
-// evaluation whichever thread answers.  All threads share the Service's
-// memoization and disk caches, so concurrent clients asking for the same
-// computation get bitwise-equal answers with the cost paid once.
+// Concurrency model: each connection's thread is the only thread that
+// answers its lines, one at a time, so responses leave in request order
+// with no sequencer.  Evaluating a line takes one of `workers` slots
+// (`--threads`), held only while the response is computed — never across
+// the socket write — so the count of requests being answered stays bounded
+// by the worker count, not the connection count, and a client that stops
+// reading stalls only its own connection.  Every request is evaluated
+// serially on its connection's thread (par::SerialRegionGuard), mirroring
+// run_batch's per-worker behavior, so every response stays byte-identical
+// to a serial evaluation.  All connections share the Service's memoization
+// and disk caches, so concurrent clients asking for the same computation
+// get bitwise-equal answers with the cost paid once.
 //
 // Shutdown (SIGINT/SIGTERM via install_signal_handlers, or shutdown()):
 // stop accepting, stop reading (half-close every connection's read side),
-// answer everything already admitted, flush the persistent disk cache,
-// close connections (clients see EOF after their final response), exit 0.
+// answer everything already read, close connections (clients see EOF after
+// their final response), flush the persistent disk cache, exit 0.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <semaphore>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "nanocache/service.h"
-#include "server/bounded_queue.h"
 #include "server/listener.h"
 
 namespace nanocache::server {
@@ -67,9 +61,8 @@ struct ServerConfig {
   /// Maximum request-line length in bytes (newline excluded).  Longer
   /// lines are rejected in-band with a kConfig error response.
   std::size_t max_line_bytes = 1u << 20;
-  /// Admission-control bound: requests queued across all connections.
-  std::size_t queue_capacity = 256;
-  /// Worker threads evaluating requests (0 = par::default_threads()).
+  /// Requests evaluated at once across all connections
+  /// (0 = par::default_threads()).
   int workers = 0;
 };
 
@@ -92,7 +85,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind the listener and spawn the accept loop + worker pool.  Throws
+  /// Bind the listener and spawn the accept loop.  Throws
   /// Error(kConfig) when the address is already in use, Error(kIo) for
   /// other socket failures.
   void start();
@@ -119,53 +112,30 @@ class Server {
   ServerStats stats() const;
 
  private:
-  /// One accepted client connection: the socket, and the sequencer that
-  /// restores response order when workers finish out of order.
+  /// One accepted client connection.  Only its reader thread sends on or
+  /// closes the socket; the mutex orders that close against the drain's
+  /// shutdown_read.
   struct Connection {
     explicit Connection(int fd) : fd(fd) {}
 
-    /// Hand back a result (from a worker, or from the reader when it
-    /// answered inline); writes every line that became contiguous.
-    void deliver(std::uint64_t seq, std::string line, Server& server);
     /// Half-close the read side so a blocked reader unblocks with EOF.
     void shutdown_read();
-    /// Close the socket once the reader is done and every admitted
-    /// request was answered (the client then sees EOF).  Idempotent.
-    void close_if_drained();
+    /// Close the socket (the client then sees EOF).  Idempotent.
     void close();
+    bool closed();
 
     std::mutex mutex;
     int fd;
-    /// Out-of-order results parked until their turn (seq -> line).
-    std::map<std::uint64_t, std::string> pending;
-    std::uint64_t next_write_seq = 0;
-    std::uint64_t enqueued = 0;  ///< seqs assigned by the reader
-    std::uint64_t written = 0;   ///< responses flushed to the socket
-    bool reader_done = false;
-    bool write_failed = false;  ///< client went away; drop further writes
-  };
-
-  /// One unit of work: answer line `seq` of `conn`.
-  struct Task {
-    std::shared_ptr<Connection> conn;
-    std::uint64_t seq = 0;
-    std::uint64_t line_number = 0;  ///< 1-based input line (batch parity)
-    bool too_long = false;
-    std::string line;
   };
 
   void accept_loop();
-  void reader_loop(const std::shared_ptr<Connection>& conn);
-  void worker_loop();
-  /// Raise evaluating_ for an inline answer if it is below the worker
-  /// count; false (nothing raised) when the pool is already saturated.
-  bool try_claim_inline_slot();
-  /// Answer one task on the calling thread and hand the line to its
-  /// connection's sequencer.
-  void answer(const Task& task);
-  /// Compute the response line (no trailing newline) for one task.
-  std::string respond(const Task& task);
-  /// Join reader threads whose connection already drained (bounds thread
+  /// Read, answer and write every line of `conn`, then close it.
+  void reader_loop(Connection& conn);
+  /// Compute the response line (no trailing newline) for input line
+  /// `line_number` (`too_long`: the line was discarded as oversized).
+  std::string respond(bool too_long, const std::string& line,
+                      std::uint64_t line_number);
+  /// Join reader threads whose connection already closed (bounds thread
   /// accumulation on a long-lived server).  Called from the accept loop.
   void reap_finished_readers();
 
@@ -176,14 +146,14 @@ class Server {
   bool started_ = false;
   int wake_pipe_[2] = {-1, -1};
 
-  BoundedQueue<Task> queue_;
-  std::vector<std::thread> workers_;
-  /// Requests being answered right now, inline or by a worker.
+  /// Evaluation slots: one per request that may be answered at once.
+  std::counting_semaphore<> slots_;
+  /// Requests being answered right now (feeds server.peak_evaluating).
   std::atomic<int> evaluating_{0};
   std::thread accept_thread_;
 
   std::mutex connections_mutex_;
-  std::vector<std::pair<std::shared_ptr<Connection>, std::thread>>
+  std::vector<std::pair<std::unique_ptr<Connection>, std::thread>>
       connections_;
 
   std::atomic<std::uint64_t> connections_accepted_{0};

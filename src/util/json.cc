@@ -109,6 +109,11 @@ ValuePtr Value::make_object(Object o) {
 
 namespace {
 
+/// Deepest array/object nesting a document may use.  The parser recurses
+/// once per level, so without a cap a line of '[' exhausts the stack.  The
+/// deepest line in the test fixtures (a response) nests 7 levels.
+constexpr int kMaxDepth = 64;
+
 /// Strict recursive-descent parser over a string view of the input.
 class Parser {
  public:
@@ -160,8 +165,16 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        ValuePtr v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Value::make_string(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -328,6 +341,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 }  // namespace

@@ -69,7 +69,8 @@ class Value {
 };
 
 /// Parse one complete JSON document.  Throws nanocache::Error(kConfig)
-/// with position context on malformed input or trailing garbage.
+/// with position context on malformed input, trailing garbage, or arrays
+/// and objects nested deeper than 64 levels.
 ValuePtr parse(const std::string& text);
 
 /// Shortest round-trip decimal representation of `d` (std::to_chars).

@@ -1,8 +1,8 @@
-// Number-formatting edge cases of the batch wire format, and the
-// error-in-place guarantee: a response that cannot serialize (non-finite
-// doubles) is replaced by an in-band error line preserving id and order,
-// never an abort.  Companions to test_api_batch.cc, which covers the
-// happy-path JSONL round trips.
+// Number-formatting edge cases of the batch wire format, the parser's
+// nesting cap, and the error-in-place guarantee: a response that cannot
+// serialize (non-finite doubles) or a line nested past the cap is replaced
+// by an in-band error line preserving order, never an abort.  Companions
+// to test_api_batch.cc, which covers the happy-path JSONL round trips.
 #include "util/json.h"
 
 #include <gtest/gtest.h>
@@ -98,6 +98,35 @@ TEST(ResponseLine, SerializableResponsePassesThroughUnchanged) {
   EXPECT_EQ(response_line(ok), response_to_json(ok));
 }
 
+/// `depth` arrays nested inside one another: "[[...]]".
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+ErrorCategory parse_error_category(const std::string& text) {
+  try {
+    json::parse(text);
+  } catch (const Error& e) {
+    return e.category();
+  }
+  ADD_FAILURE() << "expected a parse error";
+  return ErrorCategory::kInternal;
+}
+
+TEST(JsonParse, NestingIsCappedAtSixtyFourLevels) {
+  EXPECT_EQ(json::parse(nested_arrays(64))->as_array().size(), 1u);
+  EXPECT_EQ(parse_error_category(nested_arrays(65)), ErrorCategory::kConfig);
+  // Objects count toward the same cap as arrays.
+  std::string objects;
+  for (int i = 0; i < 64; ++i) objects += "{\"a\":";
+  objects += "[]";
+  objects += std::string(64, '}');
+  EXPECT_EQ(parse_error_category(objects), ErrorCategory::kConfig);
+  // Far past the cap is still a typed error, not a stack overflow.
+  EXPECT_EQ(parse_error_category(std::string(200001, '[')),
+            ErrorCategory::kConfig);
+}
+
 std::shared_ptr<Service> make_service() {
   auto service = Service::create({});
   EXPECT_TRUE(service) << "default ServiceConfig must be valid";
@@ -162,6 +191,27 @@ TEST(BatchJsonl, NonFiniteKnobYieldsErrorLineInPlaceNotAbort) {
   EXPECT_FALSE(bad->get("ok")->as_bool());
   EXPECT_EQ(json::parse(lines[2])->get("id")->as_string(), "ok2");
   EXPECT_TRUE(json::parse(lines[2])->get("ok")->as_bool());
+}
+
+TEST(BatchJsonl, DeeplyNestedLineIsAConfigErrorAndNextLineIsServed) {
+  const auto service = make_service();
+  std::istringstream in(std::string(200001, '[') + "\n" +
+                        "{\"schema_version\":1,\"id\":\"next\","
+                        "\"kind\":\"eval\"}\n");
+  std::ostringstream out;
+  run_batch_jsonl(*service, in, out);
+  std::vector<std::string> lines;
+  std::istringstream result(out.str());
+  for (std::string line; std::getline(result, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u);
+  const auto deep = json::parse(lines[0]);
+  EXPECT_FALSE(deep->get("ok")->as_bool());
+  EXPECT_EQ(deep->get("error")->get("code")->as_string(), "config");
+  EXPECT_EQ(deep->get("error")->get("message")->as_string().rfind("line 1: ",
+                                                                  0),
+            0u);
+  EXPECT_EQ(json::parse(lines[1])->get("id")->as_string(), "next");
+  EXPECT_TRUE(json::parse(lines[1])->get("ok")->as_bool());
 }
 
 }  // namespace

@@ -94,8 +94,7 @@ std::vector<std::string> served_outputs(
   spec.kind = server::ListenKind::kUnix;
   spec.path = testing::TempDir() + "nc_golden_" + std::to_string(::getpid()) +
               ".sock";
-  server::Server server(service, {spec, 1u << 20, /*queue_capacity=*/64,
-                                  /*workers=*/8});
+  server::Server server(service, {spec, 1u << 20, /*workers=*/8});
   server.start();
 
   std::vector<std::string> got(clients);

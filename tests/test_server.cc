@@ -1,13 +1,14 @@
 // End-to-end tests of the JSONL server (src/server): strict --listen
 // parsing, framing edge cases, per-connection byte-identity with batch
-// mode, cross-client cache sharing, concurrency, inline vs pooled
-// answering, and graceful shutdown.
+// mode, cross-client cache sharing, concurrency bounded by the evaluation
+// slots, stalled clients, and graceful shutdown.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -217,7 +218,7 @@ TEST(Serve, ResponsesAreByteIdenticalToBatch) {
       "\"organization\":{\"associativity\":\"full\"}}\n";
   const std::string expected = batch_output(*service, input);
 
-  Server server(service, {unix_spec(unique_sock("ident")), 1u << 20, 16, 4});
+  Server server(service, {unix_spec(unique_sock("ident")), 1u << 20, 4});
   server.start();
   EXPECT_EQ(serve_roundtrip(server.config().listen, input), expected);
   // The parse failure reported its input line number (3: after e1 and the
@@ -235,7 +236,7 @@ TEST(Serve, CrlfLinesMatchBatch) {
   const std::string expected = batch_output(*service, input);
   ASSERT_NE(expected.find("\"ok\":true"), std::string::npos);
 
-  Server server(service, {unix_spec(unique_sock("crlf")), 1u << 20, 16, 2});
+  Server server(service, {unix_spec(unique_sock("crlf")), 1u << 20, 2});
   server.start();
   EXPECT_EQ(serve_roundtrip(server.config().listen, input), expected);
   server.shutdown();
@@ -251,7 +252,7 @@ TEST(Serve, PartialLineThenDisconnectIsStillAnswered) {
       "{\"schema_version\":1,\"id\":\"torn\",\"kind\":\"eval\"}";  // no \n
   const std::string expected = batch_output(*service, input);
 
-  Server server(service, {unix_spec(unique_sock("torn")), 1u << 20, 16, 2});
+  Server server(service, {unix_spec(unique_sock("torn")), 1u << 20, 2});
   server.start();
   const std::string got = serve_roundtrip(server.config().listen, input);
   EXPECT_EQ(got, expected);
@@ -266,7 +267,7 @@ TEST(Serve, OversizedLineRejectedInBandAndConnectionSurvives) {
   const auto service = make_service();
   Server server(service,
                 {unix_spec(unique_sock("long")), /*max_line_bytes=*/256,
-                 /*queue_capacity=*/16, /*workers=*/2});
+                 /*workers=*/2});
   server.start();
 
   std::string input(4096, 'x');  // far past the 256-byte bound
@@ -298,7 +299,7 @@ TEST(Serve, OversizedLineRejectedInBandAndConnectionSurvives) {
 
 TEST(Serve, BlankLinesCountTowardLineNumbers) {
   const auto service = make_service();
-  Server server(service, {unix_spec(unique_sock("blank")), 1u << 20, 16, 1});
+  Server server(service, {unix_spec(unique_sock("blank")), 1u << 20, 1});
   server.start();
   // Two blank-ish lines, then garbage: the error must say line 3.
   const std::string got =
@@ -314,7 +315,7 @@ TEST(Serve, BlankLinesCountTowardLineNumbers) {
 
 TEST(Serve, MetricsControlRequestReturnsLiveSnapshot) {
   const auto service = make_service();
-  Server server(service, {unix_spec(unique_sock("metrics")), 1u << 20, 16, 2});
+  Server server(service, {unix_spec(unique_sock("metrics")), 1u << 20, 2});
   server.start();
   const std::string got = serve_roundtrip(
       server.config().listen,
@@ -345,7 +346,7 @@ TEST(Serve, MetricsControlRequestReturnsLiveSnapshot) {
 
 TEST(Serve, InterleavedClientsShareTheMemoCache) {
   const auto service = make_service();
-  Server server(service, {unix_spec(unique_sock("share")), 1u << 20, 16, 4});
+  Server server(service, {unix_spec(unique_sock("share")), 1u << 20, 4});
   server.start();
   const std::string request =
       "{\"schema_version\":2,\"kind\":\"optimize\",\"id\":\"same\","
@@ -373,9 +374,8 @@ TEST(Serve, InterleavedClientsShareTheMemoCache) {
 
 TEST(Serve, EightConcurrentClientsGetOrderedIdenticalStreams) {
   const auto service = make_service();
-  // Small queue: admission control engages under this fan-in.
   Server server(service, {unix_spec(unique_sock("soak")), 1u << 20,
-                          /*queue_capacity=*/4, /*workers=*/4});
+                          /*workers=*/4});
   server.start();
 
   std::string input;
@@ -415,57 +415,47 @@ TEST(Serve, EightConcurrentClientsGetOrderedIdenticalStreams) {
   server.wait();
 }
 
-// --- inline vs pooled answering ------------------------------------------
+// --- answering on the connection's thread --------------------------------
 
 TEST(ServeInline, ClosedLoopClientIsAnsweredInline) {
   const auto service = make_service();
-  Server server(service, {unix_spec(unique_sock("closed")), 1u << 20, 16, 2});
+  Server server(service, {unix_spec(unique_sock("closed")), 1u << 20, 2});
   server.start();
-  const auto inline_before = counter_value("server.answered_inline");
+  const auto requests_before = counter_value("server.requests");
   EXPECT_EQ(closed_loop_roundtrip(server.config().listen,
                                   read_fixture("batch_requests.jsonl")),
             read_fixture("batch_responses_golden.jsonl"));
-  // One line in flight, nothing buffered, an idle pool: every request is
-  // answered on the reader.
-  EXPECT_EQ(counter_value("server.answered_inline") - inline_before, 100u);
+  EXPECT_EQ(counter_value("server.requests") - requests_before, 100u);
   server.shutdown();
   server.wait();
 }
 
-TEST(ServeInline, PipelinedClientMatchesGoldenAcrossBothPaths) {
+TEST(ServeInline, PipelinedClientMatchesGolden) {
   const auto service = make_service();
-  Server server(service, {unix_spec(unique_sock("piped")), 1u << 20, 16, 2});
+  Server server(service, {unix_spec(unique_sock("piped")), 1u << 20, 2});
   server.start();
-  const auto inline_before = counter_value("server.answered_inline");
-  const auto pooled_before = counter_value("server.answered_pooled");
+  const auto requests_before = counter_value("server.requests");
   EXPECT_EQ(serve_roundtrip(server.config().listen,
                             read_fixture("batch_requests.jsonl")),
             read_fixture("batch_responses_golden.jsonl"));
-  // Each admitted request is counted on exactly one path.
-  EXPECT_EQ(counter_value("server.answered_inline") - inline_before +
-                counter_value("server.answered_pooled") - pooled_before,
-            100u);
+  EXPECT_EQ(counter_value("server.requests") - requests_before, 100u);
   server.shutdown();
   server.wait();
 }
 
 TEST(ServeInline, InlineMetricsRequestSeesItsOwnAdmission) {
   const auto service = make_service();
-  Server server(service, {unix_spec(unique_sock("selfm")), 1u << 20, 16, 2});
+  Server server(service, {unix_spec(unique_sock("selfm")), 1u << 20, 2});
   server.start();
   const auto requests_before = counter_value("server.requests");
-  const auto inline_before = counter_value("server.answered_inline");
   Client client = Client::connect(server.config().listen);
   client.send("{\"kind\":\"metrics\",\"id\":\"self\"}\n");
   const auto response = client.read_line();
   ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(counter_value("server.answered_inline") - inline_before, 1u);
 
   const auto counters = json::parse(*response)->get("result")->get("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_GE(counters->get("server.requests")->as_uint(), requests_before + 1);
-  EXPECT_GE(counters->get("server.answered_inline")->as_uint(),
-            inline_before + 1);
   client.close();
   server.shutdown();
   server.wait();
@@ -473,7 +463,7 @@ TEST(ServeInline, InlineMetricsRequestSeesItsOwnAdmission) {
 
 TEST(ServeInline, OneWorkerBoundsConcurrencyUnderEightClosedLoopClients) {
   const auto service = make_service();
-  Server server(service, {unix_spec(unique_sock("bound")), 1u << 20, 16,
+  Server server(service, {unix_spec(unique_sock("bound")), 1u << 20,
                           /*workers=*/1});
   server.start();
   auto& peak = metrics::Registry::instance().gauge("server.peak_evaluating");
@@ -502,15 +492,13 @@ TEST(ServeInline, OneWorkerBoundsConcurrencyUnderEightClosedLoopClients) {
   for (int c = 0; c < kClients; ++c) {
     EXPECT_EQ(got[c], golden) << "client " << c;
   }
-  // Eight connections, one worker: at most one inline answer plus one
-  // pooled answer at any moment.
-  EXPECT_GE(peak.value(), 1);
-  EXPECT_LE(peak.value(), 2);
+  // Eight connections, one evaluation slot: one answer at any moment.
+  EXPECT_EQ(peak.value(), 1);
 }
 
 TEST(ServeInline, ShutdownDuringInlineAnswerStillDeliversIt) {
   const auto service = make_service();
-  Server server(service, {unix_spec(unique_sock("inldrain")), 1u << 20, 16,
+  Server server(service, {unix_spec(unique_sock("inldrain")), 1u << 20,
                           2});
   server.start();
   // A 2x2 tuple_menu memo miss: long enough to be mid-computation when the
@@ -518,17 +506,17 @@ TEST(ServeInline, ShutdownDuringInlineAnswerStillDeliversIt) {
   const std::string menu =
       "{\"schema_version\":2,\"id\":\"menu\",\"kind\":\"tuple_menu\","
       "\"num_tox\":2,\"num_vth\":2,\"delay\":{\"targets_ps\":[1350,1700]}}\n";
-  const auto inline_before = counter_value("server.answered_inline");
+  const auto requests_before = counter_value("server.requests");
   Client client = Client::connect(server.config().listen);
   client.send(menu);
-  // The reader counts an inline answer before it starts computing.
+  // The reader counts a request before it starts computing.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (counter_value("server.answered_inline") == inline_before &&
+  while (counter_value("server.requests") == requests_before &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
-  ASSERT_GT(counter_value("server.answered_inline"), inline_before);
+  ASSERT_GT(counter_value("server.requests"), requests_before);
   server.shutdown();
 
   const auto response = client.read_line();
@@ -539,6 +527,86 @@ TEST(ServeInline, ShutdownDuringInlineAnswerStillDeliversIt) {
   EXPECT_EQ(server.stats().responses_written, 1u);
 }
 
+TEST(Serve, StalledClientCannotHoldTheOnlySlot) {
+  const auto service = make_service();
+  Server server(service, {unix_spec(unique_sock("stall")), 1u << 20,
+                          /*workers=*/1});
+  server.start();
+
+  // Client A pipelines requests whose ~10 KB responses far exceed the
+  // socket buffer, then never reads: its connection's thread blocks in
+  // send() once the buffer fills.
+  constexpr int kStalledLines = 200;
+  const std::string sweep =
+      "{\"schema_version\":1,\"id\":\"big\",\"kind\":\"sweep\","
+      "\"sweep\":\"schemes\",\"cache_size_bytes\":16384,"
+      "\"delay_targets_ps\":[1000,1100,1200,1300,1400,1500,1600,1700,1800]}\n";
+  std::string burst;
+  for (int i = 0; i < kStalledLines; ++i) burst += sweep;
+  Client a = Client::connect(server.config().listen);
+  a.send(burst);
+  // Wait until A's thread sits in send(): one response past the last one
+  // written, and no progress for a while.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  ServerStats last = server.stats();
+  for (;;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const ServerStats now = server.stats();
+    const bool blocked = now.responses_written > 0 &&
+                         now.requests_admitted == now.responses_written + 1;
+    if (blocked && now.requests_admitted == last.requests_admitted) break;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    last = now;
+  }
+  ASSERT_LT(last.responses_written, static_cast<std::uint64_t>(kStalledLines));
+
+  // Client B still gets its whole closed-loop round trip, well inside the
+  // send timeout A's thread is parked under.
+  auto b = std::async(std::launch::async, [&] {
+    return closed_loop_roundtrip(server.config().listen,
+                                 read_fixture("batch_requests.jsonl"));
+  });
+  const bool finished =
+      b.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+  // Release A (its thread's send fails, and it drains to EOF) before
+  // reading B, so a failure here cannot hang the test.
+  a.close();
+  EXPECT_TRUE(finished) << "a stalled client held the only evaluation slot";
+  EXPECT_EQ(b.get(), read_fixture("batch_responses_golden.jsonl"));
+  server.shutdown();
+  server.wait();
+}
+
+TEST(Serve, DeeplyNestedLineIsAConfigErrorAndConnectionSurvives) {
+  const auto service = make_service();
+  Server server(service, {unix_spec(unique_sock("deep")), 1u << 20, 2});
+  server.start();
+  const std::string input =
+      std::string(200000, '[') + "\n" +
+      "{\"schema_version\":1,\"id\":\"after\",\"kind\":\"eval\"}\n";
+  const std::string got = serve_roundtrip(server.config().listen, input);
+  EXPECT_EQ(got, batch_output(*service, input));
+
+  std::istringstream lines(got);
+  std::string first, second;
+  ASSERT_TRUE(std::getline(lines, first));
+  ASSERT_TRUE(std::getline(lines, second));
+  const auto err = json::parse(first);
+  EXPECT_EQ(err->get("error")->get("code")->as_string(), "config");
+  EXPECT_EQ(err->get("error")->get("message")->as_string().rfind("line 1: ",
+                                                                 0),
+            0u);
+  EXPECT_EQ(json::parse(second)->get("id")->as_string(), "after");
+  // The server survives too: a new connection is answered.
+  EXPECT_NE(serve_roundtrip(server.config().listen,
+                            "{\"schema_version\":1,\"kind\":\"eval\"}\n")
+                .find("\"ok\":true"),
+            std::string::npos);
+  server.shutdown();
+  server.wait();
+}
+
 // --- transports and shutdown ----------------------------------------------
 
 TEST(Serve, TcpEphemeralPortRoundTrips) {
@@ -547,7 +615,7 @@ TEST(Serve, TcpEphemeralPortRoundTrips) {
   spec.kind = ListenKind::kTcp;
   spec.host = "127.0.0.1";
   spec.port = 0;  // ephemeral: only reachable by struct construction
-  Server server(service, {spec, 1u << 20, 16, 2});
+  Server server(service, {spec, 1u << 20, 2});
   server.start();
   ASSERT_GT(server.tcp_port(), 0);
 
@@ -563,7 +631,7 @@ TEST(Serve, TcpEphemeralPortRoundTrips) {
 TEST(Serve, ShutdownDrainsAndStopsAccepting) {
   const auto service = make_service();
   const auto path = unique_sock("drain");
-  Server server(service, {unix_spec(path), 1u << 20, 16, 2});
+  Server server(service, {unix_spec(path), 1u << 20, 2});
   server.start();
 
   Client client = Client::connect(server.config().listen);
@@ -587,7 +655,7 @@ TEST(Serve, ShutdownDrainsAndStopsAccepting) {
 TEST(Serve, ShutdownIsIdempotentAndSafeWithInflightWork) {
   const auto service = make_service();
   Server server(service, {unix_spec(unique_sock("inflight")), 1u << 20,
-                          /*queue_capacity=*/2, /*workers=*/2});
+                          /*workers=*/2});
   server.start();
   Client client = Client::connect(server.config().listen);
   std::string burst;

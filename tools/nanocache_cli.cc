@@ -62,7 +62,7 @@ int usage() {
       "  nanocache_cli run l2|l2split|l1 [--amat-ps <ps>] [--node nm]\n"
       "  nanocache_cli batch <requests.jsonl | -> \n"
       "  nanocache_cli serve --listen <unix:/path/sock | tcp:host:port>\n"
-      "               [--max-line-bytes N] [--queue-capacity N]\n"
+      "               [--max-line-bytes N]\n"
       "  nanocache_cli capabilities\n"
       "  nanocache_cli precompute --out <dir> [--l1-sizes a,b] "
       "[--l2-sizes a,b]\n"
@@ -340,12 +340,9 @@ int cmd_serve(std::shared_ptr<api::Service> service, const CliArgs& args) {
       static_cast<std::size_t>(api::flag_uint(args, "max-line-bytes",
                                               config.max_line_bytes));
   NC_REQUIRE(config.max_line_bytes > 0, "--max-line-bytes must be positive");
-  config.queue_capacity =
-      static_cast<std::size_t>(api::flag_uint(args, "queue-capacity",
-                                              config.queue_capacity));
-  NC_REQUIRE(config.queue_capacity > 0, "--queue-capacity must be positive");
-  // config.workers = 0: the server sizes its pool from the process default,
-  // which --threads / NANOCACHE_THREADS already configured in main().
+  // config.workers = 0: the server sizes its evaluation slots from the
+  // process default, which --threads / NANOCACHE_THREADS already configured
+  // in main().
 
   server::Server server(std::move(service), std::move(config));
   server.start();
