@@ -79,12 +79,6 @@ struct ServiceConfig {
   /// either way; the exhaustive path exists as the differential-testing
   /// oracle and costs ~an order of magnitude more combo evaluations.
   bool exhaustive_search = false;
-
-  /// Lock-stripe shard count of the in-process memoization cache (0 = the
-  /// library default, currently 16).  Must be a power of two in [1, 4096];
-  /// Service::create returns a kConfig error otherwise.  Purely a
-  /// concurrency knob: results are byte-identical at any shard count.
-  std::size_t memo_shards = 0;
 };
 
 /// Running counters of the service's sub-evaluation memoization cache.

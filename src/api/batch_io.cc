@@ -1,6 +1,5 @@
 #include "api/batch_io.h"
 
-#include <bit>
 #include <cstdint>
 #include <istream>
 #include <map>
@@ -874,59 +873,8 @@ std::string capabilities_json(const CapabilitiesResponse& c) {
   return w.str();
 }
 
-void key_doubles(std::string& key, const std::vector<double>& values) {
-  key += '[';
-  for (const double v : values) {
-    key += key_double(v);
-    key += ',';
-  }
-  key += ']';
-}
-
-/// Run a parse step, mapping a thrown kConfig Error to a kConfig failure
-/// and anything else to kInternal, with the exception text as message.
-template <typename T, typename Fn>
-Outcome<T> parse_outcome(Fn&& parse) {
-  try {
-    return parse();
-  } catch (const Error& e) {
-    const ErrorCode code = e.category() == ErrorCategory::kConfig
-                               ? ErrorCode::kConfig
-                               : ErrorCode::kInternal;
-    return Outcome<T>::failure(code, e.what());
-  } catch (const std::exception& e) {
-    return Outcome<T>::failure(ErrorCode::kInternal, e.what());
-  }
-}
-
-}  // namespace
-
-std::string key_double(double d) {
-  const auto bits = std::bit_cast<std::uint64_t>(d);
-  char buf[17];
-  static const char* hex = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    buf[15 - i] = hex[(bits >> (i * 4)) & 0xF];
-  }
-  buf[16] = '\0';
-  return std::string(buf);
-}
-
-Outcome<Request> parse_request_value(const json::ValuePtr& root) {
-  return parse_outcome<Request>([&] { return request_from_value(root); });
-}
-
-Outcome<Request> parse_request_json(const std::string& line) {
-  return parse_outcome<Request>(
-      [&] { return request_from_value(json::parse(line)); });
-}
-
-Outcome<Response> parse_response_json(const std::string& line) {
-  return parse_outcome<Response>(
-      [&] { return response_from_value(json::parse(line)); });
-}
-
-std::string request_to_json(const Request& request) {
+/// The request's wire line; `with_id` false leaves out its per-call id.
+std::string request_json(const Request& request, bool with_id) {
   ObjectWriter w;
   // Serialization always speaks the current schema: v1-v3 requests were
   // normalized into the current structs at parse time.  The v3 design-space
@@ -934,7 +882,7 @@ std::string request_to_json(const Request& request) {
   // normalized old requests serialize exactly as they did under v2 (modulo
   // schema_version).
   w.int_field("schema_version", kSchemaVersion);
-  if (!request.id.empty()) w.string_field("id", request.id);
+  if (with_id && !request.id.empty()) w.string_field("id", request.id);
   w.string_field("kind", request_kind_name(request.kind));
   switch (request.kind) {
     case RequestKind::kEval: {
@@ -992,6 +940,42 @@ std::string request_to_json(const Request& request) {
   return w.str();
 }
 
+/// Run a parse step, mapping a thrown kConfig Error to a kConfig failure
+/// and anything else to kInternal, with the exception text as message.
+template <typename T, typename Fn>
+Outcome<T> parse_outcome(Fn&& parse) {
+  try {
+    return parse();
+  } catch (const Error& e) {
+    const ErrorCode code = e.category() == ErrorCategory::kConfig
+                               ? ErrorCode::kConfig
+                               : ErrorCode::kInternal;
+    return Outcome<T>::failure(code, e.what());
+  } catch (const std::exception& e) {
+    return Outcome<T>::failure(ErrorCode::kInternal, e.what());
+  }
+}
+
+}  // namespace
+
+Outcome<Request> parse_request_value(const json::ValuePtr& root) {
+  return parse_outcome<Request>([&] { return request_from_value(root); });
+}
+
+Outcome<Request> parse_request_json(const std::string& line) {
+  return parse_outcome<Request>(
+      [&] { return request_from_value(json::parse(line)); });
+}
+
+Outcome<Response> parse_response_json(const std::string& line) {
+  return parse_outcome<Response>(
+      [&] { return response_from_value(json::parse(line)); });
+}
+
+std::string request_to_json(const Request& request) {
+  return request_json(request, /*with_id=*/true);
+}
+
 std::string response_to_json(const Response& response) {
   ObjectWriter w;
   w.int_field("schema_version", response.schema_version);
@@ -1038,105 +1022,21 @@ std::string response_to_json(const Response& response) {
 }
 
 std::string request_canonical_key(const Request& request) {
-  // Supported schema versions mean the identical computation (v1 payloads
-  // normalize to the v2 structs), so they share keys under the current
-  // version.  Unsupported versions keep their own number: their (error)
-  // responses quote it, so they must never dedup against supported
-  // requests or each other.
-  const bool supported = request.schema_version >= kMinSchemaVersion &&
-                         request.schema_version <= kSchemaVersion;
-  std::string key =
-      "v" +
-      std::to_string(supported ? kSchemaVersion : request.schema_version) +
-      "|";
-  key += request_kind_name(request.kind);
-  key += '|';
-  switch (request.kind) {
-    case RequestKind::kEval: {
-      const auto& e = request.eval;
-      key += level_name(e.target.level);
-      key += '|';
-      key += std::to_string(e.target.size_bytes);
-      key += '|';
-      key += key_double(e.knobs.vth_v);
-      key += '|';
-      key += key_double(e.knobs.tox_a);
-      // v3 design-space fields, appended UNCONDITIONALLY: a v1/v2 request
-      // and its v3-normalized form (all defaults) produce the same key, and
-      // any non-default knob gets a distinct one.
-      key += "|a";
-      key += std::to_string(e.organization.associativity);
-      key += "|b";
-      key += std::to_string(e.organization.banks);
-      key += "|n";
-      key += std::to_string(e.node_nm);
-      // v4 exactness, also unconditional: `auto` (the normalized form of an
-      // absent field) keys as x0, so pre-v4 spellings share keys — but a
-      // pinned request gets its own key, keeping exact and surrogate
-      // answers out of each other's cache entries.
-      key += "|x";
-      key += std::to_string(static_cast<int>(e.exactness));
-      break;
-    }
-    case RequestKind::kOptimize: {
-      const auto& o = request.optimize;
-      key += level_name(o.target.level);
-      key += '|';
-      key += std::to_string(o.target.size_bytes);
-      key += '|';
-      key += scheme_id_name(o.scheme);
-      key += '|';
-      key += key_double(o.delay.target_ps);
-      key += "|a";
-      key += std::to_string(o.organization.associativity);
-      key += "|b";
-      key += std::to_string(o.organization.banks);
-      key += "|g";
-      key += o.power_gating.enabled ? '1' : '0';
-      key += "|pb";
-      key += key_double(o.power_gating.perf_loss_budget);
-      key += "|n";
-      key += std::to_string(o.node_nm);
-      key += "|x";
-      key += std::to_string(static_cast<int>(o.exactness));
-      break;
-    }
-    case RequestKind::kSweep: {
-      const auto& s = request.sweep;
-      key += sweep_kind_name(s.kind);
-      key += '|';
-      key += level_name(s.target.level);
-      key += '|';
-      key += std::to_string(s.target.size_bytes);
-      key += '|';
-      key += std::to_string(s.ladder_steps);
-      key += '|';
-      key_doubles(key, s.delay.targets_ps);
-      key += '|';
-      key += key_double(s.delay.target_ps);
-      key += '|';
-      key += scheme_id_name(s.l2_scheme);
-      key += "|n";
-      key += std::to_string(s.node_nm);
-      break;
-    }
-    case RequestKind::kTupleMenu: {
-      const auto& t = request.tuple_menu;
-      key += std::to_string(t.num_tox);
-      key += '|';
-      key += std::to_string(t.num_vth);
-      key += '|';
-      key_doubles(key, t.delay.targets_ps);
-      key += '|';
-      key += t.include_frontier ? "f1" : "f0";
-      key += '|';
-      key += std::to_string(t.frontier_max_points);
-      break;
-    }
-    case RequestKind::kCapabilities:
-      break;  // no payload fields
+  std::string line;
+  try {
+    line = request_json(request, /*with_id=*/false);
+  } catch (const Error&) {
+    return {};  // a non-finite double has no wire spelling
   }
-  return key;
+  // The line always speaks the current schema, which is right for every
+  // supported version (they normalize to the same structs).  An
+  // unsupported version keeps its own number: its error response quotes
+  // it, so it must never share a key with a supported request.
+  if (request.schema_version < kMinSchemaVersion ||
+      request.schema_version > kSchemaVersion) {
+    return "v" + std::to_string(request.schema_version) + "|" + line;
+  }
+  return line;
 }
 
 std::string response_line(const Response& response) {

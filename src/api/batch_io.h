@@ -50,15 +50,14 @@ std::string response_to_json(const Response& response);
 /// Malformed or truncated lines yield a typed kConfig/kInternal failure.
 Outcome<Response> parse_response_json(const std::string& line);
 
-/// The request's structural identity: equal keys <=> the service would run
-/// the identical computation.  Ignores `id`.  Doubles are keyed by bit
-/// pattern, so two spellings of the same number collide (as they must).
+/// The request's identity: its canonical request line, i.e.
+/// request_to_json without the id, prefixed "v<N>|" only when
+/// schema_version N is unsupported.  Equal keys <=> the service would run
+/// the identical computation, because the line round-trips through
+/// parse_request_json.  Batch dedup and the disk cache both key on it.
+/// Empty when the request has no wire spelling (a non-finite double,
+/// reachable only from C++): such a request is never deduped or persisted.
 std::string request_canonical_key(const Request& request);
-
-/// Bit-pattern key of a double (16 lower-case hex digits): structural
-/// identity, not decimal identity.  The one spelling every canonical and
-/// memo key uses for a double.
-std::string key_double(double d);
 
 /// `response_to_json`, hardened for the per-line batch path: when the
 /// response itself cannot be serialized (a non-finite double in a payload

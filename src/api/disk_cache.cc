@@ -3,14 +3,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "util/error.h"
-#include "util/json.h"
 #include "util/metrics.h"
+#include "util/segment.h"
 
 namespace nanocache::api {
 
@@ -36,21 +34,9 @@ DiskCounters& disk_counters() {
   return counters;
 }
 
-std::string entry_checksum(const std::string& key,
-                           const std::string& response) {
-  return fnv1a64_hex(key + '\n' + response);
-}
-
-std::string header_line(const std::string& fingerprint) {
-  return "{\"nanocache_cache\":1,\"fingerprint\":" + json::quote(fingerprint) +
-         "}";
-}
-
-std::string entry_line(const std::string& key, const std::string& response) {
-  return "{\"key\":" + json::quote(key) +
-         ",\"checksum\":" + json::quote(entry_checksum(key, response)) +
-         ",\"response\":" + json::quote(response) + "}";
-}
+/// Version 2 keys entries by canonical request lines; a version-1
+/// segment (per-field keys) resets on open.
+constexpr int kSegmentVersion = 2;
 
 }  // namespace
 
@@ -63,84 +49,38 @@ std::unique_ptr<DiskCache> DiskCache::open(const std::string& dir,
                          "': " + ec.message());
 
   auto cache = std::unique_ptr<DiskCache>(new DiskCache());
-  cache->fingerprint_ = fingerprint;
   cache->path_ =
       (std::filesystem::path(dir) / ("nanocache-" + fingerprint + ".jsonl"))
           .string();
-  cache->load();
-  return cache;
-}
-
-void DiskCache::load() {
-  bool rewrite = false;
-  {
-    std::ifstream in(path_);
-    if (in.good()) {
-      std::string line;
-      if (!std::getline(in, line)) {
-        rewrite = true;  // empty file: (re)write the header
-      } else {
-        // Validate the header; any mismatch (garbage, different
-        // fingerprint) discards the whole segment — its entries answer for
-        // a different configuration or cannot be trusted.
-        bool header_ok = false;
-        try {
-          const auto root = json::parse(line);
-          const auto magic = root->get("nanocache_cache");
-          const auto fp = root->get("fingerprint");
-          header_ok = magic != nullptr && magic->as_int() == 1 &&
-                      fp != nullptr && fp->as_string() == fingerprint_;
-        } catch (const Error&) {
-          header_ok = false;
-        }
-        if (!header_ok) {
-          rewrite = true;
-          disk_counters().resets.add(1);
-        } else {
-          while (std::getline(in, line)) {
-            if (line.empty()) continue;
-            try {
-              const auto root = json::parse(line);
-              const auto key = root->get("key");
-              const auto checksum = root->get("checksum");
-              const auto response = root->get("response");
-              NC_REQUIRE(key != nullptr && checksum != nullptr &&
-                             response != nullptr,
-                         "cache entry is missing a field");
-              NC_REQUIRE(checksum->as_string() ==
-                             entry_checksum(key->as_string(),
-                                            response->as_string()),
-                         "cache entry checksum mismatch");
-              entries_.emplace(key->as_string(), response->as_string());
-            } catch (const Error&) {
-              // Truncated tail, garbage line, or checksum mismatch: drop
-              // the entry; the lookup path recomputes and re-stores.
-              ++corrupt_lines_;
-              disk_counters().corrupt.add(1);
-            }
-          }
-        }
-      }
-    } else {
-      rewrite = true;  // no segment yet
-    }
+  // A damaged entry drops alone (the lookup path recomputes and re-stores
+  // it); a header of another version or fingerprint resets the segment,
+  // whose entries cannot be trusted here.
+  const segment::Header header{"nanocache_cache", kSegmentVersion,
+                               fingerprint, ""};
+  const auto loaded = segment::read(
+      cache->path_, header, [&](std::string key, std::string response) {
+        cache->entries_.emplace(std::move(key), std::move(response));
+      });
+  cache->corrupt_lines_ = loaded.corrupt_lines;
+  disk_counters().corrupt.add(loaded.corrupt_lines);
+  if (loaded.status == segment::Status::kRejected) {
+    disk_counters().resets.add(1);
   }
+  const bool rewrite = loaded.status != segment::Status::kLoaded;
 
   // Opening for append here (not per store) surfaces a read-only segment
   // at open, not mid-batch.
-  open_segment(rewrite);
+  cache->fd_ = ::open(cache->path_.c_str(),
+                      O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC |
+                          (rewrite ? O_TRUNC : 0),
+                      0644);
+  NC_REQUIRE_IO(cache->fd_ >= 0,
+                "cannot append to cache segment: " + cache->path_);
   if (rewrite) {
-    NC_REQUIRE_IO(append_line(header_line(fingerprint_) + '\n'),
-                  "cannot write cache segment: " + path_);
+    NC_REQUIRE_IO(cache->append_line(segment::header_line(header)),
+                  "cannot write cache segment: " + cache->path_);
   }
-}
-
-void DiskCache::open_segment(bool truncate) {
-  fd_ = ::open(path_.c_str(),
-               O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC |
-                   (truncate ? O_TRUNC : 0),
-               0644);
-  NC_REQUIRE_IO(fd_ >= 0, "cannot append to cache segment: " + path_);
+  return cache;
 }
 
 bool DiskCache::append_line(const std::string& line) {
@@ -175,7 +115,7 @@ void DiskCache::store(const std::string& key,
   ++stores_;
   disk_counters().stores.add(1);
   if (!writable_) return;
-  if (!append_line(entry_line(key, response_json) + '\n')) {
+  if (!append_line(segment::entry_line(key, response_json))) {
     // Persistence failed mid-run (disk full, file size limit).  The
     // in-memory copy keeps serving this run; stop appending rather than
     // failing requests that already computed fine.

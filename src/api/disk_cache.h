@@ -1,36 +1,26 @@
-// Persistent cross-run result cache under api::MemoCache.
-//
-// A DiskCache holds one JSONL segment file of (request key -> serialized
-// response) entries, content-addressed by the same canonical bit-pattern
-// request keys the in-memory batch dedup uses.  The segment is bound to one
-// library fingerprint — a hash over everything that can change an answer
-// (model configuration, grid bit patterns, schema + API version, search
-// mode) — so a run with a different configuration reads from, and writes
-// to, a different file instead of mixing results.
-//
-// File layout (one directory may hold segments of many configurations):
+// Persistent cross-run result cache under api::MemoCache: one segment
+// file (util/segment.h) mapping canonical request lines — the
+// request_canonical_key batch dedup uses — to id-stripped response lines.
+// The segment is bound to one library fingerprint (a hash over everything
+// that can change an answer), so a differently configured run reads and
+// writes a different file:
 //
 //   <dir>/nanocache-<fingerprint>.jsonl
-//     {"nanocache_cache":1,"fingerprint":"<16 hex>"}          <- header
-//     {"key":"...","checksum":"<16 hex>","response":"{...}"}  <- entries
+//     {"nanocache_cache":2,"fingerprint":"<16 hex>"}
+//     {"key":"<request line>","checksum":"<16 hex>","value":"<response line>"}
 //
-// Each entry carries an FNV-1a-64 checksum over `key + '\n' + response`.
-// Robustness is strictly "never a wrong answer": a truncated tail line, a
-// garbage line, or a checksum mismatch drops that entry (counted in
-// api.disk.corrupt_lines) and the lookup falls through to computation; a
-// header that does not match the expected fingerprint discards the whole
-// segment and rewrites it.  Only an unusable cache *directory* is an error
-// (Error(kIo) from open()), because the caller asked for persistence it
-// cannot have.
+// Robustness is strictly "never a wrong answer": a damaged entry is dropped
+// (api.disk.corrupt_lines) and recomputed; a header of another version or
+// fingerprint, a version-1 segment included, resets the whole segment
+// (api.disk.segment_resets).  Only an unusable cache *directory* is an
+// error (Error(kIo) from open()).
 //
 // Concurrency: entries load fully into memory at open(); lookups and the
 // append-on-store run under one mutex.  The segment stays open (O_APPEND)
-// for the cache's lifetime and each entry line goes out in one write(), so
-// a store costs no open/close and concurrent appenders never interleave
-// within a line.  The cache stores serialized
-// response lines, not structs — a hit re-parses with parse_response_json,
-// whose round-trip exactness keeps cached responses byte-identical to
-// freshly computed ones.
+// and each entry goes out in one write(), so concurrent appenders never
+// interleave within a line.  A hit re-parses the stored line with
+// parse_response_json, whose round-trip exactness keeps cached responses
+// byte-identical to freshly computed ones.
 #pragma once
 
 #include <cstddef>
@@ -38,22 +28,15 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
-#include "util/hash.h"
-
 namespace nanocache::api {
-
-/// FNV-1a 64-bit hash, fixed-width lower-case hex (now in util so the
-/// surrogate store can share it).  Re-exported here for the existing
-/// segment-checksum and fingerprint call sites.
-using ::nanocache::fnv1a64_hex;
 
 class DiskCache {
  public:
   /// Open (creating as needed) the segment for `fingerprint` inside `dir`.
-  /// Creates the directory, validates the header, loads all intact entries.
+  /// Creates the directory, validates the header (resetting a segment of
+  /// another version or fingerprint), loads all intact entries.
   /// Throws Error(kIo) when the directory or segment cannot be created or
   /// written — a cache that cannot persist is a configuration error, not a
   /// silent no-op.
@@ -92,15 +75,10 @@ class DiskCache {
 
  private:
   DiskCache() = default;
-  void load();
-  /// Open the segment for appending (truncating it first when `truncate`);
-  /// throws Error(kIo) when it cannot be opened.
-  void open_segment(bool truncate);
   /// One whole line in a single write(); false on any failure.
   bool append_line(const std::string& line);
 
   std::string path_;
-  std::string fingerprint_;
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::string> entries_;
   int fd_ = -1;  ///< the open segment (O_APPEND), or -1

@@ -1,18 +1,8 @@
 #include "api/memo_cache.h"
 
-#include "util/error.h"
 #include "util/metrics.h"
 
 namespace nanocache::api {
-
-MemoCache::MemoCache(std::size_t shards) {
-  if (shards == 0) shards = kDefaultShards;
-  NC_REQUIRE(shards <= 4096 && (shards & (shards - 1)) == 0,
-             "memo cache shard count must be a power of two in [1, 4096], "
-             "got " +
-                 std::to_string(shards));
-  shards_ = std::vector<Shard>(shards);
-}
 
 MemoCache::Stats MemoCache::stats() const {
   Stats s;

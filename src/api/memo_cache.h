@@ -7,11 +7,11 @@
 // object the miss path stored, which makes the "hit is bitwise-equal to
 // miss" guarantee trivial.
 //
-// Concurrency: the entry map is lock-striped into a power-of-two number of
-// shards selected by the canonical-key hash, so concurrent lookups on
-// distinct keys almost never contend.  The compute callback runs OUTSIDE
-// any lock so slow model evaluations don't serialize the pool.  Two
-// threads racing on the same key may both compute; the first insert wins
+// Concurrency: the entry map is lock-striped into 16 shards selected by
+// the key hash, so concurrent lookups on distinct keys almost never
+// contend.  The compute callback runs OUTSIDE any lock so slow model
+// evaluations don't serialize the pool.  Two threads racing on the same
+// key may both compute; the first insert wins
 // and both receive the winning (deterministic, bitwise-identical) value.
 // Hit/miss counters are relaxed per-shard atomics folded into one Stats
 // snapshot — they are timing-dependent and feed reporting, never results.
@@ -20,6 +20,7 @@
 // lookup is counted exactly once.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <functional>
@@ -28,7 +29,6 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 namespace nanocache::api {
 
@@ -41,11 +41,8 @@ class MemoCache {
     std::size_t entries = 0;
   };
 
-  static constexpr std::size_t kDefaultShards = 16;
-
-  /// `shards` must be a power of two in [1, 4096] (throws Error(kConfig)
-  /// otherwise); 0 selects the default.
-  explicit MemoCache(std::size_t shards = 0);
+  /// Lock stripes; a power of two, so the key hash masks cleanly.
+  static constexpr std::size_t kShards = 16;
 
   /// Return the cached value for `key`, or run `compute`, publish its
   /// result, and return it.  `T` must match the type stored under `key`;
@@ -79,7 +76,7 @@ class MemoCache {
   std::size_t hits() const { return stats().hits; }
   std::size_t misses() const { return stats().misses; }
   std::size_t entries() const { return stats().entries; }
-  std::size_t shard_count() const { return shards_.size(); }
+  std::size_t shard_count() const { return kShards; }
 
  private:
   /// One lock stripe.  Cache-line aligned so one shard's mutex traffic
@@ -92,8 +89,7 @@ class MemoCache {
   };
 
   Shard& shard_for(const std::string& key) const {
-    // shards_.size() is a power of two, so the hash masks cleanly.
-    return shards_[std::hash<std::string>{}(key) & (shards_.size() - 1)];
+    return shards_[std::hash<std::string>{}(key) & (kShards - 1)];
   }
 
   /// nullptr on miss (miss counter bumped); the stored value on hit.
@@ -104,9 +100,7 @@ class MemoCache {
   std::shared_ptr<const void> publish(const std::string& key,
                                       std::shared_ptr<const void> value);
 
-  // Shards never move after construction (vector sized once), so
-  // references handed out by shard_for stay valid for the cache lifetime.
-  mutable std::vector<Shard> shards_;
+  mutable std::array<Shard, kShards> shards_;
 };
 
 }  // namespace nanocache::api

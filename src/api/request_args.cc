@@ -144,22 +144,6 @@ ServiceConfig service_config_from_args(const CliArgs& args) {
     }
   }
 
-  // Memo-cache lock striping: --memo-shards wins, then
-  // NANOCACHE_MEMO_SHARDS; 0 keeps the library default.  Range/power-of-two
-  // validation happens in Service::create so both spellings share it.
-  config.memo_shards =
-      static_cast<std::size_t>(flag_uint(args, "memo-shards", 0));
-  if (config.memo_shards == 0) {
-    if (const char* env = std::getenv("NANOCACHE_MEMO_SHARDS")) {
-      try {
-        config.memo_shards = static_cast<std::size_t>(std::stoull(env));
-      } catch (const std::exception&) {
-        throw Error(ErrorCategory::kConfig,
-                    "NANOCACHE_MEMO_SHARDS expects a non-negative integer, "
-                    "got '" + std::string(env) + "'");
-      }
-    }
-  }
   return config;
 }
 

@@ -1,7 +1,9 @@
 #include "nanocache/service.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdio>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -23,6 +25,7 @@
 #include "surrogate/store.h"
 #include "tech/params.h"
 #include "util/error.h"
+#include "util/hash.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/trace_span.h"
@@ -65,6 +68,17 @@ auto guarded(Fn&& fn) -> Outcome<decltype(fn())> {
   } catch (const std::exception& e) {
     return Outcome<R>::failure(ErrorCode::kInternal, e.what());
   }
+}
+
+/// Bit-pattern key of a double (16 lower-case hex digits): structural
+/// identity, not decimal identity.  The spelling of a double in memo keys
+/// and in the configuration fingerprint.
+std::string key_double(double d) {
+  char buf[17];
+  const auto bits = std::bit_cast<std::uint64_t>(d);
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(bits));
+  return buf;
 }
 
 /// Library fingerprint for the persistent disk cache: a hash over everything
@@ -260,8 +274,6 @@ constexpr std::uint64_t kSchemesRowCostHintNs = 3'000'000;
 }  // namespace
 
 struct Service::Impl {
-  explicit Impl(std::size_t memo_shards) : memo(memo_shards) {}
-
   ServiceConfig api_config;
   core::ExperimentConfig config;
   /// The library fingerprint of this configuration (names disk-cache and
@@ -571,9 +583,7 @@ Outcome<std::shared_ptr<Service>> Service::create(ServiceConfig config) {
                                  : opt::SearchMode::kPruned;
 
     auto service = std::shared_ptr<Service>(new Service());
-    // The MemoCache constructor validates the shard count (power of two in
-    // [1, 4096]) and throws the typed kConfig error guarded() folds.
-    service->impl_ = std::make_unique<Impl>(config.memo_shards);
+    service->impl_ = std::make_unique<Impl>();
     service->impl_->api_config = std::move(config);
     service->impl_->config = std::move(experiment);
     service->impl_->explorer =
@@ -852,15 +862,17 @@ Response Service::serve(const Request& request) const {
 
   // Persistent-cache fast path.  Capabilities answers describe the live
   // process (thread count, cache state) and are never persisted; everything
-  // else is keyed by the same canonical bit-pattern key the batch dedup
-  // uses, which already folds in every answer-affecting request field.
+  // else is keyed by its canonical request line, the same key the batch
+  // dedup uses.  A request with no wire spelling (empty key) bypasses the
+  // cache.
   Response response;
   bool served_from_disk = false;
-  const bool cacheable =
-      impl_->disk != nullptr && request.kind != RequestKind::kCapabilities;
   std::string disk_key;
-  if (cacheable) {
+  if (impl_->disk != nullptr && request.kind != RequestKind::kCapabilities) {
     disk_key = request_canonical_key(request);
+  }
+  const bool cacheable = !disk_key.empty();
+  if (cacheable) {
     if (const auto stored = impl_->disk->lookup(disk_key)) {
       // Stored lines passed the segment checksum, but stay paranoid: any
       // parse failure falls through to recomputation — a corrupt cache may
@@ -1017,17 +1029,19 @@ BatchResult Service::run_batch(const std::vector<Request>& requests) const {
   const std::size_t disk_misses_before =
       impl_->disk ? impl_->disk->misses() : 0;
 
-  // Request-level dedup: structurally identical requests (ids ignored)
-  // collapse to one evaluation.  Unique requests keep first-occurrence
-  // order, so the fan-out below is deterministic at any thread count.
+  // Request-level dedup: requests with equal canonical lines (ids ignored)
+  // collapse to one evaluation; one with no wire spelling (empty key) is
+  // its own.  Unique requests keep first-occurrence order, so the fan-out
+  // below is deterministic at any thread count.
   std::unordered_map<std::string, std::size_t> seen;
   std::vector<std::size_t> first_occurrence;
   std::vector<std::size_t> unique_of(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const auto [it, inserted] =
-        seen.emplace(request_canonical_key(requests[i]), first_occurrence.size());
-    if (inserted) first_occurrence.push_back(i);
-    unique_of[i] = it->second;
+    std::string key = request_canonical_key(requests[i]);
+    std::size_t u = first_occurrence.size();
+    if (!key.empty()) u = seen.emplace(std::move(key), u).first->second;
+    if (u == first_occurrence.size()) first_occurrence.push_back(i);
+    unique_of[i] = u;
   }
   batch.stats.unique_requests = first_occurrence.size();
   batch.stats.request_hits = requests.size() - first_occurrence.size();

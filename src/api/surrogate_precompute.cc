@@ -105,14 +105,7 @@ std::vector<surrogate::OptimizeTable> build_optimize_tables(
       // Infeasible rungs (targets below what the scheme can reach) simply
       // shrink the ladder's coverage; they are not precompute failures.
       if (!out || !out.value().result.feasible) continue;
-      const auto& result = out.value().result;
-      surrogate::OptimizeRung rung;
-      rung.target_ps = target_ps;
-      rung.leakage_mw = result.leakage_mw;
-      rung.access_time_ps = result.access_time_ps;
-      rung.dynamic_pj = result.dynamic_pj;
-      rung.assignment = result.assignment;
-      table.rungs.push_back(std::move(rung));
+      table.rungs.push_back({target_ps, out.value().result});
     }
     // A one-rung ladder covers a single point; not worth a table.
     if (table.rungs.size() >= 2) tables.push_back(std::move(table));

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <utility>
 
 #include "util/error.h"
 #include "util/hash.h"
-#include "util/json.h"
 #include "util/metrics.h"
 
 namespace nanocache::surrogate {
@@ -30,13 +28,6 @@ StoreCounters& store_counters() {
   return counters;
 }
 
-std::string optimize_key(api::Level level, std::uint64_t size_bytes,
-                         int node_nm, api::SchemeId scheme) {
-  return std::string(api::level_name(level)) + '|' +
-         std::to_string(size_bytes) + '|' + std::to_string(node_nm) + '|' +
-         api::scheme_id_name(scheme);
-}
-
 }  // namespace
 
 std::unique_ptr<SurrogateStore> SurrogateStore::open(
@@ -53,82 +44,50 @@ std::unique_ptr<SurrogateStore> SurrogateStore::open(
   }
   NC_REQUIRE_IO(std::filesystem::is_directory(status),
                 "surrogate path '" + dir + "' is not a directory");
-  const std::string path = segment_path(dir, fingerprint);
-  if (!std::filesystem::exists(path, ec)) {
-    return store;
-  }
-  store->load(path);
-  store->index_tables();
+  store->load(segment_path(dir, fingerprint));
   return store;
 }
 
 void SurrogateStore::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return;  // racing deletion: degrade to exact
-
-  std::string line;
-  if (!std::getline(in, line)) return;  // empty file: no tables
-  try {
-    const auto header = json::parse(line);
-    const auto magic = header->get("nanocache_surrogate");
-    const auto fp = header->get("fingerprint");
-    NC_REQUIRE(magic && magic->as_int() == 1 && fp &&
-                   fp->as_string() == fingerprint_,
-               "surrogate segment header mismatch");
-    if (const auto stamp = header->get("stamp")) {
-      stamp_ = stamp->as_string();
-    }
-  } catch (const Error&) {
+  std::string content;
+  const auto result = segment::read(
+      path, segment_header(fingerprint_),
+      [&](std::string key, std::string text) {
+        OptimizeTable optimize = parse_table_json(text);
+        NC_REQUIRE(key == table_key(optimize.level, optimize.size_bytes,
+                                    optimize.node_nm, optimize.scheme),
+                   "surrogate entry key does not match its table");
+        optimizes_[key] = std::move(optimize);
+        content += text;
+        content += '\n';
+      });
+  if (result.status == segment::Status::kRejected) {
     // A segment written by a different build (or garbage): reject it
     // whole rather than risk serving answers certified against another
     // model.  Never rewritten here — the store is a read-only consumer.
     store_counters().rejects.add(1);
     return;
   }
-
-  std::string content;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    try {
-      const auto entry = json::parse(line);
-      const auto checksum = entry->get("checksum");
-      const auto table = entry->get("table");
-      NC_REQUIRE(checksum && table, "surrogate entry missing fields");
-      const std::string& text = table->as_string();
-      NC_REQUIRE(fnv1a64_hex(text) == checksum->as_string(),
-                 "surrogate entry checksum mismatch");
-      OptimizeTable optimize = parse_table_json(text);
-      optimizes_[optimize_key(optimize.level, optimize.size_bytes,
-                              optimize.node_nm, optimize.scheme)] =
-          std::move(optimize);
-      content += text;
-      content += '\n';
-    } catch (const Error&) {
-      ++corrupt_lines_;
-      store_counters().corrupt.add(1);
-    }
-  }
+  stamp_ = result.stamp;
+  corrupt_lines_ = result.corrupt_lines;
+  store_counters().corrupt.add(result.corrupt_lines);
   content_checksum_ = fnv1a64_hex(content);
   store_counters().tables.add(optimizes_.size());
-}
-
-void SurrogateStore::index_tables() {
-  api::SurrogateErrorBounds worst{};
   for (const auto& [key, t] : optimizes_) {
     for (std::size_t i = 0; i + 1 < t.rungs.size(); ++i) {
-      worst.leakage_mw =
-          std::max(worst.leakage_mw, std::max(0.0, t.rungs[i].leakage_mw -
-                                                       t.rungs[i + 1].leakage_mw));
+      const double gap = t.rungs[i].result.leakage_mw -
+                         t.rungs[i + 1].result.leakage_mw;
+      worst_bounds_.leakage_mw =
+          std::max(worst_bounds_.leakage_mw, std::max(0.0, gap));
     }
   }
-  worst_bounds_ = worst;
 }
 
 std::optional<OptimizeAnswer> SurrogateStore::lookup_optimize(
     api::Level level, std::uint64_t size_bytes, int node_nm,
     api::SchemeId scheme, double target_ps) const {
   const auto it =
-      optimizes_.find(optimize_key(level, size_bytes, node_nm, scheme));
+      optimizes_.find(table_key(level, size_bytes, node_nm, scheme));
   if (it == optimizes_.end()) return std::nullopt;
   const OptimizeTable& t = it->second;
   if (target_ps < t.rungs.front().target_ps ||
@@ -145,19 +104,15 @@ std::optional<OptimizeAnswer> SurrogateStore::lookup_optimize(
   const OptimizeRung& rung = t.rungs[idx];
 
   OptimizeAnswer answer;
-  auto& result = answer.response.result;
-  result.feasible = true;
-  result.leakage_mw = rung.leakage_mw;
-  result.access_time_ps = rung.access_time_ps;
-  result.dynamic_pj = rung.dynamic_pj;
-  result.assignment = rung.assignment;
+  answer.response.result = rung.result;
 
   // Exact at a rung; between rungs the true optimum is bracketed by the
   // neighboring rungs' optima (feasible sets nest), so the served leakage
   // over-estimates by at most the adjacent-rung gap.
   if (target_ps != rung.target_ps && idx + 1 < t.rungs.size()) {
     answer.bounds.leakage_mw =
-        std::max(0.0, rung.leakage_mw - t.rungs[idx + 1].leakage_mw);
+        std::max(0.0, rung.result.leakage_mw -
+                          t.rungs[idx + 1].result.leakage_mw);
   }
   return answer;
 }

@@ -80,8 +80,8 @@ class SurrogateStore {
 
  private:
   SurrogateStore() = default;
+  /// Load the segment at `path` (absent: no tables) and index its bounds.
   void load(const std::string& path);
-  void index_tables();
 
   std::string fingerprint_;
   std::string stamp_;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "util/error.h"
-#include "util/hash.h"
 #include "util/json.h"
 
 namespace nanocache::surrogate {
@@ -32,37 +31,6 @@ json::ValuePtr require_field(const json::ValuePtr& root, const char* key) {
   return v;
 }
 
-OptimizeTable parse_optimize_table(const json::ValuePtr& root) {
-  OptimizeTable t;
-  t.level = parse_level(require_field(root, "level")->as_string());
-  t.size_bytes = require_field(root, "size_bytes")->as_uint();
-  t.node_nm = static_cast<int>(require_field(root, "node_nm")->as_int());
-  t.scheme = parse_scheme(require_field(root, "scheme")->as_string());
-  for (const auto& rv : require_field(root, "rungs")->as_array()) {
-    OptimizeRung rung;
-    rung.target_ps = require_field(rv, "target_ps")->as_double();
-    rung.leakage_mw = require_field(rv, "leakage_mw")->as_double();
-    rung.access_time_ps = require_field(rv, "access_time_ps")->as_double();
-    rung.dynamic_pj = require_field(rv, "dynamic_pj")->as_double();
-    for (const auto& av : require_field(rv, "assignment")->as_array()) {
-      api::ComponentKnobs knobs;
-      knobs.component = require_field(av, "component")->as_string();
-      knobs.knobs.vth_v = require_field(av, "vth_v")->as_double();
-      knobs.knobs.tox_a = require_field(av, "tox_a")->as_double();
-      rung.assignment.push_back(std::move(knobs));
-    }
-    t.rungs.push_back(std::move(rung));
-  }
-  NC_REQUIRE(!t.rungs.empty(), "surrogate optimize table has no rungs");
-  for (std::size_t i = 1; i < t.rungs.size(); ++i) {
-    NC_REQUIRE(t.rungs[i].target_ps > t.rungs[i - 1].target_ps,
-               "surrogate optimize ladder must increase");
-  }
-  return t;
-}
-
-}  // namespace
-
 std::string optimize_table_json(const OptimizeTable& table) {
   std::string out = "{\"kind\":\"optimize\"";
   out += ",\"level\":" + json::quote(api::level_name(table.level));
@@ -71,15 +39,15 @@ std::string optimize_table_json(const OptimizeTable& table) {
   out += ",\"scheme\":" + json::quote(api::scheme_id_name(table.scheme));
   out += ",\"rungs\":[";
   for (std::size_t i = 0; i < table.rungs.size(); ++i) {
-    const auto& rung = table.rungs[i];
+    const auto& r = table.rungs[i].result;
     if (i != 0) out += ',';
-    out += "{\"target_ps\":" + json::format_double(rung.target_ps);
-    out += ",\"leakage_mw\":" + json::format_double(rung.leakage_mw);
-    out += ",\"access_time_ps\":" + json::format_double(rung.access_time_ps);
-    out += ",\"dynamic_pj\":" + json::format_double(rung.dynamic_pj);
+    out += "{\"target_ps\":" + json::format_double(table.rungs[i].target_ps);
+    out += ",\"leakage_mw\":" + json::format_double(r.leakage_mw);
+    out += ",\"access_time_ps\":" + json::format_double(r.access_time_ps);
+    out += ",\"dynamic_pj\":" + json::format_double(r.dynamic_pj);
     out += ",\"assignment\":[";
-    for (std::size_t a = 0; a < rung.assignment.size(); ++a) {
-      const auto& knobs = rung.assignment[a];
+    for (std::size_t a = 0; a < r.assignment.size(); ++a) {
+      const auto& knobs = r.assignment[a];
       if (a != 0) out += ',';
       out += "{\"component\":" + json::quote(knobs.component);
       out += ",\"vth_v\":" + json::format_double(knobs.knobs.vth_v);
@@ -92,18 +60,58 @@ std::string optimize_table_json(const OptimizeTable& table) {
   return out;
 }
 
+}  // namespace
+
 OptimizeTable parse_table_json(const std::string& text) {
   const auto root = json::parse(text);
-  NC_REQUIRE(root->is_object(), "surrogate table line must be an object");
   const std::string kind = require_field(root, "kind")->as_string();
   NC_REQUIRE(kind == "optimize",
              "unknown surrogate table kind '" + kind + "'");
-  return parse_optimize_table(root);
+  OptimizeTable t;
+  t.level = parse_level(require_field(root, "level")->as_string());
+  t.size_bytes = require_field(root, "size_bytes")->as_uint();
+  t.node_nm = static_cast<int>(require_field(root, "node_nm")->as_int());
+  t.scheme = parse_scheme(require_field(root, "scheme")->as_string());
+  for (const auto& rv : require_field(root, "rungs")->as_array()) {
+    OptimizeRung rung;
+    rung.target_ps = require_field(rv, "target_ps")->as_double();
+    auto& r = rung.result;
+    r.feasible = true;
+    r.leakage_mw = require_field(rv, "leakage_mw")->as_double();
+    r.access_time_ps = require_field(rv, "access_time_ps")->as_double();
+    r.dynamic_pj = require_field(rv, "dynamic_pj")->as_double();
+    for (const auto& av : require_field(rv, "assignment")->as_array()) {
+      api::ComponentKnobs knobs;
+      knobs.component = require_field(av, "component")->as_string();
+      knobs.knobs.vth_v = require_field(av, "vth_v")->as_double();
+      knobs.knobs.tox_a = require_field(av, "tox_a")->as_double();
+      r.assignment.push_back(std::move(knobs));
+    }
+    t.rungs.push_back(std::move(rung));
+  }
+  NC_REQUIRE(!t.rungs.empty(), "surrogate optimize table has no rungs");
+  for (std::size_t i = 1; i < t.rungs.size(); ++i) {
+    NC_REQUIRE(t.rungs[i].target_ps > t.rungs[i - 1].target_ps,
+               "surrogate optimize ladder must increase");
+  }
+  return t;
+}
+
+std::string table_key(api::Level level, std::uint64_t size_bytes, int node_nm,
+                      api::SchemeId scheme) {
+  return std::string(api::level_name(level)) + '|' +
+         std::to_string(size_bytes) + '|' + std::to_string(node_nm) + '|' +
+         api::scheme_id_name(scheme);
 }
 
 std::string segment_path(const std::string& dir,
                          const std::string& fingerprint) {
   return dir + "/nanocache-surrogate-" + fingerprint + ".jsonl";
+}
+
+segment::Header segment_header(const std::string& fingerprint,
+                               const std::string& stamp) {
+  return {"nanocache_surrogate", 2, fingerprint, stamp};
 }
 
 void write_segment(const std::string& dir, const std::string& fingerprint,
@@ -121,13 +129,11 @@ void write_segment(const std::string& dir, const std::string& fingerprint,
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     NC_REQUIRE_IO(out.good(),
                   "cannot write surrogate segment '" + tmp + "'");
-    out << "{\"nanocache_surrogate\":1,\"fingerprint\":"
-        << json::quote(fingerprint) << ",\"stamp\":" << json::quote(stamp)
-        << "}\n";
+    out << segment::header_line(segment_header(fingerprint, stamp));
     for (const auto& t : optimizes) {
-      const std::string table = optimize_table_json(t);
-      out << "{\"checksum\":" << json::quote(fnv1a64_hex(table))
-          << ",\"table\":" << json::quote(table) << "}\n";
+      out << segment::entry_line(
+          table_key(t.level, t.size_bytes, t.node_nm, t.scheme),
+          optimize_table_json(t));
     }
     out.flush();
     NC_REQUIRE_IO(out.good(),

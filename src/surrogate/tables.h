@@ -17,30 +17,31 @@
 // microsecond, so an interpolated table buys nothing and could only add
 // error.
 //
-// Tables serialize to one JSONL segment per library fingerprint,
-// mirroring the DiskCache layout (header + checksummed lines, corruption
-// drops lines instead of ever serving a wrong answer):
+// Tables serialize to one segment per library fingerprint in the shared
+// format (util/segment.h), keyed by table_key with the table's JSON as the
+// value, at <dir>/nanocache-surrogate-<fingerprint>.jsonl:
 //
-//   <dir>/nanocache-surrogate-<fingerprint>.jsonl
-//     {"nanocache_surrogate":1,"fingerprint":"<16 hex>","stamp":"..."}
-//     {"checksum":"<16 hex>","table":"{...}"}
+//     {"nanocache_surrogate":2,"fingerprint":"<16 hex>","stamp":"..."}
+//     {"key":"l1|16384|0|II","checksum":"<16 hex>","value":"{...}"}
+//
+// A version-1 segment (entries {"checksum","table"}) is rejected whole; its
+// requests run exact until a precompute rewrites it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "nanocache/responses.h"
 #include "nanocache/types.h"
+#include "util/segment.h"
 
 namespace nanocache::surrogate {
 
-/// One exact optimizer answer at one tabulated delay target.
+/// One exact, feasible optimizer answer at one tabulated delay target.
 struct OptimizeRung {
   double target_ps = 0.0;
-  double leakage_mw = 0.0;
-  double access_time_ps = 0.0;
-  double dynamic_pj = 0.0;
-  std::vector<api::ComponentKnobs> assignment;
+  api::OptimizedCache result;
 };
 
 struct OptimizeTable {
@@ -52,22 +53,23 @@ struct OptimizeTable {
   std::vector<OptimizeRung> rungs;
 };
 
-/// Serialize one table to its canonical single-line JSON (the bytes the
-/// segment checksum covers).
-std::string optimize_table_json(const OptimizeTable& table);
-
-/// Parse a canonical table line back.  Throws nanocache::Error(kConfig) on
+/// Parse a table's segment value back.  Throws nanocache::Error(kConfig) on
 /// malformed input or any other table kind; the caller (segment loader)
 /// treats that as a corrupt line and drops the table.
 OptimizeTable parse_table_json(const std::string& text);
 
-/// Segment file naming, shared by reader and writer.
+/// "level|size|node|scheme": a table's segment key and store index.
+std::string table_key(api::Level level, std::uint64_t size_bytes, int node_nm,
+                      api::SchemeId scheme);
+
+/// Segment file naming and header, shared by reader and writer.
 std::string segment_path(const std::string& dir,
                          const std::string& fingerprint);
+segment::Header segment_header(const std::string& fingerprint,
+                               const std::string& stamp = {});
 
-/// Write a complete segment (header + one checksummed line per table),
-/// creating `dir` as needed.  Throws Error(kIo) when the directory or file
-/// cannot be written.
+/// Write a complete segment, creating `dir` as needed.  Throws Error(kIo)
+/// when the directory or file cannot be written.
 void write_segment(const std::string& dir, const std::string& fingerprint,
                    const std::string& stamp,
                    const std::vector<OptimizeTable>& optimizes);

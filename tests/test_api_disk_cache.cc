@@ -2,8 +2,10 @@
 // responses, the corruption contract (truncated segment, garbage lines,
 // checksum mismatches, and stale fingerprints degrade to recomputation —
 // never to a wrong answer), typed kIo surfacing for an unusable directory,
-// the v1 -> v2 schema normalization goldens, and the parse_response_json
-// round-trip exactness the disk hit path depends on.  Appends go through
+// the v1 -> v2 schema normalization goldens, the canonical-key edge cases
+// (an unsupported schema_version never shares a key; a non-finite double
+// has none), and the parse_response_json round-trip exactness the disk hit
+// path depends on.  A version-1 segment resets.  Appends go through
 // one open segment descriptor: many stores reopen byte-identically, and a
 // failed write degrades the cache to memory-only.
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,6 +23,8 @@
 #include "api/batch_io.h"
 #include "api/disk_cache.h"
 #include "nanocache/api.h"
+#include "util/hash.h"
+#include "util/json.h"
 #include "util/metrics.h"
 
 namespace nanocache::api {
@@ -199,7 +204,7 @@ TEST(ApiDiskCache, StaleFingerprintResetsTheSegment) {
     std::ifstream in(path);
     std::string line;
     std::getline(in, line);
-    contents += "{\"nanocache_cache\":1,\"fingerprint\":\"";
+    contents += "{\"nanocache_cache\":2,\"fingerprint\":\"";
     contents += fnv1a64_hex("a different configuration");
     contents += "\"}\n";
     while (std::getline(in, line)) {
@@ -220,6 +225,51 @@ TEST(ApiDiskCache, StaleFingerprintResetsTheSegment) {
   const auto warm = run_cached(dir, workload);
   EXPECT_EQ(warm.stats.disk_hits, workload.size());
   EXPECT_EQ(serialized(warm), reference);
+  fs::remove_all(dir);
+}
+
+TEST(ApiDiskCache, VersionOneSegmentIsReset) {
+  const auto dir = test_cache_dir("version_one");
+  const auto workload = small_workload();
+  const std::string reference = serialized(make_service()->run_batch(workload));
+  run_cached(dir, workload);
+
+  // A version-1 segment for this very fingerprint, in the old entry shape
+  // {"key","checksum","response"} with a valid old-style checksum — and a
+  // wrong answer filed under the first request's current key.  Version 2
+  // must reset it whole, never read that entry.
+  const auto path = segment_path(dir);
+  std::string fingerprint;
+  {
+    std::ifstream in(path);
+    std::string header;
+    std::getline(in, header);
+    const auto at = header.find("\"fingerprint\":\"") + 15;
+    fingerprint = header.substr(at, 16);
+  }
+  const std::string key = request_canonical_key(workload[0]);
+  const std::string poisoned =
+      response_to_json(make_service()->serve(workload[1]));
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "{\"nanocache_cache\":1,\"fingerprint\":\"" << fingerprint
+        << "\"}\n"
+        << "{\"key\":" << json::quote(key) << ",\"checksum\":\""
+        << fnv1a64_hex(key + '\n' + poisoned)
+        << "\",\"response\":" << json::quote(poisoned) << "}\n";
+  }
+
+  auto& resets =
+      metrics::Registry::instance().counter("api.disk.segment_resets");
+  const auto resets_before = resets.value();
+  const auto after = run_cached(dir, workload);
+  EXPECT_EQ(resets.value(), resets_before + 1);
+  EXPECT_EQ(after.stats.disk_hits, 0u);
+  EXPECT_EQ(serialized(after), reference);
+  std::ifstream in(path);
+  std::string header;
+  std::getline(in, header);
+  EXPECT_EQ(header.rfind("{\"nanocache_cache\":2,", 0), 0u) << header;
   fs::remove_all(dir);
 }
 
@@ -396,6 +446,93 @@ TEST(ApiV1Compat, UnsupportedVersionsQuoteTheSupportedRange) {
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.error().message.find("1..4"), std::string::npos)
       << parsed.error().message;
+}
+
+TEST(ApiCanonicalKey, UnsupportedVersionNeverSharesASupportedKey) {
+  Request v4;
+  v4.kind = RequestKind::kEval;
+  v4.eval.knobs = Knobs{0.3, 13.0};
+  Request v99 = v4;
+  v99.schema_version = 99;
+  EXPECT_NE(request_canonical_key(v99), request_canonical_key(v4));
+
+  // Batch dedup: the v99 copy gets its own error, not v4's answer.
+  const auto batch = make_service()->run_batch({v4, v99});
+  EXPECT_EQ(batch.stats.unique_requests, 2u);
+  EXPECT_TRUE(batch.responses[0].ok);
+  ASSERT_FALSE(batch.responses[1].ok);
+  EXPECT_NE(batch.responses[1].error.message.find("schema_version 99"),
+            std::string::npos);
+
+  // Disk tier: with v4's answer persisted, v99 misses and errs.
+  const auto dir = test_cache_dir("unsupported_version");
+  run_cached(dir, {v4});
+  const auto warm = run_cached(dir, {v99, v4});
+  EXPECT_EQ(warm.stats.disk_hits, 1u);  // v4 only
+  EXPECT_EQ(response_to_json(warm.responses[0]),
+            response_to_json(batch.responses[1]));
+  fs::remove_all(dir);
+}
+
+TEST(ApiCanonicalKey, NonFiniteDoublesAnswerInBandWithACacheDir) {
+  // Reachable only from C++: the wire cannot spell NaN or Inf.  Such a
+  // request has no canonical line, so it is neither deduped nor persisted,
+  // and it gets the answer an uncached service gives — never an exception.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Request> requests;
+  {
+    Request r;
+    r.kind = RequestKind::kEval;
+    r.eval.knobs = Knobs{nan, 12.0};
+    requests.push_back(r);
+    r.eval.knobs = Knobs{0.3, inf};
+    requests.push_back(r);
+  }
+  {
+    Request r;
+    r.kind = RequestKind::kOptimize;
+    r.optimize.delay.target_ps = nan;
+    requests.push_back(r);
+  }
+  {
+    // Validation passes; the answer quotes the Inf target and can only be
+    // sent as its serialization error.
+    Request r;
+    r.kind = RequestKind::kSweep;
+    r.sweep.kind = SweepKind::kSchemes;
+    r.sweep.delay.targets_ps = {inf};
+    requests.push_back(r);
+  }
+
+  const auto dir = test_cache_dir("non_finite");
+  ServiceConfig config;
+  config.cache_dir = dir.string();
+  const auto cached = make_service(std::move(config));
+  const auto uncached = make_service();
+  std::vector<std::string> expected;
+  for (const auto& request : requests) {
+    EXPECT_TRUE(request_canonical_key(request).empty());
+    expected.push_back(response_line(uncached->serve(request)));
+    EXPECT_NE(expected.back().find("\"ok\":false"), std::string::npos)
+        << expected.back();
+    Response got;
+    ASSERT_NO_THROW(got = cached->serve(request));
+    EXPECT_EQ(response_line(got), expected.back());
+  }
+
+  std::vector<Request> doubled = requests;
+  doubled.insert(doubled.end(), requests.begin(), requests.end());
+  BatchResult batch;
+  ASSERT_NO_THROW(batch = cached->run_batch(doubled));
+  EXPECT_EQ(batch.stats.unique_requests, doubled.size());
+  EXPECT_EQ(batch.stats.disk_hits + batch.stats.disk_misses, 0u);
+  for (std::size_t i = 0; i < doubled.size(); ++i) {
+    EXPECT_EQ(response_line(batch.responses[i]),
+              expected[i % requests.size()]);
+  }
+  EXPECT_EQ(cached->flush_disk_cache(), 0u);
+  fs::remove_all(dir);
 }
 
 TEST(ApiCapabilities, ReportsVersionsBoundsAndConfiguration) {

@@ -1,46 +1,25 @@
-// The sharded MemoCache: shard-count validation, concurrent lookup/publish
-// semantics (pointer-identical values, exact hit+miss accounting), and the
-// ServiceConfig::memo_shards knob — including that the shard count is a pure
-// concurrency knob with byte-identical request output.
+// The sharded MemoCache: its fixed shard count and concurrent
+// lookup/publish semantics (pointer-identical values, exact hit+miss
+// accounting).
 #include "api/memo_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "api/batch_io.h"
-#include "nanocache/service.h"
-#include "util/error.h"
 
 namespace nanocache::api {
 namespace {
 
 TEST(MemoCache, DefaultAndExplicitShardCounts) {
-  EXPECT_EQ(MemoCache().shard_count(), MemoCache::kDefaultShards);
-  EXPECT_EQ(MemoCache(0).shard_count(), MemoCache::kDefaultShards);
-  EXPECT_EQ(MemoCache(1).shard_count(), 1u);
-  EXPECT_EQ(MemoCache(64).shard_count(), 64u);
-  EXPECT_EQ(MemoCache(4096).shard_count(), 4096u);
-}
-
-TEST(MemoCache, RejectsInvalidShardCounts) {
-  for (std::size_t bad : {std::size_t{3}, std::size_t{6}, std::size_t{100},
-                          std::size_t{8192}}) {
-    try {
-      MemoCache cache(bad);
-      FAIL() << "accepted shard count " << bad;
-    } catch (const Error& e) {
-      EXPECT_EQ(e.category(), ErrorCategory::kConfig) << bad;
-    }
-  }
+  EXPECT_EQ(MemoCache().shard_count(), MemoCache::kShards);
+  EXPECT_EQ(MemoCache::kShards, 16u);
 }
 
 TEST(MemoCache, HitReturnsTheStoredPointer) {
-  MemoCache cache(4);
+  MemoCache cache;
   const auto first = cache.get_or_compute<int>(
       "eval|k", [] { return std::make_shared<const int>(7); });
   const auto second = cache.get_or_compute<int>(
@@ -57,7 +36,7 @@ TEST(MemoCache, ConcurrentLookupsAgreeAndCountExactly) {
   constexpr int kThreads = 8;
   constexpr int kKeys = 64;
   constexpr int kRounds = 50;
-  MemoCache cache(16);
+  MemoCache cache;
 
   // got[t][k]: the value thread t observed for key k on its last round.
   std::vector<std::vector<std::shared_ptr<const int>>> got(
@@ -93,42 +72,6 @@ TEST(MemoCache, ConcurrentLookupsAgreeAndCountExactly) {
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::size_t>(kThreads) * kRounds * kKeys);
   EXPECT_GE(stats.misses, static_cast<std::size_t>(kKeys));
-}
-
-TEST(ServiceMemoShards, CreateRejectsNonPowerOfTwo) {
-  ServiceConfig config;
-  config.memo_shards = 3;
-  const auto out = Service::create(config);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.error().code, ErrorCode::kConfig);
-}
-
-TEST(ServiceMemoShards, ShardCountDoesNotChangeBytes) {
-  std::string input;
-  for (int i = 0; i < 6; ++i) {
-    input += "{\"schema_version\":1,\"id\":\"s" + std::to_string(i) +
-             "\",\"kind\":\"eval\",\"vth_v\":" +
-             (i % 2 == 0 ? "0.25" : "0.4") + ",\"tox_a\":" +
-             (i < 3 ? "11" : "13") + "}\n";
-  }
-
-  std::string reference;
-  for (std::size_t shards : {std::size_t{0}, std::size_t{1}, std::size_t{64},
-                             std::size_t{4096}}) {
-    ServiceConfig config;
-    config.memo_shards = shards;
-    const auto out = Service::create(config);
-    ASSERT_TRUE(out.ok()) << out.error().message;
-    std::istringstream in(input);
-    std::ostringstream os;
-    run_batch_jsonl(*out.value(), in, os);
-    if (reference.empty()) {
-      reference = os.str();
-      EXPECT_FALSE(reference.empty());
-    } else {
-      EXPECT_EQ(os.str(), reference) << "shards=" << shards;
-    }
-  }
 }
 
 }  // namespace

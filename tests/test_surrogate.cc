@@ -6,9 +6,10 @@
 // the v4 exactness routing matrix (exact pin, auto fallback on uncovered
 // requests, typed kConfig for an uncoverable surrogate pin), the
 // corruption contract (truncated/garbage tables degrade to exact serving,
-// never to a wrong answer; only an unusable surrogate_dir is a typed
-// kIo), wire round-trips of served_by/max_error, canonical-key exactness
-// semantics, and the capabilities coverage report.
+// never to a wrong answer; a version-1 segment is rejected whole; only an
+// unusable surrogate_dir is a typed kIo), wire round-trips of
+// served_by/max_error, canonical-key exactness semantics, and the
+// capabilities coverage report.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -20,6 +21,8 @@
 #include "api/batch_io.h"
 #include "api/surrogate_precompute.h"
 #include "nanocache/api.h"
+#include "util/hash.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
 
@@ -306,7 +309,7 @@ TEST(SurrogateCorruption, DamagedTablesDegradeToExactNeverWrong) {
   // A header from some other configuration rejects the whole segment.
   {
     std::ofstream out(segment, std::ios::trunc);
-    out << "{\"nanocache_surrogate\":1,\"fingerprint\":"
+    out << "{\"nanocache_surrogate\":2,\"fingerprint\":"
            "\"ffffffffffffffff\",\"stamp\":\"stale\"}\n";
     for (std::size_t i = 1; i < lines.size(); ++i) out << lines[i] << "\n";
   }
@@ -320,6 +323,42 @@ TEST(SurrogateCorruption, DamagedTablesDegradeToExactNeverWrong) {
   std::string first;
   std::getline(reread, first);
   EXPECT_NE(first.find("ffffffffffffffff"), std::string::npos);
+}
+
+TEST(SurrogateCorruption, VersionOneSegmentIsRejected) {
+  const auto dir = test_dir("version_one");
+  const auto summary = precompute_into(dir);
+  const Request request = optimize_request(1522.7);
+  ASSERT_EQ(surrogate_service(dir)->serve(request).served_by,
+            ServedBy::kSurrogate);
+
+  // The same tables in the version-1 layout: header version 1 and entries
+  // {"checksum","table"}, each checksum valid under the old rule.
+  std::string rewritten = "{\"nanocache_surrogate\":1,\"fingerprint\":" +
+                          json::quote(summary.fingerprint) +
+                          ",\"stamp\":\"test-segment\"}\n";
+  {
+    std::ifstream in(summary.path);
+    std::string line;
+    std::getline(in, line);
+    while (std::getline(in, line)) {
+      const std::string table = json::parse(line)->get("value")->as_string();
+      rewritten += "{\"checksum\":" + json::quote(fnv1a64_hex(table)) +
+                   ",\"table\":" + json::quote(table) + "}\n";
+    }
+  }
+  std::ofstream(summary.path, std::ios::trunc) << rewritten;
+
+  auto& rejects =
+      metrics::Registry::instance().counter("api.surrogate.segment_rejects");
+  const auto rejects_before = rejects.value();
+  const auto service = surrogate_service(dir);
+  EXPECT_EQ(rejects.value(), rejects_before + 1);
+  const auto served = service->serve(request);
+  ASSERT_TRUE(served.ok);
+  EXPECT_EQ(served.served_by, ServedBy::kExact);
+  EXPECT_EQ(response_to_json(served),
+            response_to_json(make_service()->serve(request)));
 }
 
 TEST(SurrogateCorruption, UnusableDirectoryIsTypedIo) {

@@ -19,8 +19,7 @@
 #include "fault_injection.h"
 #include "nanocache/api.h"
 #include "surrogate/store.h"
-#include "util/hash.h"
-#include "util/json.h"
+#include "util/segment.h"
 
 namespace nanocache::testing {
 namespace {
@@ -65,8 +64,8 @@ std::string answer_bytes(const surrogate::SurrogateStore& store,
   return api::response_to_json(r);
 }
 
-/// A checksummed segment line carrying an eval table as older builds
-/// wrote them (a 2x2 knob lattice of one component).
+/// An intact segment entry carrying an eval table as older builds wrote
+/// them (a 2x2 knob lattice of one component).
 std::string retired_eval_line() {
   std::string values;
   for (int i = 0; i < 4 * 9; ++i) {
@@ -81,8 +80,7 @@ std::string retired_eval_line() {
       "],\"bounds\":{\"leakage_mw\":{\"scale\":2,\"floor\":0},"
       "\"access_time_ps\":{\"scale\":2,\"floor\":0},"
       "\"dynamic_pj\":{\"scale\":2,\"floor\":0}}}";
-  return "{\"checksum\":" + json::quote(fnv1a64_hex(table)) +
-         ",\"table\":" + json::quote(table) + "}";
+  return segment::entry_line("l1|16384|0|eval", table);
 }
 
 TEST(SurrogateFuzz, MutatedSegmentsServeIdenticalOrFallBack) {
@@ -117,7 +115,7 @@ TEST(SurrogateFuzz, MutatedSegmentsServeIdenticalOrFallBack) {
   ASSERT_GT(covered, all_probes.size() / 4);
 
   auto corpus = mutation_corpus(pristine, 61);
-  corpus.push_back({"retired-eval-line", pristine + retired_eval_line() + "\n"});
+  corpus.push_back({"retired-eval-line", pristine + retired_eval_line()});
   ASSERT_GT(corpus.size(), 200u);
   std::size_t fallbacks = 0;
   for (const auto& mutant : corpus) {

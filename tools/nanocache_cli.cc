@@ -11,9 +11,10 @@
 //   nanocache_cli export --dir out_csv
 //
 // Request-shaped commands (cache, optimize, run schemes/l2/l2split/l1,
-// batch) go through the public nanocache::api::Service facade — the same
-// code path library consumers use; figure rendering and diagnostics use the
-// documented Explorer escape hatch.
+// batch, capabilities) are answered by Service::serve — the path a wire
+// request takes, with its exactness routing, surrogate tier and disk tier;
+// figure rendering and diagnostics use the documented Explorer escape
+// hatch.
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -33,6 +34,7 @@
 #include "nanocache/api.h"
 #include "opt/sensitivity.h"
 #include "util/error.h"
+#include "util/json.h"
 #include "util/parallel.h"
 #include "util/table.h"
 #include "util/units.h"
@@ -103,11 +105,6 @@ int usage() {
       "  --search pruned|exhaustive  assignment search engine (default\n"
       "               pruned; both return byte-identical results, the\n"
       "               exhaustive oracle is for differential testing)\n"
-      "  --memo-shards N  lock-stripe shards of the in-process memo cache\n"
-      "               (power of two <= 4096; default 16; also the\n"
-      "               NANOCACHE_MEMO_SHARDS environment variable, the flag\n"
-      "               wins).  Purely a concurrency knob: results are\n"
-      "               byte-identical at any shard count.\n"
       "  --threads N  worker threads for sweeps (default: hardware "
       "concurrency;\n"
       "               results are identical at any thread count).  The\n"
@@ -119,6 +116,12 @@ int usage() {
       "               spans; docs/API.md) as JSON to <file>, or to stderr\n"
       "               for '-'.  Never touches stdout: command output stays\n"
       "               byte-identical with or without this flag.\n"
+      "cache, optimize, run schemes|l2|l2split|l1: answered by the service's\n"
+      "  serve path, as the same request on the wire would be: --exactness\n"
+      "  routes it, --surrogate-dir tables may answer an optimize (its proven\n"
+      "  max_error goes to stderr), and --cache-dir persists and replays\n"
+      "  answers.  An error response prints its message and exits with its\n"
+      "  code.\n"
       "batch: one JSON request per line (docs/API.md); one response line per\n"
       "  request, in input order.  Per-request failures stay in-band as\n"
       "  error responses; the process exits 0 unless the stream itself is\n"
@@ -175,16 +178,9 @@ int cmd_list() {
   return 0;
 }
 
-int cmd_cache(const api::Service& service, const api::Request& request) {
-  const auto out = service.evaluate(request.eval);
-  if (!out) {
-    std::cerr << "error: " << out.error().message << "\n";
-    return api::exit_code_for(out.error().code);
-  }
-  const auto& e = *out;
-  std::cout << e.organization << " at Vth="
-            << fmt_fixed(request.eval.knobs.vth_v, 2) << "V Tox="
-            << fmt_fixed(request.eval.knobs.tox_a, 1) << "A\n";
+void print_eval(const api::EvalRequest& request, const api::EvalResponse& e) {
+  std::cout << e.organization << " at Vth=" << fmt_fixed(request.knobs.vth_v, 2)
+            << "V Tox=" << fmt_fixed(request.knobs.tox_a, 1) << "A\n";
   TextTable t;
   t.set_header({"component", "delay [pS]", "leakage [mW]", "dynamic [pJ]"});
   for (const auto& c : e.components) {
@@ -194,24 +190,13 @@ int cmd_cache(const api::Service& service, const api::Request& request) {
   t.add_row({"TOTAL", fmt_fixed(e.access_time_ps, 1),
              fmt_fixed(e.leakage_mw, 4), fmt_fixed(e.dynamic_pj, 3)});
   std::cout << t;
-  print_degradations(service);
-  return 0;
 }
 
-int cmd_optimize(const api::Service& service, const api::Request& request) {
-  const auto out = service.optimize(request.optimize);
-  if (!out) {
-    std::cerr << "error: " << out.error().message << "\n";
-    return api::exit_code_for(out.error().code);
-  }
-  const auto& r = out->result;
-  if (!r.feasible) {
-    std::cerr << "error: " << r.infeasible_reason << "\n";
-    return 4;
-  }
-  std::cout << "scheme " << api::scheme_id_name(request.optimize.scheme)
-            << " optimum under "
-            << fmt_fixed(request.optimize.delay.target_ps, 0) << " pS:\n";
+void print_optimize(const api::OptimizeRequest& request,
+                    const api::OptimizedCache& r) {
+  std::cout << "scheme " << api::scheme_id_name(request.scheme)
+            << " optimum under " << fmt_fixed(request.delay.target_ps, 0)
+            << " pS:\n";
   bool any_gated = false;
   for (const auto& c : r.assignment) any_gated |= c.gated;
   TextTable t;
@@ -230,8 +215,6 @@ int cmd_optimize(const api::Service& service, const api::Request& request) {
   }
   std::cout << t << "leakage " << fmt_fixed(r.leakage_mw, 4) << " mW at "
             << fmt_fixed(r.access_time_ps, 1) << " pS\n";
-  print_degradations(service);
-  return 0;
 }
 
 TextTable schemes_table(const api::SweepResponse& sweep) {
@@ -268,41 +251,66 @@ TextTable sizes_table(const api::SweepResponse& sweep,
   return t;
 }
 
-int cmd_run(const api::Service& service, const CliArgs& args) {
-  const std::string& which = args.positional;
-  // Figure rendering is not request-shaped; it uses the escape hatch.
+/// Figure rendering is not request-shaped; it uses the escape hatch.
+int cmd_figure(const api::Service& service, const std::string& which) {
+  const auto& explorer = service.explorer();
   if (which == "fig1") {
-    const auto& explorer = service.explorer();
     std::cout << core::fig1_long_table(
         explorer.fig1_fixed_knob(explorer.config().l1_size_bytes));
-    print_degradations(service);
-    return 0;
-  }
-  if (which == "fig2") {
-    std::cout << core::fig2_long_table(service.explorer().fig2_tuple_frontiers());
-    print_degradations(service);
-    return 0;
-  }
-  auto request = api::request_from_args(args);
-  if (!request) {
-    std::cerr << "error: " << request.error().message << "\n";
-    return usage();
-  }
-  const auto out = service.sweep(request->sweep);
-  if (!out) {
-    std::cerr << "error: " << out.error().message << "\n";
-    return api::exit_code_for(out.error().code);
-  }
-  if (out->kind == api::SweepKind::kSchemes) {
-    std::cout << schemes_table(*out);
-  } else if (which == "l2") {
-    std::cout << sizes_table(*out, "l2_uniform");
-  } else if (which == "l2split") {
-    std::cout << sizes_table(*out, "l2_split");
   } else {
-    std::cout << sizes_table(*out, "l1");
+    std::cout << core::fig2_long_table(explorer.fig2_tuple_frontiers());
   }
   print_degradations(service);
+  return 0;
+}
+
+/// cache, optimize, capabilities and run schemes|l2|l2split|l1: the request
+/// the flags denote, answered by Service::serve exactly as the wire would
+/// answer it.  An error response prints its message and exits with its
+/// code; a surrogate-served answer notes its proven max_error on stderr.
+int cmd_request(const CliArgs& args) {
+  const auto request = api::request_from_args(args);
+  if (!request) {
+    std::cerr << "error: " << request.error().message << "\n";
+    return args.command == "run" ? usage()
+                                 : api::exit_code_for(request.error().code);
+  }
+  const auto service = make_service(args);
+  const api::Response response = service->serve(*request);
+  if (request->kind == api::RequestKind::kCapabilities) {
+    std::cout << api::response_to_json(response) << "\n";
+    return response.ok ? 0 : api::exit_code_for(response.error.code);
+  }
+  if (!response.ok) {
+    std::cerr << "error: " << response.error.message << "\n";
+    return api::exit_code_for(response.error.code);
+  }
+  if (response.served_by == api::ServedBy::kSurrogate) {
+    const auto& bound = response.max_error;
+    std::cerr << "note: served from surrogate tables; max_error leakage_mw "
+              << json::format_double(bound.leakage_mw) << ", access_time_ps "
+              << json::format_double(bound.access_time_ps) << ", dynamic_pj "
+              << json::format_double(bound.dynamic_pj) << "\n";
+  }
+  const std::string& which = args.positional;
+  if (request->kind == api::RequestKind::kEval) {
+    print_eval(request->eval, response.eval);
+  } else if (request->kind == api::RequestKind::kOptimize) {
+    const auto& r = response.optimize.result;
+    if (!r.feasible) {
+      std::cerr << "error: " << r.infeasible_reason << "\n";
+      return 4;
+    }
+    print_optimize(request->optimize, r);
+  } else if (response.sweep.kind == api::SweepKind::kSchemes) {
+    std::cout << schemes_table(response.sweep);
+  } else if (which == "l1") {
+    std::cout << sizes_table(response.sweep, "l1");
+  } else {
+    std::cout << sizes_table(response.sweep,
+                             which == "l2" ? "l2_uniform" : "l2_split");
+  }
+  print_degradations(*service);
   return 0;
 }
 
@@ -412,14 +420,6 @@ int cmd_precompute(const api::Service& service, const CliArgs& args) {
   return 0;
 }
 
-int cmd_capabilities(const api::Service& service) {
-  api::Request request;
-  request.kind = api::RequestKind::kCapabilities;
-  const api::Response response = service.serve(request);
-  std::cout << api::response_to_json(response) << "\n";
-  return response.ok ? 0 : api::exit_code_for(response.error.code);
-}
-
 int cmd_frontier(const api::Service& service, const CliArgs& args) {
   const auto size = api::flag_uint(args, "size", 16 * 1024);
   const bool is_l2 = api::flag_present(args, "l2");
@@ -511,22 +511,16 @@ int cmd_export(const api::Service& service, const CliArgs& args) {
 
 int dispatch(const CliArgs& args) {
   if (args.command == "list") return cmd_list();
-  if (args.command == "cache" || args.command == "optimize") {
-    auto request = api::request_from_args(args);
-    if (!request) {
-      std::cerr << "error: " << request.error().message << "\n";
-      return api::exit_code_for(request.error().code);
-    }
-    const auto service = make_service(args);
-    return args.command == "cache" ? cmd_cache(*service, *request)
-                                   : cmd_optimize(*service, *request);
+  if (args.command == "run" &&
+      (args.positional == "fig1" || args.positional == "fig2")) {
+    return cmd_figure(*make_service(args), args.positional);
   }
-  if (args.command == "run") return cmd_run(*make_service(args), args);
+  if (args.command == "cache" || args.command == "optimize" ||
+      args.command == "run" || args.command == "capabilities") {
+    return cmd_request(args);
+  }
   if (args.command == "batch") return cmd_batch(*make_service(args), args);
   if (args.command == "serve") return cmd_serve(make_service(args), args);
-  if (args.command == "capabilities") {
-    return cmd_capabilities(*make_service(args));
-  }
   if (args.command == "precompute") {
     return cmd_precompute(*make_service(args), args);
   }
