@@ -128,16 +128,27 @@ void BM_TraceGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGeneration);
 
-void BM_TupleMenuBestAt(benchmark::State& state) {
+void tuple_menu_best_at(benchmark::State& state, const opt::MenuSpec& spec,
+                        double amat_target_s) {
   static core::Explorer explorer;
   const auto system = explorer.default_system();
   const opt::TupleMenuSolver solver(system, explorer.config().grid);
-  const opt::MenuSpec spec{2, 2};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.best_at(spec, 1.7e-9));
+    benchmark::DoNotOptimize(solver.best_at(spec, amat_target_s));
   }
 }
+
+void BM_TupleMenuBestAt(benchmark::State& state) {
+  tuple_menu_best_at(state, {2, 2}, 1.7e-9);
+}
 BENCHMARK(BM_TupleMenuBestAt)->Unit(benchmark::kMillisecond);
+
+/// The seed-7 study's heaviest line: 3 Tox x 3 Vth at 2393.2 ps, where the
+/// Pareto-DP of the menus the bounds keep dominates.
+void BM_TupleMenuBestAt3x3(benchmark::State& state) {
+  tuple_menu_best_at(state, {3, 3}, 2.3932e-9);
+}
+BENCHMARK(BM_TupleMenuBestAt3x3)->Unit(benchmark::kMillisecond);
 
 void BM_ContinuousOptimizer(benchmark::State& state) {
   static const auto fits =

@@ -1,6 +1,8 @@
-// Pareto-dominance utilities (minimization on every axis).  The scheme
-// optimizers and the tuple solver run Pareto-filtered dynamic programming
-// over per-component option sets; these are the shared primitives.
+// Pareto-dominance utilities (minimization on every axis): the
+// 2-objective front shared by the scheme optimizers, the pruned search and
+// the tuple solver's (AMAT, energy) records, and thin_to, which caps DP
+// state counts.  The tuple DP's 3-objective step is a merge of its own
+// (opt/tuple_menu.cc, docs/MODELING.md §6).
 //
 // Determinism: all sorts are stable and acceptance is first-wins, so the
 // returned front (including which of several exactly-equal points
@@ -52,47 +54,6 @@ std::vector<T> pareto_min2_serial(std::vector<T> items, FX& fx, FY& fy) {
   return front;
 }
 
-template <typename T, typename FX, typename FY, typename FZ>
-std::vector<T> pareto_min3_serial(std::vector<T> items, FX& fx, FY& fy,
-                                  FZ& fz) {
-  std::stable_sort(items.begin(), items.end(), [&](const T& a, const T& b) {
-    if (fx(a) != fx(b)) return fx(a) < fx(b);
-    if (fy(a) != fy(b)) return fy(a) < fy(b);
-    return fz(a) < fz(b);
-  });
-  // Staircase of mutually non-dominated (y, z) minima over all accepted
-  // points: y strictly increasing, z strictly decreasing.
-  std::vector<std::pair<double, double>> stair;
-  std::vector<T> front;
-  for (auto& item : items) {
-    const double y = fy(item);
-    const double z = fz(item);
-    // Dominated iff some accepted point (all of which have fx <= item's fx)
-    // has y' <= y and z' <= z: find the last stair entry with y' <= y.
-    auto it = std::upper_bound(
-        stair.begin(), stair.end(), y,
-        [](double value, const std::pair<double, double>& s) {
-          return value < s.first;
-        });
-    if (it != stair.begin() && std::prev(it)->second <= z) {
-      continue;  // dominated
-    }
-    front.push_back(item);
-    // Insert (y, z) into the staircase, removing entries it dominates.
-    auto ins = std::lower_bound(
-        stair.begin(), stair.end(), y,
-        [](const std::pair<double, double>& s, double value) {
-          return s.first < value;
-        });
-    ins = stair.insert(ins, {y, z});
-    auto next = std::next(ins);
-    while (next != stair.end() && next->second >= z) {
-      next = stair.erase(next);
-    }
-  }
-  return front;
-}
-
 /// Split `items` into order-preserving chunks, reduce each to its local
 /// front via `filter` (in parallel), and concatenate the local fronts in
 /// chunk order.  The result is a superset of the global front whose
@@ -133,20 +94,6 @@ std::vector<T> pareto_min2(std::vector<T> items, FX fx, FY fy) {
         });
   }
   return detail::pareto_min2_serial(std::move(items), fx, fy);
-}
-
-/// Filter to the 3-objective Pareto front under (fx, fy, fz) minimization,
-/// via the sorted-sweep + 2D staircase query (O(n log n)).
-template <typename T, typename FX, typename FY, typename FZ>
-std::vector<T> pareto_min3(std::vector<T> items, FX fx, FY fy, FZ fz) {
-  if (items.size() >= detail::kParetoParallelThreshold &&
-      !par::in_parallel_region() && par::default_threads() > 1) {
-    items = detail::chunked_prefilter(
-        std::move(items), [&](std::vector<T> slice) {
-          return detail::pareto_min3_serial(std::move(slice), fx, fy, fz);
-        });
-  }
-  return detail::pareto_min3_serial(std::move(items), fx, fy, fz);
 }
 
 /// Evenly thin `items` (assumed sorted along the sweep axis) down to at

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <optional>
 
@@ -20,9 +21,10 @@ using cachemodel::ComponentKind;
 using cachemodel::kAllComponents;
 using cachemodel::kNumComponents;
 
-namespace {
+using detail::kSystemComponents;
+using detail::SysCombo;
 
-constexpr std::size_t kSystemComponents = 2 * kNumComponents;  // L1 + L2
+namespace {
 
 /// Menus solved per wave.  Fixed, never the thread count, so the set of
 /// menus a request solves — and every counter — is the same at any thread
@@ -32,14 +34,6 @@ constexpr std::size_t kWaveWidth = 8;
 /// Relative margin taken off the McCormick bound: far above the rounding
 /// error of either side of the inequality (docs/MODELING.md §14).
 constexpr double kMcCormickMargin = 1e-9;
-
-/// DP state across the eight system components.
-struct SysCombo {
-  double wdelay_s = 0.0;   ///< AMAT-weighted delay sum
-  double leakage_w = 0.0;
-  double wdyn_j = 0.0;     ///< access-weighted dynamic energy
-  std::array<std::uint16_t, kSystemComponents> choice{};
-};
 
 /// Strict-only weak-dominance pre-filter on one weighted option table:
 /// drop an option iff another is <= in all three objectives and strictly
@@ -209,32 +203,176 @@ Menu prepare_menu(const OptionTables& grid_options, const KnobGrid& grid,
   return menu;
 }
 
-/// One menu's Pareto-DP over the eight components.
-std::vector<SysCombo> run_menu_dp(const Menu& menu, std::size_t state_cap) {
+/// One extension of a DP step: a state plus one option, keyed.  No
+/// default initializers, so growing the key buffer writes nothing.
+struct StepKey {
+  double wdelay_s;
+  double leakage_w;
+  double wdyn_j;
+  std::uint32_t state;  ///< index into the step's input states
+};
+
+/// The order the front is swept in: (wdelay, leakage, wdyn).
+bool key_less(const StepKey& a, const StepKey& b) {
+  if (a.wdelay_s != b.wdelay_s) return a.wdelay_s < b.wdelay_s;
+  if (a.leakage_w != b.leakage_w) return a.leakage_w < b.leakage_w;
+  return a.wdyn_j < b.wdyn_j;
+}
+
+/// One DP step as a merge: option o's extensions form run o, in state
+/// order; the runs are merged by (key, state, option), which is the order
+/// a stable sort of the state-major extensions yields, and each merged key
+/// goes straight through the staircase test.  Only survivors become
+/// SysCombos.  The buffers are reused across the steps of one DP call
+/// (docs/MODELING.md §14).
+class ParetoStep {
+ public:
+  void run(const std::vector<SysCombo>& states,
+           const std::vector<ComponentOption>& options, std::size_t component,
+           std::vector<SysCombo>& front) {
+    NC_REQUIRE(states.size() < std::numeric_limits<std::uint32_t>::max(),
+               "too many DP states");
+    fill_runs(states, options);
+    stair_y_.assign(1, -kInf);  // sentinel: precedes every point, never
+    stair_z_.assign(1, kInf);   // dominates one, never erased
+    front.clear();
+    for (std::size_t left = states.size() * options.size(); left > 0;
+         --left) {
+      const std::size_t o = pick_run();
+      const StepKey& key = keys_[head_[o]];
+      ++head_[o];
+      head_wdelay_[o] = keys_[head_[o]].wdelay_s;
+      if (!accept(key.leakage_w, key.wdyn_j)) continue;
+      SysCombo c = states[key.state];
+      c.wdelay_s = key.wdelay_s;
+      c.leakage_w = key.leakage_w;
+      c.wdyn_j = key.wdyn_j;
+      c.choice[component] = static_cast<std::uint16_t>(o);
+      front.push_back(c);
+    }
+  }
+
+ private:
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  /// Key every extension, run by run, each run closed by a sentinel that
+  /// sorts after every key.  Adding an option's constants is monotone only
+  /// in wdelay: rounding can tie two wdelays that differ, and leakage then
+  /// orders them the other way, so a run found out of order is stable-
+  /// sorted, which keeps state order among equal keys.
+  void fill_runs(const std::vector<SysCombo>& states,
+                 const std::vector<ComponentOption>& options) {
+    const std::size_t n = states.size();
+    const std::size_t stride = n + 1;
+    if (keys_size_ < options.size() * stride) {
+      keys_size_ = 2 * options.size() * stride;
+      keys_ = std::make_unique_for_overwrite<StepKey[]>(keys_size_);
+    }
+    head_.resize(options.size());
+    head_wdelay_.resize(options.size());
+    for (std::size_t o = 0; o < options.size(); ++o) {
+      const auto& opt = options[o];
+      StepKey* keys = keys_.get() + o * stride;
+      bool sorted = true;
+      for (std::size_t m = 0; m < n; ++m) {
+        const auto& s = states[m];
+        keys[m] = {s.wdelay_s + opt.delay_s, s.leakage_w + opt.leakage_w,
+                   s.wdyn_j + opt.dynamic_j, static_cast<std::uint32_t>(m)};
+        if (m > 0 && key_less(keys[m], keys[m - 1])) sorted = false;
+      }
+      if (!sorted) std::stable_sort(keys, keys + n, key_less);
+      keys[n] = {kInf, kInf, kInf, std::numeric_limits<std::uint32_t>::max()};
+      head_[o] = o * stride;
+      head_wdelay_[o] = keys[0].wdelay_s;
+    }
+  }
+
+  /// The run whose head comes first in (key, state, option) order.  The
+  /// least head wdelay is found without branches; the full comparison
+  /// runs only when several heads tie on it exactly.
+  std::size_t pick_run() const {
+    const std::size_t k = head_wdelay_.size();
+    const double* w = head_wdelay_.data();
+    std::size_t pick = 0;
+    double least = w[0];
+    for (std::size_t o = 1; o < k; ++o) {
+      const bool lower = w[o] < least;
+      least = lower ? w[o] : least;
+      pick = lower ? o : pick;
+    }
+    std::size_t ties = 0;
+    for (std::size_t o = 0; o < k; ++o) ties += w[o] == least;
+    if (ties == 1) return pick;
+    for (std::size_t o = pick + 1; o < k; ++o) {
+      if (w[o] != least) continue;
+      const StepKey& a = keys_[head_[o]];
+      const StepKey& b = keys_[head_[pick]];
+      if (key_less(a, b) || (!key_less(b, a) && a.state < b.state)) pick = o;
+    }
+    return pick;
+  }
+
+  /// The staircase test: every point accepted so far has wdelay <= this
+  /// one's, so it is dominated iff some accepted point has leakage <= y and
+  /// wdyn <= z.  The staircase holds the accepted (y, z) minima, y strictly
+  /// rising and z strictly falling; an accepted point replaces the entries
+  /// it dominates.
+  bool accept(double y, double z) {
+    const double* ys = stair_y_.data();
+    // Entries with y' <= y, by a branch-free binary search; the sentinel
+    // makes it at least 1.
+    std::size_t pos = 0;
+    std::size_t len = stair_y_.size();
+    while (len > 1) {
+      const std::size_t half = len / 2;
+      pos += ys[pos + half - 1] <= y ? half : 0;
+      len -= half;
+    }
+    const std::size_t le = pos + (ys[pos] <= y ? 1 : 0);
+    if (stair_z_[le - 1] <= z) return false;
+    // Entries from the first with y' >= y on, while z' >= z, are dominated.
+    const std::size_t lo = ys[le - 1] == y ? le - 1 : le;
+    std::size_t hi = lo;
+    while (hi < stair_z_.size() && stair_z_[hi] >= z) ++hi;
+    if (hi == lo) {
+      stair_y_.insert(stair_y_.begin() + static_cast<std::ptrdiff_t>(lo), y);
+      stair_z_.insert(stair_z_.begin() + static_cast<std::ptrdiff_t>(lo), z);
+    } else {
+      stair_y_[lo] = y;
+      stair_z_[lo] = z;
+      stair_y_.erase(stair_y_.begin() + static_cast<std::ptrdiff_t>(lo + 1),
+                     stair_y_.begin() + static_cast<std::ptrdiff_t>(hi));
+      stair_z_.erase(stair_z_.begin() + static_cast<std::ptrdiff_t>(lo + 1),
+                     stair_z_.begin() + static_cast<std::ptrdiff_t>(hi));
+    }
+    return true;
+  }
+
+  std::unique_ptr<StepKey[]> keys_;   ///< run o at [o·(n+1), (o+1)·(n+1))
+  std::size_t keys_size_ = 0;
+  std::vector<std::size_t> head_;     ///< per run: its next key in keys_
+  std::vector<double> head_wdelay_;   ///< per run: that key's wdelay
+  std::vector<double> stair_y_;
+  std::vector<double> stair_z_;
+};
+
+/// One menu's Pareto-DP over the eight components.  `visit`, when set,
+/// sees each step as menu `index`'s (detail::visit_dp_steps).
+std::vector<SysCombo> run_menu_dp(const Menu& menu, std::size_t state_cap,
+                                  const detail::DpStepVisitor* visit = nullptr,
+                                  std::size_t index = 0) {
   const auto& options = menu.options;
+  ParetoStep step;
   std::vector<SysCombo> combos{SysCombo{}};
+  std::vector<SysCombo> next;
   for (std::size_t ci = 0; ci < kSystemComponents; ++ci) {
     detail::count_combos_evaluated(combos.size() * options[ci].size());
     detail::count_combos_skipped(combos.size() *
                                  (menu.full_n[ci] - options[ci].size()));
-    std::vector<SysCombo> next;
-    next.reserve(combos.size() * options[ci].size());
-    for (const auto& c : combos) {
-      for (std::size_t oi = 0; oi < options[ci].size(); ++oi) {
-        SysCombo n = c;
-        n.wdelay_s += options[ci][oi].delay_s;
-        n.leakage_w += options[ci][oi].leakage_w;
-        n.wdyn_j += options[ci][oi].dynamic_j;
-        n.choice[ci] = static_cast<std::uint16_t>(oi);
-        next.push_back(n);
-      }
-    }
-    next = pareto_min3(
-        std::move(next), [](const SysCombo& c) { return c.wdelay_s; },
-        [](const SysCombo& c) { return c.leakage_w; },
-        [](const SysCombo& c) { return c.wdyn_j; });
+    step.run(combos, options[ci], ci, next);
+    if (visit) (*visit)(index, ci, combos, options[ci], next);
     thin_to(next, state_cap);
-    combos = std::move(next);
+    std::swap(combos, next);
   }
   return combos;
 }
@@ -508,6 +646,24 @@ std::vector<MenuBounds> menu_bounds(const energy::MemorySystemModel& system,
   out.reserve(set.menus.size());
   for (const auto& m : set.menus) out.push_back(m.bounds);
   return out;
+}
+
+std::vector<SysCombo> pareto_step(const std::vector<SysCombo>& states,
+                                  const std::vector<ComponentOption>& options,
+                                  std::size_t component) {
+  NC_REQUIRE(component < kSystemComponents, "component index out of range");
+  std::vector<SysCombo> front;
+  ParetoStep().run(states, options, component, front);
+  return front;
+}
+
+void visit_dp_steps(const energy::MemorySystemModel& system,
+                    const KnobGrid& grid, const MenuSpec& spec,
+                    const DpStepVisitor& visit) {
+  const auto set = bound_menus(system, grid, spec, memory_terms(system));
+  par::parallel_for(set.menus.size(), [&](std::size_t m) {
+    run_menu_dp(set.menus[m], TupleMenuSolver::kStateCap, &visit, m);
+  });
 }
 
 std::vector<SystemDesignPoint> menu_states(

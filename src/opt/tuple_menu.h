@@ -5,15 +5,19 @@
 // per access is minimized subject to an AMAT constraint.
 //
 // Solved exactly per menu by Pareto-filtered DP over
-// (AMAT-weighted delay, leakage, weighted dynamic energy); menus are
-// enumerated exhaustively over grid subsets.  One enumeration answers
-// every question about a spec (solve()): every menu is bounded from its
-// option tables alone, and only the menus no bound rules out run their DP,
-// in ascending-bound waves (docs/MODELING.md §14).  Only the winning
-// states are ever turned into SystemDesignPoints.
+// (AMAT-weighted delay, leakage, weighted dynamic energy), each step a
+// merge of per-option sorted runs; menus are enumerated exhaustively over
+// grid subsets.  One enumeration answers every question about a spec
+// (solve()): every menu is bounded from its option tables alone, and only
+// the menus no bound rules out run their DP, in ascending-bound waves
+// (docs/MODELING.md §14).  Only the winning states are ever turned into
+// SystemDesignPoints.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -90,6 +94,43 @@ class TupleMenuSolver {
 };
 
 namespace detail {
+
+/// L1 + L2 components: the DP's steps.
+inline constexpr std::size_t kSystemComponents = 2 * cachemodel::kNumComponents;
+
+/// One Pareto-DP state: the weighted sums over the components chosen so
+/// far, and each chosen component's option index.
+struct SysCombo {
+  double wdelay_s = 0.0;   ///< AMAT-weighted delay sum
+  double leakage_w = 0.0;
+  double wdyn_j = 0.0;     ///< access-weighted dynamic energy
+  std::array<std::uint16_t, kSystemComponents> choice{};
+};
+
+/// One DP step: every state of `states` extended by every option of
+/// component `component`, filtered to the (wdelay, leakage, wdyn) Pareto
+/// front.  Returns exactly what stable-sorting the |states|·|options|
+/// extensions, generated state-major, by that key and sweeping them through
+/// a (leakage, wdyn) staircase returns (docs/MODELING.md §14).
+std::vector<SysCombo> pareto_step(const std::vector<SysCombo>& states,
+                                  const std::vector<ComponentOption>& options,
+                                  std::size_t component);
+
+/// Called on each step of a menu's DP with the step's input states, the
+/// component's option table and the front the step returns (before the
+/// state cap thins it).
+using DpStepVisitor = std::function<void(
+    std::size_t menu, std::size_t component,
+    const std::vector<SysCombo>& states,
+    const std::vector<ComponentOption>& options,
+    const std::vector<SysCombo>& front)>;
+
+/// Run the DP of every menu of `spec`, skipped or not, calling `visit` on
+/// each step.  Menus run concurrently on the pool, so `visit` must be safe
+/// to call from several threads for different menus.
+void visit_dp_steps(const energy::MemorySystemModel& system,
+                    const KnobGrid& grid, const MenuSpec& spec,
+                    const DpStepVisitor& visit);
 
 /// What the bound pass knows about one menu before any DP runs.
 struct MenuBounds {

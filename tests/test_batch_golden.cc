@@ -6,7 +6,9 @@
 // MemoCache, since tier-1 runs under tools/run_sanitizers.sh tsan).  The
 // second fixture covers the Figure-2 tuple problem: all nine {1,2,3}^2 menu
 // specs, target ladders with an infeasible rung and one exactly at the
-// fastest AMAT, repeated targets, and two frontier requests.
+// fastest AMAT, repeated targets, and two frontier requests.  The third
+// holds one frontier request per Figure-2 spec, so every spec's frontier is
+// pinned at full precision.
 //
 // Regenerating the goldens after an *intentional* model change:
 //   NANOCACHE_REGEN_GOLDEN=1 ./tests/test_batch_golden
@@ -73,6 +75,8 @@ constexpr Fixture kBatchFixture{"batch_requests.jsonl",
                                 "batch_responses_golden.jsonl"};
 constexpr Fixture kMenuFixture{"tuple_menu_requests.jsonl",
                                "tuple_menu_responses_golden.jsonl"};
+constexpr Fixture kFrontierFixture{"tuple_frontier_requests.jsonl",
+                                   "tuple_frontier_responses_golden.jsonl"};
 
 /// True (and the golden rewritten) when the caller asked for regeneration;
 /// tests then skip their comparisons.
@@ -168,6 +172,10 @@ TEST(BatchGolden, ByteIdenticalToGoldenAtAnyThreadCount) {
 
 TEST(BatchGolden, NineMenuFixtureByteIdenticalAtAnyThreadCount) {
   expect_golden_at_any_thread_count(kMenuFixture);
+}
+
+TEST(BatchGolden, FigureTwoFrontiersByteIdenticalAtAnyThreadCount) {
+  expect_golden_at_any_thread_count(kFrontierFixture);
 }
 
 TEST(BatchGolden, EightServedConnectionsEachMatchGolden) {

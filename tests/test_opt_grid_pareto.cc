@@ -1,12 +1,14 @@
 // Tests for the optimizer building blocks: discrete knob grids, subset
-// enumeration for process menus, and the Pareto-filter primitives the DP
-// optimizers rest on.
+// enumeration for process menus, the Pareto-filter primitives the DP
+// optimizers rest on, and the reference 3-objective filter the tuple DP's
+// merged step is checked against (tests/support/pareto_reference.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "opt/grid.h"
 #include "opt/pareto.h"
+#include "support/pareto_reference.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -134,7 +136,7 @@ TEST(ParetoMin3, AgreesWithBruteForceOnRandomClouds) {
     for (int i = 0; i < 200; ++i) {
       pts.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
     }
-    const auto front = pareto_min3(
+    const auto front = reference::pareto_min3(
         pts, [](const P3& p) { return p.x; }, [](const P3& p) { return p.y; },
         [](const P3& p) { return p.z; });
     // Brute-force count of non-dominated points.
@@ -173,7 +175,7 @@ TEST(ParetoMin3, AntichainSurvivesWhole) {
     pts.push_back({static_cast<double>(i), static_cast<double>(9 - i),
                    static_cast<double>(i % 5)});
   }
-  const auto front = pareto_min3(
+  const auto front = reference::pareto_min3(
       pts, [](const P3& p) { return p.x; }, [](const P3& p) { return p.y; },
       [](const P3& p) { return p.z; });
   // Verify against brute force rather than assuming all survive.

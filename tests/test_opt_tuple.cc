@@ -3,10 +3,14 @@
 // brute-force assignment search on a tiny instance, the Figure 2
 // orderings, that one solve() pass answers bitwise what the per-piece
 // entry points answer at any thread count, that the per-menu bounds hold
-// for every DP state, and that skipping bounded-out menus answers bitwise
-// what the full enumeration answers.
+// for every DP state, that skipping bounded-out menus answers bitwise
+// what the full enumeration answers, and that every merged DP step returns
+// what the sort-and-staircase oracle returns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
@@ -17,8 +21,10 @@
 #include "energy/memory_system.h"
 #include "opt/pareto.h"
 #include "opt/tuple_menu.h"
+#include "support/pareto_reference.h"
 #include "util/error.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace nanocache::opt {
@@ -388,6 +394,142 @@ TEST(TupleSolver, BoundSkipMatchesFullEnumeration) {
     }
   }
   par::set_default_threads(0);
+}
+
+using detail::SysCombo;
+
+/// The oracle for one DP step: every state extended by every option,
+/// state-major, through the stable sort and the staircase.
+std::vector<SysCombo> oracle_step(const std::vector<SysCombo>& states,
+                                  const std::vector<ComponentOption>& options,
+                                  std::size_t component) {
+  std::vector<SysCombo> all;
+  all.reserve(states.size() * options.size());
+  for (const auto& c : states) {
+    for (std::size_t o = 0; o < options.size(); ++o) {
+      SysCombo n = c;
+      n.wdelay_s += options[o].delay_s;
+      n.leakage_w += options[o].leakage_w;
+      n.wdyn_j += options[o].dynamic_j;
+      n.choice[component] = static_cast<std::uint16_t>(o);
+      all.push_back(n);
+    }
+  }
+  return reference::pareto_min3(
+      std::move(all), [](const SysCombo& c) { return c.wdelay_s; },
+      [](const SysCombo& c) { return c.leakage_w; },
+      [](const SysCombo& c) { return c.wdyn_j; });
+}
+
+/// Same states in the same order, bit for bit.
+bool same_states(const std::vector<SysCombo>& a,
+                 const std::vector<SysCombo>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].wdelay_s != b[i].wdelay_s || a[i].leakage_w != b[i].leakage_w ||
+        a[i].wdyn_j != b[i].wdyn_j || a[i].choice != b[i].choice) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(TupleSolver, DpStepsMatchSortAndStaircaseOracle) {
+  const core::Explorer explorer;
+  const auto system = explorer.default_system();
+  const auto& grid = explorer.config().grid;
+  par::set_default_threads(4);
+  for (const auto& spec : nine_specs()) {
+    const std::size_t num_menus =
+        detail::menu_bounds(system, grid, spec).size();
+    // Each menu's steps run on one thread, so per-menu slots need no lock.
+    std::vector<std::size_t> steps(num_menus, 0);
+    std::vector<std::size_t> mismatches(num_menus, 0);
+    detail::visit_dp_steps(
+        system, grid, spec,
+        [&](std::size_t menu, std::size_t component,
+            const std::vector<SysCombo>& states,
+            const std::vector<ComponentOption>& options,
+            const std::vector<SysCombo>& front) {
+          ++steps[menu];
+          if (!same_states(front, oracle_step(states, options, component))) {
+            ++mismatches[menu];
+          }
+        });
+    for (std::size_t m = 0; m < num_menus; ++m) {
+      EXPECT_EQ(steps[m], detail::kSystemComponents)
+          << spec.num_tox << "x" << spec.num_vth << " menu " << m;
+      EXPECT_EQ(mismatches[m], 0u)
+          << spec.num_tox << "x" << spec.num_vth << " menu " << m;
+    }
+  }
+  par::set_default_threads(0);
+}
+
+ComponentOption option(double delay_s, double leakage_w, double dynamic_j) {
+  ComponentOption o;
+  o.delay_s = delay_s;
+  o.leakage_w = leakage_w;
+  o.dynamic_j = dynamic_j;
+  return o;
+}
+
+TEST(ParetoStep, RoundingTieReversesARunAndTheStepStillMatchesTheOracle) {
+  // a precedes b by half an ulp of their sum with the option's delay, so
+  // both sums round to the same wdelay and leakage puts b's first.
+  SysCombo a;
+  a.wdelay_s = 1.0;
+  a.leakage_w = 2.0;
+  a.wdyn_j = 1.0;
+  SysCombo b = a;
+  b.wdelay_s = std::nextafter(1.0, 2.0);
+  b.leakage_w = 1.0;
+  const std::vector<SysCombo> states{a, b};
+  const std::vector<ComponentOption> options{option(1.0, 0.0, 0.0)};
+  ASSERT_LT(a.wdelay_s, b.wdelay_s);
+  ASSERT_EQ(a.wdelay_s + options[0].delay_s, b.wdelay_s + options[0].delay_s);
+
+  const auto front = detail::pareto_step(states, options, 3);
+  // b's extension comes first and dominates a's.
+  ASSERT_EQ(front.size(), 1u);
+  EXPECT_EQ(front[0].leakage_w, 1.0);
+  EXPECT_TRUE(same_states(front, oracle_step(states, options, 3)));
+}
+
+TEST(ParetoStep, MatchesOracleOnCoarseRandomClouds) {
+  // Values on a coarse lattice, so keys tie often across states and
+  // options; odd trials feed states in key order as the DP does, even
+  // trials in random order.
+  Rng rng(21);
+  const auto coarse = [&rng] {
+    return static_cast<double>(rng.below(6)) * 0.25;
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<SysCombo> states(1 + rng.below(40));
+    for (auto& c : states) {
+      c.wdelay_s = coarse();
+      c.leakage_w = coarse();
+      c.wdyn_j = coarse();
+      c.choice[0] = static_cast<std::uint16_t>(rng.below(9));
+    }
+    if (trial % 2 == 1) {
+      std::stable_sort(states.begin(), states.end(),
+                       [](const SysCombo& x, const SysCombo& y) {
+                         if (x.wdelay_s != y.wdelay_s) {
+                           return x.wdelay_s < y.wdelay_s;
+                         }
+                         if (x.leakage_w != y.leakage_w) {
+                           return x.leakage_w < y.leakage_w;
+                         }
+                         return x.wdyn_j < y.wdyn_j;
+                       });
+    }
+    std::vector<ComponentOption> options(1 + rng.below(12));
+    for (auto& o : options) o = option(coarse(), coarse(), coarse());
+    EXPECT_TRUE(same_states(detail::pareto_step(states, options, 1),
+                            oracle_step(states, options, 1)))
+        << "trial " << trial;
+  }
 }
 
 TEST(TupleSolver, FrontierCapOfOneKeepsOnlyTheFastestPoint) {
