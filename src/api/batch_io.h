@@ -10,6 +10,7 @@
 // produce equal bytes — the batch determinism contract.
 #pragma once
 
+#include <exception>
 #include <iosfwd>
 #include <string>
 
@@ -17,6 +18,7 @@
 #include "nanocache/responses.h"
 #include "nanocache/service.h"
 #include "nanocache/types.h"
+#include "util/error.h"
 #include "util/json.h"
 
 namespace nanocache::api {
@@ -66,6 +68,23 @@ std::string request_canonical_key(const Request& request);
 /// instead of aborting the whole stream.  Error responses contain no
 /// doubles, so the fallback line always serializes.
 std::string response_line(const Response& response);
+
+/// Run a parse step, mapping a thrown kConfig Error to a kConfig failure
+/// and anything else to kInternal, with the exception text as message.
+/// Every request parser (JSONL lines, CLI flags) reports failures this way.
+template <typename T, typename Fn>
+Outcome<T> parse_outcome(Fn&& parse) {
+  try {
+    return parse();
+  } catch (const Error& e) {
+    const ErrorCode code = e.category() == ErrorCategory::kConfig
+                               ? ErrorCode::kConfig
+                               : ErrorCode::kInternal;
+    return Outcome<T>::failure(code, e.what());
+  } catch (const std::exception& e) {
+    return Outcome<T>::failure(ErrorCode::kInternal, e.what());
+  }
+}
 
 /// Drive a whole JSONL stream through Service::run_batch: every non-empty
 /// input line produces exactly one output line in input order (parse

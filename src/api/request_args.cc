@@ -1,32 +1,42 @@
 #include "api/request_args.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <utility>
 
+#include "api/batch_io.h"
+#include "util/enum_name.h"
 #include "util/error.h"
 
 namespace nanocache::api {
 
 namespace {
 
-SchemeId parse_scheme_flag(const std::string& s) {
-  if (s == "I") return SchemeId::kI;
-  if (s == "II") return SchemeId::kII;
-  if (s == "III") return SchemeId::kIII;
-  throw Error(ErrorCategory::kConfig, "unknown scheme '" + s + "'");
+/// An integer flag narrowed to T: a value T cannot hold is an error, never
+/// a wrapped value.
+template <typename T>
+T flag_int(const CliArgs& args, const std::string& key, T fallback) {
+  const std::uint64_t value = flag_uint(args, key, fallback);
+  if (!std::in_range<T>(value)) {
+    throw Error(ErrorCategory::kConfig,
+                "--" + key + " is out of range: " + std::to_string(value));
+  }
+  return static_cast<T>(value);
 }
 
 /// --assoc accepts 1/2/4/8 or "full" (fully associative), like the wire's
 /// organization.associativity.
 int parse_assoc_flag(const std::string& s) {
   if (s == "full") return -1;
-  try {
-    return std::stoi(s);
-  } catch (const std::exception&) {
+  int ways = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), ways);
+  if (ec != std::errc() || end != s.data() + s.size()) {
     throw Error(ErrorCategory::kConfig,
                 "--assoc expects 1, 2, 4, 8 or 'full', got '" + s + "'");
   }
+  return ways;
 }
 
 /// Shared v3 design-space flags of the cache/optimize commands.
@@ -35,24 +45,22 @@ void apply_organization_flags(const CliArgs& args, OrganizationSpec& org) {
   if (assoc != args.flags.end()) {
     org.associativity = parse_assoc_flag(assoc->second);
   }
-  org.banks = static_cast<std::uint32_t>(flag_uint(args, "banks", org.banks));
+  org.banks = flag_int(args, "banks", org.banks);
   if (org.banks == 1) org.banks = 0;  // same normalization as the parser
-}
-
-int node_flag(const CliArgs& args) {
-  return static_cast<int>(flag_uint(args, "node", 0));
 }
 
 /// v4 --exactness exact|surrogate|auto (absent = auto, the wire default).
 Exactness exactness_flag(const CliArgs& args) {
   const auto it = args.flags.find("exactness");
   if (it == args.flags.end()) return Exactness::kAuto;
-  if (it->second == "auto") return Exactness::kAuto;
-  if (it->second == "exact") return Exactness::kExact;
-  if (it->second == "surrogate") return Exactness::kSurrogate;
-  throw Error(ErrorCategory::kConfig,
-              "--exactness expects 'exact', 'surrogate' or 'auto', got '" +
-                  it->second + "'");
+  const auto exactness =
+      enum_from_name(it->second, exactness_name, Exactness::kSurrogate);
+  if (!exactness) {
+    throw Error(ErrorCategory::kConfig,
+                "--exactness expects 'exact', 'surrogate' or 'auto', got '" +
+                    it->second + "'");
+  }
+  return *exactness;
 }
 
 }  // namespace
@@ -93,13 +101,15 @@ std::uint64_t flag_uint(const CliArgs& args, const std::string& key,
                         std::uint64_t fallback) {
   const auto it = args.flags.find(key);
   if (it == args.flags.end()) return fallback;
-  try {
-    return std::stoull(it->second);
-  } catch (const std::exception&) {
-    throw Error(ErrorCategory::kConfig, "--" + key +
-                    " expects a non-negative integer, got '" + it->second +
+  const std::string& s = it->second;
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc() || end != s.data() + s.size()) {
+    throw Error(ErrorCategory::kConfig,
+                "--" + key + " expects a non-negative integer, got '" + s +
                     "'");
   }
+  return value;
 }
 
 bool flag_present(const CliArgs& args, const std::string& key) {
@@ -148,21 +158,11 @@ ServiceConfig service_config_from_args(const CliArgs& args) {
 }
 
 int threads_from_args(const CliArgs& args) {
-  const auto it = args.flags.find("threads");
-  if (it == args.flags.end()) return 0;
-  int threads = 0;
-  try {
-    threads = std::stoi(it->second);
-  } catch (const std::exception&) {
-    throw Error(ErrorCategory::kConfig,
-                "--threads expects an integer, got '" + it->second + "'");
-  }
-  NC_REQUIRE(threads >= 0, "--threads must be >= 0");
-  return threads;
+  return flag_int(args, "threads", 0);
 }
 
 Outcome<Request> request_from_args(const CliArgs& args) {
-  try {
+  return parse_outcome<Request>([&]() -> Request {
     Request r;
     if (args.command == "capabilities") {
       r.kind = RequestKind::kCapabilities;
@@ -176,7 +176,7 @@ Outcome<Request> request_from_args(const CliArgs& args) {
       r.eval.knobs.vth_v = flag_double(args, "vth", r.eval.knobs.vth_v);
       r.eval.knobs.tox_a = flag_double(args, "tox", r.eval.knobs.tox_a);
       apply_organization_flags(args, r.eval.organization);
-      r.eval.node_nm = node_flag(args);
+      r.eval.node_nm = flag_int(args, "node", 0);
       r.eval.exactness = exactness_flag(args);
       return r;
     }
@@ -187,11 +187,14 @@ Outcome<Request> request_from_args(const CliArgs& args) {
       r.optimize.target.size_bytes =
           flag_uint(args, "size", r.optimize.target.size_bytes);
       const auto it = args.flags.find("scheme");
-      if (it != args.flags.end()) r.optimize.scheme = parse_scheme_flag(it->second);
+      if (it != args.flags.end()) {
+        r.optimize.scheme =
+            parse_enum(it->second, scheme_id_name, SchemeId::kIII, "scheme");
+      }
       r.optimize.delay.target_ps =
           flag_double(args, "delay-ps", r.optimize.delay.target_ps);
       apply_organization_flags(args, r.optimize.organization);
-      r.optimize.node_nm = node_flag(args);
+      r.optimize.node_nm = flag_int(args, "node", 0);
       if (flag_present(args, "power-gating")) {
         r.optimize.power_gating.enabled = true;
       }
@@ -205,8 +208,7 @@ Outcome<Request> request_from_args(const CliArgs& args) {
       if (args.positional == "schemes") {
         r.sweep.kind = SweepKind::kSchemes;
         r.sweep.target.size_bytes = flag_uint(args, "size", 0);
-        r.sweep.ladder_steps =
-            static_cast<int>(flag_uint(args, "steps", 9));
+        r.sweep.ladder_steps = flag_int(args, "steps", 9);
       } else if (args.positional == "l2" || args.positional == "l2split") {
         r.sweep.kind = SweepKind::kL2Sizes;
         r.sweep.l2_scheme =
@@ -221,17 +223,12 @@ Outcome<Request> request_from_args(const CliArgs& args) {
                         "' is not request-shaped (expected schemes, l2, "
                         "l2split or l1)");
       }
-      r.sweep.node_nm = node_flag(args);
+      r.sweep.node_nm = flag_int(args, "node", 0);
       return r;
     }
     throw Error(ErrorCategory::kConfig,
                 "command '" + args.command + "' has no request translation");
-  } catch (const Error& e) {
-    const ErrorCode code = e.category() == ErrorCategory::kConfig
-                               ? ErrorCode::kConfig
-                               : ErrorCode::kInternal;
-    return Outcome<Request>::failure(code, e.what());
-  }
+  });
 }
 
 int exit_code_for(ErrorCode code) {

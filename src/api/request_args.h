@@ -39,7 +39,7 @@ bool flag_present(const CliArgs& args, const std::string& key);
 ServiceConfig service_config_from_args(const CliArgs& args);
 
 /// The --threads flag (0 = keep the pool default).  Throws Error(kConfig)
-/// for non-integer or negative values.
+/// for a value that is not a non-negative int.
 int threads_from_args(const CliArgs& args);
 
 /// Translate a request-shaped command into the facade request it denotes:

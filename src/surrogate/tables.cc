@@ -4,25 +4,13 @@
 #include <fstream>
 #include <utility>
 
+#include "util/enum_name.h"
 #include "util/error.h"
 #include "util/json.h"
 
 namespace nanocache::surrogate {
 
 namespace {
-
-api::Level parse_level(const std::string& s) {
-  if (s == "l1") return api::Level::kL1;
-  if (s == "l2") return api::Level::kL2;
-  throw Error(ErrorCategory::kConfig, "unknown level '" + s + "'");
-}
-
-api::SchemeId parse_scheme(const std::string& s) {
-  if (s == "I") return api::SchemeId::kI;
-  if (s == "II") return api::SchemeId::kII;
-  if (s == "III") return api::SchemeId::kIII;
-  throw Error(ErrorCategory::kConfig, "unknown scheme '" + s + "'");
-}
 
 json::ValuePtr require_field(const json::ValuePtr& root, const char* key) {
   auto v = root->get(key);
@@ -68,10 +56,12 @@ OptimizeTable parse_table_json(const std::string& text) {
   NC_REQUIRE(kind == "optimize",
              "unknown surrogate table kind '" + kind + "'");
   OptimizeTable t;
-  t.level = parse_level(require_field(root, "level")->as_string());
+  t.level = parse_enum(require_field(root, "level")->as_string(),
+                       api::level_name, api::Level::kL2, "level");
   t.size_bytes = require_field(root, "size_bytes")->as_uint();
   t.node_nm = static_cast<int>(require_field(root, "node_nm")->as_int());
-  t.scheme = parse_scheme(require_field(root, "scheme")->as_string());
+  t.scheme = parse_enum(require_field(root, "scheme")->as_string(),
+                        api::scheme_id_name, api::SchemeId::kIII, "scheme");
   for (const auto& rv : require_field(root, "rungs")->as_array()) {
     OptimizeRung rung;
     rung.target_ps = require_field(rv, "target_ps")->as_double();

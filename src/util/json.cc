@@ -20,6 +20,11 @@ namespace {
                   names[static_cast<int>(got)]);
 }
 
+[[noreturn]] void number_error(const char* what, double d) {
+  throw Error(ErrorCategory::kConfig,
+              std::string("JSON number is ") + what + ": " + format_double(d));
+}
+
 }  // namespace
 
 bool Value::as_bool() const {
@@ -32,20 +37,24 @@ double Value::as_double() const {
   return number_;
 }
 
+// Range before cast: converting an out-of-range double is undefined
+// behaviour.  The bounds 2^63 and 2^64 are exact doubles.
 std::int64_t Value::as_int() const {
   const double d = as_double();
+  if (!(d >= -0x1p63 && d < 0x1p63)) number_error("out of range", d);
   const auto i = static_cast<std::int64_t>(d);
-  NC_REQUIRE(static_cast<double>(i) == d,
-             "JSON number is not an integer: " + format_double(d));
+  if (static_cast<double>(i) != d) number_error("not an integer", d);
   return i;
 }
 
 std::uint64_t Value::as_uint() const {
   const double d = as_double();
-  NC_REQUIRE(d >= 0.0, "JSON number is negative: " + format_double(d));
+  if (d < 0.0) number_error("negative", d);
+  if (!(d < 0x1p64)) number_error("out of range", d);
   const auto u = static_cast<std::uint64_t>(d);
-  NC_REQUIRE(static_cast<double>(u) == d,
-             "JSON number is not a non-negative integer: " + format_double(d));
+  if (static_cast<double>(u) != d) {
+    number_error("not a non-negative integer", d);
+  }
   return u;
 }
 
@@ -122,9 +131,11 @@ class Parser {
   ValuePtr parse_document() {
     ValuePtr v = parse_value();
     skip_ws();
-    NC_REQUIRE(pos_ == text_.size(),
-               "trailing garbage after JSON value at offset " +
-                   std::to_string(pos_));
+    if (pos_ != text_.size()) {
+      throw Error(ErrorCategory::kConfig,
+                  "trailing garbage after JSON value at offset " +
+                      std::to_string(pos_));
+    }
     return v;
   }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "api/batch_io.h"
+#include "api/request_args.h"
 #include "nanocache/api.h"
 #include "util/error.h"
 #include "util/json.h"
@@ -82,6 +83,17 @@ const std::vector<std::string> kMalformedLines = {
     "{\"schema_version\":1}",  // missing kind
     "{\"schema_version\":1,\"kind\":\"bogus\"}",
     "{\"schema_version\":1,\"kind\":\"eval\",\"level\":\"l3\"}",
+    // Integers too wide for their field fail instead of wrapping.
+    "{\"schema_version\":4294967298,\"kind\":\"eval\"}",
+    "{\"schema_version\":4,\"kind\":\"tuple_menu\",\"num_tox\":4294967297}",
+    "{\"schema_version\":4,\"kind\":\"eval\","
+    "\"organization\":{\"banks\":4294967298}}",
+    "{\"schema_version\":4,\"kind\":\"eval\",\"node_nm\":4294967361}",
+    // Numbers outside the 64-bit integer range.
+    "{\"schema_version\":4,\"kind\":\"eval\","
+    "\"target\":{\"size_bytes\":1e30}}",
+    "{\"schema_version\":4,\"kind\":\"eval\",\"node_nm\":-1e30}",
+    "{\"schema_version\":4,\"kind\":\"eval\",\"node_nm\":1e19}",
 };
 
 TEST(ApiBatch, ParseRejectsMalformedRequests) {
@@ -95,6 +107,30 @@ TEST(ApiBatch, ParseRejectsMalformedRequests) {
   const auto parsed = parse_request_json(
       "{\"schema_version\":1,\"kind\":\"eval\",\"future_field\":42}");
   EXPECT_TRUE(parsed.ok());
+}
+
+TEST(RequestArgs, IntegerFlagsFailInsteadOfWrappingOrTruncating) {
+  const auto translate = [](std::vector<const char*> argv) {
+    return request_from_args(
+        parse_cli_args(static_cast<int>(argv.size()), argv.data()));
+  };
+  for (const auto& argv : std::vector<std::vector<const char*>>{
+           {"nanocache_cli", "cache", "--banks", "4294967298"},
+           {"nanocache_cli", "cache", "--node", "4294967361"},
+           {"nanocache_cli", "cache", "--assoc", "4x"},
+           {"nanocache_cli", "cache", "--assoc", "4294967300"},
+           {"nanocache_cli", "cache", "--size", "16384x"},
+       }) {
+    const auto request = translate(argv);
+    ASSERT_FALSE(request.ok()) << argv[2] << " " << argv[3];
+    EXPECT_EQ(request.error().code, ErrorCode::kConfig) << argv[2];
+  }
+  const auto ok = translate({"nanocache_cli", "cache", "--banks", "2", "--node",
+                             "45", "--assoc", "4"});
+  ASSERT_TRUE(ok.ok()) << ok.error().message;
+  EXPECT_EQ(ok.value().eval.organization.banks, 2u);
+  EXPECT_EQ(ok.value().eval.organization.associativity, 4);
+  EXPECT_EQ(ok.value().eval.node_nm, 45);
 }
 
 TEST(ApiBatch, ParseRequestValueMatchesParseRequestJson) {

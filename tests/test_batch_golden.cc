@@ -8,7 +8,8 @@
 // specs, target ladders with an infeasible rung and one exactly at the
 // fastest AMAT, repeated targets, and two frontier requests.  The third
 // holds one frontier request per Figure-2 spec, so every spec's frontier is
-// pinned at full precision.
+// pinned at full precision.  The fourth holds one line per way a request
+// can fail to parse, pinning every parse error's bytes.
 //
 // Regenerating the goldens after an *intentional* model change:
 //   NANOCACHE_REGEN_GOLDEN=1 ./tests/test_batch_golden
@@ -77,6 +78,8 @@ constexpr Fixture kMenuFixture{"tuple_menu_requests.jsonl",
                                "tuple_menu_responses_golden.jsonl"};
 constexpr Fixture kFrontierFixture{"tuple_frontier_requests.jsonl",
                                    "tuple_frontier_responses_golden.jsonl"};
+constexpr Fixture kMalformedFixture{"malformed_requests.jsonl",
+                                    "malformed_responses_golden.jsonl"};
 
 /// True (and the golden rewritten) when the caller asked for regeneration;
 /// tests then skip their comparisons.
@@ -241,6 +244,26 @@ TEST(BatchGolden, TupleMenuLinesMixedIntoTheFixtureKeepTheirBytes) {
       EXPECT_EQ(response, golden[id]) << "id=" << id << " threads=" << threads;
     }
   }
+}
+
+TEST(BatchGolden, MalformedRequestsAnswerGoldenErrorsBatchAndServed) {
+  // One line per way request parsing can fail.  The error bytes are part of
+  // the wire contract, so they must not carry a source location that moves
+  // with every edit (or the build's path).
+  ThreadCountGuard guard;
+  const std::string input = read_file(data_path(kMalformedFixture.requests));
+  ASSERT_FALSE(input.empty());
+  if (maybe_regenerate_golden(kMalformedFixture, input)) {
+    GTEST_SKIP() << "golden regenerated";
+  }
+  const std::string golden = read_file(data_path(kMalformedFixture.golden));
+  for (const char* leak : {"precondition failed", " at /", ".cc:"}) {
+    EXPECT_EQ(golden.find(leak), std::string::npos) << leak;
+  }
+  par::set_default_threads(1);
+  const auto service = make_service();
+  EXPECT_EQ(batch_output(*service, input), golden);
+  EXPECT_EQ(served_outputs(service, input, /*clients=*/1).front(), golden);
 }
 
 }  // namespace
