@@ -1,9 +1,9 @@
 #include "api/request_args.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
 #include <utility>
 
 #include "api/batch_io.h"
@@ -14,29 +14,25 @@ namespace nanocache::api {
 
 namespace {
 
-/// An integer flag narrowed to T: a value T cannot hold is an error, never
-/// a wrapped value.
+/// `text` parsed whole as a T, or Error(kConfig) naming --key and `what`.
 template <typename T>
-T flag_int(const CliArgs& args, const std::string& key, T fallback) {
-  const std::uint64_t value = flag_uint(args, key, fallback);
-  if (!std::in_range<T>(value)) {
+T parse_whole(const std::string& key, const std::string& text,
+              const char* what) {
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) {
     throw Error(ErrorCategory::kConfig,
-                "--" + key + " is out of range: " + std::to_string(value));
+                "--" + key + " expects " + what + ", got '" + text + "'");
   }
-  return static_cast<T>(value);
+  return value;
 }
 
 /// --assoc accepts 1/2/4/8 or "full" (fully associative), like the wire's
 /// organization.associativity.
 int parse_assoc_flag(const std::string& s) {
   if (s == "full") return -1;
-  int ways = 0;
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), ways);
-  if (ec != std::errc() || end != s.data() + s.size()) {
-    throw Error(ErrorCategory::kConfig,
-                "--assoc expects 1, 2, 4, 8 or 'full', got '" + s + "'");
-  }
-  return ways;
+  return parse_whole<int>("assoc", s, "1, 2, 4, 8 or 'full'");
 }
 
 /// Shared v3 design-space flags of the cache/optimize commands.
@@ -89,27 +85,37 @@ double flag_double(const CliArgs& args, const std::string& key,
                    double fallback) {
   const auto it = args.flags.find(key);
   if (it == args.flags.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw Error(ErrorCategory::kConfig,
-                "--" + key + " expects a number, got '" + it->second + "'");
-  }
+  return parse_whole<double>(key, it->second, "a number");
 }
 
 std::uint64_t flag_uint(const CliArgs& args, const std::string& key,
                         std::uint64_t fallback) {
   const auto it = args.flags.find(key);
   if (it == args.flags.end()) return fallback;
+  return parse_whole<std::uint64_t>(key, it->second,
+                                    "a non-negative integer");
+}
+
+std::vector<std::uint64_t> flag_uint_list(const CliArgs& args,
+                                          const std::string& key) {
+  std::vector<std::uint64_t> values;
+  const auto it = args.flags.find(key);
+  if (it == args.flags.end()) return values;
   const std::string& s = it->second;
-  std::uint64_t value = 0;
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc() || end != s.data() + s.size()) {
-    throw Error(ErrorCategory::kConfig,
-                "--" + key + " expects a non-negative integer, got '" + s +
-                    "'");
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = std::min(s.find(',', begin), s.size());
+    values.push_back(parse_whole<std::uint64_t>(
+        key, s.substr(begin, comma - begin),
+        "comma-separated non-negative integers"));
+    if (comma == s.size()) return values;
+    begin = comma + 1;
   }
-  return value;
+}
+
+SchemeId scheme_flag(const CliArgs& args, SchemeId fallback) {
+  const auto it = args.flags.find("scheme");
+  if (it == args.flags.end()) return fallback;
+  return parse_enum(it->second, scheme_id_name, SchemeId::kIII, "scheme");
 }
 
 bool flag_present(const CliArgs& args, const std::string& key) {
@@ -186,11 +192,7 @@ Outcome<Request> request_from_args(const CliArgs& args) {
           flag_present(args, "l2") ? Level::kL2 : Level::kL1;
       r.optimize.target.size_bytes =
           flag_uint(args, "size", r.optimize.target.size_bytes);
-      const auto it = args.flags.find("scheme");
-      if (it != args.flags.end()) {
-        r.optimize.scheme =
-            parse_enum(it->second, scheme_id_name, SchemeId::kIII, "scheme");
-      }
+      r.optimize.scheme = scheme_flag(args, r.optimize.scheme);
       r.optimize.delay.target_ps =
           flag_double(args, "delay-ps", r.optimize.delay.target_ps);
       apply_organization_flags(args, r.optimize.organization);

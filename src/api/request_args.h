@@ -5,12 +5,16 @@
 // schemes, targets) with the same spelling and the same validation.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "nanocache/requests.h"
 #include "nanocache/service.h"
 #include "nanocache/types.h"
+#include "util/error.h"
 
 namespace nanocache::api {
 
@@ -24,12 +28,40 @@ struct CliArgs {
 
 CliArgs parse_cli_args(int argc, const char* const* argv);
 
-/// Typed flag accessors; throw Error(kConfig) for unparseable values.
+/// Typed flag accessors.  Each parses the whole value and throws
+/// Error(kConfig) for anything else: "0.3x", "16x", "-1", "" or an
+/// integer that does not fit.
 double flag_double(const CliArgs& args, const std::string& key,
                    double fallback);
 std::uint64_t flag_uint(const CliArgs& args, const std::string& key,
                         std::uint64_t fallback);
+/// Comma-separated non-negative integers ("16384,32768"), each parsed
+/// whole; empty when the flag is absent.
+std::vector<std::uint64_t> flag_uint_list(const CliArgs& args,
+                                          const std::string& key);
 bool flag_present(const CliArgs& args, const std::string& key);
+
+/// A --key value narrowed to T: a value T cannot hold is an
+/// Error(kConfig), never a wrapped value.
+template <typename T>
+T narrow_flag(const std::string& key, std::uint64_t value) {
+  if (!std::in_range<T>(value)) {
+    throw Error(ErrorCategory::kConfig,
+                "--" + key + " is out of range: " + std::to_string(value));
+  }
+  return static_cast<T>(value);
+}
+
+/// flag_uint narrowed to T (see narrow_flag).
+template <typename T>
+T flag_int(const CliArgs& args, const std::string& key, T fallback) {
+  return narrow_flag<T>(
+      key, flag_uint(args, key, static_cast<std::uint64_t>(fallback)));
+}
+
+/// The --scheme flag (I, II or III); Error(kConfig) for any other
+/// spelling.
+SchemeId scheme_flag(const CliArgs& args, SchemeId fallback);
 
 /// Service configuration from the shared flags: --fitted, --strict,
 /// --cache-dir DIR (falling back to $NANOCACHE_CACHE_DIR; empty disables

@@ -1,5 +1,6 @@
 #include "surrogate/tables.h"
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <utility>
@@ -59,7 +60,11 @@ OptimizeTable parse_table_json(const std::string& text) {
   t.level = parse_enum(require_field(root, "level")->as_string(),
                        api::level_name, api::Level::kL2, "level");
   t.size_bytes = require_field(root, "size_bytes")->as_uint();
-  t.node_nm = static_cast<int>(require_field(root, "node_nm")->as_int());
+  const std::int64_t node_nm = require_field(root, "node_nm")->as_int();
+  NC_REQUIRE(std::in_range<int>(node_nm),
+             "surrogate table node_nm out of range: " +
+                 std::to_string(node_nm));
+  t.node_nm = static_cast<int>(node_nm);
   t.scheme = parse_enum(require_field(root, "scheme")->as_string(),
                         api::scheme_id_name, api::SchemeId::kIII, "scheme");
   for (const auto& rv : require_field(root, "rungs")->as_array()) {

@@ -120,17 +120,76 @@ TEST(RequestArgs, IntegerFlagsFailInsteadOfWrappingOrTruncating) {
            {"nanocache_cli", "cache", "--assoc", "4x"},
            {"nanocache_cli", "cache", "--assoc", "4294967300"},
            {"nanocache_cli", "cache", "--size", "16384x"},
+           {"nanocache_cli", "cache", "--vth", "0.3x"},
+           {"nanocache_cli", "cache", "--tox", "12 "},
+           {"nanocache_cli", "optimize", "--delay-ps", "1400ps"},
+           {"nanocache_cli", "run", "l2", "--amat-ps", ""},
        }) {
     const auto request = translate(argv);
     ASSERT_FALSE(request.ok()) << argv[2] << " " << argv[3];
     EXPECT_EQ(request.error().code, ErrorCode::kConfig) << argv[2];
   }
   const auto ok = translate({"nanocache_cli", "cache", "--banks", "2", "--node",
-                             "45", "--assoc", "4"});
+                             "45", "--assoc", "4", "--vth", "0.3"});
   ASSERT_TRUE(ok.ok()) << ok.error().message;
   EXPECT_EQ(ok.value().eval.organization.banks, 2u);
   EXPECT_EQ(ok.value().eval.organization.associativity, 4);
   EXPECT_EQ(ok.value().eval.node_nm, 45);
+  EXPECT_EQ(ok.value().eval.knobs.vth_v, 0.3);
+
+  // The non-request commands' flags: precompute --target-steps/--nodes/
+  // --l1-sizes and variation --samples.
+  const auto config_error = [](const auto& fn) {
+    try {
+      fn();
+    } catch (const Error& e) {
+      return e.category() == ErrorCategory::kConfig;
+    }
+    return false;
+  };
+  const auto args = [](std::vector<const char*> argv) {
+    return parse_cli_args(static_cast<int>(argv.size()), argv.data());
+  };
+  const auto steps =
+      args({"nanocache_cli", "precompute", "--target-steps", "4294967298"});
+  EXPECT_TRUE(config_error([&] { flag_int(steps, "target-steps", 25); }));
+  const auto samples =
+      args({"nanocache_cli", "variation", "--samples", "4294967297"});
+  EXPECT_TRUE(config_error([&] { flag_int(samples, "samples", 500); }));
+  EXPECT_TRUE(config_error([] { narrow_flag<int>("nodes", 4294967341u); }));
+  for (const char* bad : {"16x", "-1", "16384,", "16384,,32768", "0x10"}) {
+    const auto sizes = args({"nanocache_cli", "precompute", "--l1-sizes", bad});
+    EXPECT_TRUE(config_error([&] { flag_uint_list(sizes, "l1-sizes"); }))
+        << bad;
+  }
+  const auto sizes =
+      args({"nanocache_cli", "precompute", "--l1-sizes", "16384,32768"});
+  EXPECT_EQ(flag_uint_list(sizes, "l1-sizes"),
+            (std::vector<std::uint64_t>{16384, 32768}));
+  EXPECT_TRUE(flag_uint_list(sizes, "l2-sizes").empty());
+  EXPECT_EQ(flag_int(steps, "absent", 25), 25);
+}
+
+TEST(RequestArgs, UnknownSchemeIsAConfigError) {
+  // frontier reads --scheme through scheme_flag, like optimize.
+  for (const char* bad : {"IV", "ii", ""}) {
+    const char* argv[] = {"nanocache_cli", "frontier", "--scheme", bad};
+    const auto args = parse_cli_args(4, argv);
+    try {
+      scheme_flag(args, SchemeId::kII);
+      ADD_FAILURE() << "expected an error for --scheme '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kConfig) << bad;
+      EXPECT_NE(std::string(e.what()).find("unknown scheme"),
+                std::string::npos);
+    }
+  }
+  const char* argv[] = {"nanocache_cli", "frontier", "--scheme", "III"};
+  EXPECT_EQ(scheme_flag(parse_cli_args(4, argv), SchemeId::kII),
+            SchemeId::kIII);
+  const char* none[] = {"nanocache_cli", "frontier"};
+  EXPECT_EQ(scheme_flag(parse_cli_args(2, none), SchemeId::kII),
+            SchemeId::kII);
 }
 
 TEST(ApiBatch, ParseRequestValueMatchesParseRequestJson) {

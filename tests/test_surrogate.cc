@@ -21,6 +21,8 @@
 #include "api/batch_io.h"
 #include "api/surrogate_precompute.h"
 #include "nanocache/api.h"
+#include "surrogate/tables.h"
+#include "util/error.h"
 #include "util/hash.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -359,6 +361,27 @@ TEST(SurrogateCorruption, VersionOneSegmentIsRejected) {
   EXPECT_EQ(served.served_by, ServedBy::kExact);
   EXPECT_EQ(response_to_json(served),
             response_to_json(make_service()->serve(request)));
+}
+
+TEST(SurrogateCorruption, OutOfRangeNodeIsAConfigError) {
+  const auto table = [](const std::string& node) {
+    return "{\"kind\":\"optimize\",\"level\":\"l2\",\"size_bytes\":"
+           "262144,\"node_nm\":" +
+           node +
+           ",\"scheme\":\"II\",\"rungs\":[{\"target_ps\":1500,"
+           "\"leakage_mw\":1,\"access_time_ps\":1400,\"dynamic_pj\":1,"
+           "\"assignment\":[]}]}";
+  };
+  // 2^32 + 65 would wrap to 65 if narrowed unchecked.
+  for (const char* node : {"4294967361", "-4294967296"}) {
+    try {
+      surrogate::parse_table_json(table(node));
+      ADD_FAILURE() << "expected an error for node_nm " << node;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kConfig) << node;
+    }
+  }
+  EXPECT_EQ(surrogate::parse_table_json(table("65")).node_nm, 65);
 }
 
 TEST(SurrogateCorruption, UnusableDirectoryIsTypedIo) {

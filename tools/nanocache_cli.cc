@@ -373,38 +373,21 @@ int cmd_serve(std::shared_ptr<api::Service> service, const CliArgs& args) {
   return 0;
 }
 
-/// Comma-separated unsigned list flag ("16384,32768"); empty when absent.
-std::vector<std::uint64_t> flag_uint_list(const CliArgs& args,
-                                          const std::string& key) {
-  std::vector<std::uint64_t> values;
-  const auto it = args.flags.find(key);
-  if (it == args.flags.end()) return values;
-  std::string item;
-  std::istringstream stream(it->second);
-  while (std::getline(stream, item, ',')) {
-    try {
-      values.push_back(std::stoull(item));
-    } catch (const std::exception&) {
-      throw Error(ErrorCategory::kConfig,
-                  "--" + key + " expects comma-separated non-negative "
-                  "integers, got '" + it->second + "'");
-    }
-  }
-  return values;
-}
-
 int cmd_precompute(const api::Service& service, const CliArgs& args) {
   const auto out_it = args.flags.find("out");
   NC_REQUIRE(out_it != args.flags.end() && out_it->second != "true",
              "precompute requires --out <dir>");
   api::PrecomputeOptions options;
-  options.l1_sizes = flag_uint_list(args, "l1-sizes");
-  options.l2_sizes = flag_uint_list(args, "l2-sizes");
-  if (const auto nodes = flag_uint_list(args, "nodes"); !nodes.empty()) {
-    options.nodes.assign(nodes.begin(), nodes.end());
+  options.l1_sizes = api::flag_uint_list(args, "l1-sizes");
+  options.l2_sizes = api::flag_uint_list(args, "l2-sizes");
+  if (const auto nodes = api::flag_uint_list(args, "nodes"); !nodes.empty()) {
+    options.nodes.clear();
+    for (const auto node : nodes) {
+      options.nodes.push_back(api::narrow_flag<int>("nodes", node));
+    }
   }
-  options.target_steps = static_cast<int>(
-      api::flag_uint(args, "target-steps", options.target_steps));
+  options.target_steps =
+      api::flag_int(args, "target-steps", options.target_steps);
   const auto stamp = args.flags.find("stamp");
   if (stamp != args.flags.end() && stamp->second != "true") {
     options.stamp = stamp->second;
@@ -423,12 +406,11 @@ int cmd_precompute(const api::Service& service, const CliArgs& args) {
 int cmd_frontier(const api::Service& service, const CliArgs& args) {
   const auto size = api::flag_uint(args, "size", 16 * 1024);
   const bool is_l2 = api::flag_present(args, "l2");
-  opt::Scheme scheme = opt::Scheme::kArrayPeriphery;
-  const auto it = args.flags.find("scheme");
-  if (it != args.flags.end()) {
-    if (it->second == "I") scheme = opt::Scheme::kPerComponent;
-    else if (it->second == "III") scheme = opt::Scheme::kUniform;
-  }
+  const auto id = api::scheme_flag(args, api::SchemeId::kII);
+  const opt::Scheme scheme =
+      id == api::SchemeId::kI     ? opt::Scheme::kPerComponent
+      : id == api::SchemeId::kIII ? opt::Scheme::kUniform
+                                  : opt::Scheme::kArrayPeriphery;
   const auto& explorer = service.explorer();
   const auto& model =
       is_l2 ? explorer.l2_model(size) : explorer.l1_model(size);
@@ -479,7 +461,7 @@ int cmd_variation(const api::Service& service, const CliArgs& args) {
   const auto& model =
       is_l2 ? explorer.l2_model(size) : explorer.l1_model(size);
   cachemodel::VariationParams p;
-  p.samples = static_cast<int>(api::flag_uint(args, "samples", 500));
+  p.samples = api::flag_int(args, "samples", 500);
   const auto nominal = model.evaluate(knobs);
   const auto r = cachemodel::monte_carlo(model, knobs, p,
                                          nominal.access_time_s);
