@@ -267,10 +267,6 @@ int resolve_associativity(Level level, const OrganizationSpec& org) {
 constexpr std::uint64_t kCheapRequestCostHintNs = 20'000;    // memoized eval
 constexpr std::uint64_t kHeavyRequestCostHintNs = 1'000'000; // optimizer run
 
-/// One scheme-comparison row solves three scheme optimizations; even a
-/// two-row sweep is worth forking.
-constexpr std::uint64_t kSchemesRowCostHintNs = 3'000'000;
-
 }  // namespace
 
 struct Service::Impl {
@@ -760,23 +756,19 @@ Outcome<SweepResponse> Service::sweep(const SweepRequest& request) const {
       // Computed here (not via Explorer::scheme_comparison) so the cells
       // share "opt|" memo entries with single optimize requests.
       metrics::TraceSpan span("api.sweep.schemes");
-      r.schemes = par::parallel_map(
-          targets_s.size(),
-          [&](std::size_t i) {
-            SchemesRow row;
-            row.delay_target_ps = units::seconds_to_ps(targets_s[i]);
-            row.scheme1 = to_optimized(*impl_->optimize_memo(
-                Level::kL1, size, SchemeId::kI, targets_s[i], org, gating,
-                request.node_nm));
-            row.scheme2 = to_optimized(*impl_->optimize_memo(
-                Level::kL1, size, SchemeId::kII, targets_s[i], org, gating,
-                request.node_nm));
-            row.scheme3 = to_optimized(*impl_->optimize_memo(
-                Level::kL1, size, SchemeId::kIII, targets_s[i], org, gating,
-                request.node_nm));
-            return row;
-          },
-          /*threads=*/0, /*chunk_size=*/1, kSchemesRowCostHintNs);
+      for (const double target : targets_s) {
+        SchemesRow& row = r.schemes.emplace_back();
+        row.delay_target_ps = units::seconds_to_ps(target);
+        row.scheme1 = to_optimized(*impl_->optimize_memo(
+            Level::kL1, size, SchemeId::kI, target, org, gating,
+            request.node_nm));
+        row.scheme2 = to_optimized(*impl_->optimize_memo(
+            Level::kL1, size, SchemeId::kII, target, org, gating,
+            request.node_nm));
+        row.scheme3 = to_optimized(*impl_->optimize_memo(
+            Level::kL1, size, SchemeId::kIII, target, org, gating,
+            request.node_nm));
+      }
       return r;
     }
 

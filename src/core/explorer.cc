@@ -7,7 +7,6 @@
 #include "util/error.h"
 #include "util/metrics.h"
 #include "util/numeric_guard.h"
-#include "util/parallel.h"
 #include "util/trace_span.h"
 
 namespace nanocache::core {
@@ -17,32 +16,6 @@ using cachemodel::extended_organization;
 using cachemodel::l1_organization;
 using cachemodel::l2_organization;
 using opt::Scheme;
-
-namespace {
-
-/// Same type as Explorer::PendingDegradations (a private alias).
-using PendingVec = std::vector<std::pair<std::string, DegradationEvent>>;
-
-/// Active degradation buffer of the current sweep task (if any).  Workers
-/// run exactly one task body at a time and nested parallel calls stay on
-/// the same thread, so a thread-local pointer is task-scoped.
-thread_local PendingVec* tl_degradation_buffer = nullptr;
-
-/// RAII installer for the task-local degradation buffer.
-class DegradationBufferScope {
- public:
-  explicit DegradationBufferScope(PendingVec* buffer)
-      : previous_(tl_degradation_buffer) {
-    tl_degradation_buffer = buffer;
-  }
-  ~DegradationBufferScope() { tl_degradation_buffer = previous_; }
-  DegradationBufferScope(const DegradationBufferScope&) = delete;
-  DegradationBufferScope& operator=(const DegradationBufferScope&) = delete;
-
- private:
-  PendingVec* previous_;
-};
-}  // namespace
 
 Explorer::Explorer(ExperimentConfig config) : config_(std::move(config)) {
   config_.validate();
@@ -91,43 +64,10 @@ void Explorer::record_degradation(const cachemodel::CacheModel& model,
   static auto& degradations =
       metrics::Registry::instance().counter("explorer.degradation_events");
   degradations.add(1);
-  DegradationEvent event{model.organization().describe(), reason};
-  if (tl_degradation_buffer != nullptr) {
-    tl_degradation_buffer->emplace_back(dedup_key, std::move(event));
-    return;
-  }
   std::lock_guard<std::mutex> lock(degradation_mutex_);
   if (!degradation_keys_.insert(dedup_key).second) return;
-  degradation_log_.push_back(std::move(event));
-}
-
-void Explorer::merge_pending(
-    std::vector<PendingDegradations>&& buffers) const {
-  std::lock_guard<std::mutex> lock(degradation_mutex_);
-  for (auto& buffer : buffers) {
-    for (auto& [key, event] : buffer) {
-      if (!degradation_keys_.insert(key).second) continue;
-      degradation_log_.push_back(std::move(event));
-    }
-  }
-}
-
-void Explorer::run_parallel_sweep(
-    std::size_t n, const std::function<void(std::size_t)>& body) const {
-  static auto& sweep_tasks =
-      metrics::Registry::instance().counter("explorer.sweep_tasks");
-  sweep_tasks.add(n);
-  std::vector<PendingDegradations> buffers(n);
-  try {
-    par::parallel_for(n, [&](std::size_t i) {
-      DegradationBufferScope scope(&buffers[i]);
-      body(i);
-    });
-  } catch (...) {
-    merge_pending(std::move(buffers));  // keep events from completed tasks
-    throw;
-  }
-  merge_pending(std::move(buffers));
+  degradation_log_.push_back(
+      DegradationEvent{model.organization().describe(), reason});
 }
 
 opt::ComponentEvaluator Explorer::evaluator(
@@ -169,8 +109,9 @@ opt::ComponentEvaluator Explorer::evaluator(
   // Per-evaluation degradation: knobs outside the characterization
   // rectangle would extrapolate the exponentials — answer from the
   // structural model instead (or throw under the strict policy).  The
-  // returned callable is invoked concurrently from sweep workers:
-  // evaluations are pure const and record_degradation is thread-safe.
+  // returned callable may be invoked concurrently (batch workers and
+  // served connections share the Explorer): evaluations are pure const
+  // and record_degradation is thread-safe.
   const cachemodel::CacheModel* structural = &model;
   const cachemodel::FittedCacheModel* f = &fits;
   return [this, structural, f, strict](cachemodel::ComponentKind kind,
@@ -257,10 +198,10 @@ std::vector<Fig1Series> Explorer::fig1_fixed_knob(
                                             {false, knobs.tox_max_a},
                                             {true, 0.2},
                                             {true, 0.4}};
-  std::vector<Fig1Series> series(std::size(curves));
-  run_parallel_sweep(series.size(), [&](std::size_t i) {
-    series[i] = sweep(curves[i].first, curves[i].second);
-  });
+  std::vector<Fig1Series> series;
+  for (const auto& [vth_fixed, value] : curves) {
+    series.push_back(sweep(vth_fixed, value));
+  }
   return series;
 }
 
@@ -271,12 +212,9 @@ std::vector<SchemeComparisonRow> Explorer::scheme_comparison(
     const std::vector<double>& delay_targets_s) const {
   metrics::TraceSpan span("explorer.scheme_comparison");
   const auto& m = l1_model(cache_size_bytes);
-  // Build the evaluator once, serially: fitting (and any r2-floor event)
-  // happens before the fan-out.
   const auto eval = evaluator(m);
-  std::vector<SchemeComparisonRow> rows(delay_targets_s.size());
-  run_parallel_sweep(rows.size(), [&](std::size_t i) {
-    const double target = delay_targets_s[i];
+  std::vector<SchemeComparisonRow> rows;
+  for (const double target : delay_targets_s) {
     SchemeComparisonRow row;
     row.delay_target_s = target;
     row.scheme1 =
@@ -287,8 +225,8 @@ std::vector<SchemeComparisonRow> Explorer::scheme_comparison(
                                    target, config_.search_mode);
     row.scheme3 = opt::optimize_single_cache(
         eval, config_.grid, Scheme::kUniform, target, config_.search_mode);
-    rows[i] = std::move(row);
-  });
+    rows.push_back(std::move(row));
+  }
   return rows;
 }
 
@@ -296,9 +234,6 @@ std::vector<double> Explorer::delay_ladder(std::uint64_t cache_size_bytes,
                                            int steps) const {
   NC_REQUIRE(steps >= 2, "ladder needs >= 2 steps");
   const auto& m = l1_model(cache_size_bytes);
-  // Serial on purpose: this is a handful of evaluations, and direct
-  // (unbuffered) degradation recording stays in deterministic order.
-  par::SerialRegionGuard serial;
   const auto eval = evaluator(m);
   const double lo =
       opt::min_access_time(eval, config_.grid, Scheme::kUniform) * 1.001;
@@ -323,8 +258,6 @@ double Explorer::l2_squeeze_target_s(double headroom_factor,
     reference_l2_bytes = *std::min_element(config_.l2_size_sweep.begin(),
                                            config_.l2_size_sweep.end());
   }
-  // Serial on purpose — see delay_ladder.
-  par::SerialRegionGuard serial;
   const auto& l1 = l1_model(config_.l1_size_bytes);
   const double t_l1 =
       l1.evaluate_uniform(config_.default_knobs).access_time_s;
@@ -345,19 +278,18 @@ std::vector<SizeSweepRow> Explorer::l2_size_sweep(Scheme scheme,
   const double ml1 = config_.miss_curves.l1(config_.l1_size_bytes);
   const double tmem = config_.memory.access_latency_s;
 
-  // Pre-warm the per-size models and evaluators serially: construction and
-  // fitting mutate the caches once, after which workers only read.
+  // Every size's evaluator first, so whole-model (r2-floor) degradation
+  // events are logged ahead of the sweep's per-evaluation ones.
   const auto& sizes = config_.l2_size_sweep;
   std::vector<opt::ComponentEvaluator> evals;
   evals.reserve(sizes.size());
   for (std::uint64_t size : sizes) evals.push_back(evaluator(l2_model(size)));
 
-  std::vector<SizeSweepRow> rows(sizes.size());
-  run_parallel_sweep(rows.size(), [&](std::size_t i) {
-    const std::uint64_t size = sizes[i];
-    SizeSweepRow row;
-    row.size_bytes = size;
-    const double ml2 = config_.miss_curves.l2(size);
+  std::vector<SizeSweepRow> rows;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    SizeSweepRow& row = rows.emplace_back();
+    row.size_bytes = sizes[i];
+    const double ml2 = config_.miss_curves.l2(sizes[i]);
     row.miss_rate = ml2;
     // AMAT = tL1 + mL1*(tL2 + mL2*tmem)  =>  tL2 budget.
     const double budget =
@@ -365,15 +297,13 @@ std::vector<SizeSweepRow> Explorer::l2_size_sweep(Scheme scheme,
     if (budget <= 0.0) {
       row.infeasible_reason =
           "AMAT target leaves no L2 time budget at this size";
-      rows[i] = std::move(row);
-      return;
+      continue;
     }
     auto best = opt::optimize_single_cache(evals[i], config_.grid, scheme,
                                            budget, config_.search_mode);
     if (!best) {
       row.infeasible_reason = best.why().describe();
-      rows[i] = std::move(row);
-      return;
+      continue;
     }
     row.feasible = true;
     row.result = *best;
@@ -381,8 +311,7 @@ std::vector<SizeSweepRow> Explorer::l2_size_sweep(Scheme scheme,
     row.total_leakage_w = best->leakage_w + l1_metrics.leakage_w;
     row.amat_s = l1_metrics.access_time_s +
                  ml1 * (best->access_time_s + ml2 * tmem);
-    rows[i] = std::move(row);
-  });
+  }
   return rows;
 }
 
@@ -407,25 +336,24 @@ std::vector<SizeSweepRow> Explorer::l1_size_sweep(double amat_target_s) const {
                       "AMAT target infeasible for the fixed L2 configuration: " +
                           (l2_fixed ? std::string() : l2_fixed.why().describe()));
 
+  // Evaluators first, as in l2_size_sweep.
   const auto& sizes = config_.l1_size_sweep;
   std::vector<opt::ComponentEvaluator> evals;
   evals.reserve(sizes.size());
   for (std::uint64_t size : sizes) evals.push_back(evaluator(l1_model(size)));
 
-  std::vector<SizeSweepRow> rows(sizes.size());
-  run_parallel_sweep(rows.size(), [&](std::size_t i) {
-    const std::uint64_t size = sizes[i];
-    SizeSweepRow row;
-    row.size_bytes = size;
-    const double ml1 = config_.miss_curves.l1(size);
+  std::vector<SizeSweepRow> rows;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    SizeSweepRow& row = rows.emplace_back();
+    row.size_bytes = sizes[i];
+    const double ml1 = config_.miss_curves.l1(sizes[i]);
     row.miss_rate = ml1;
     const double budget =
         amat_target_s - ml1 * (l2_fixed->access_time_s + ml2 * tmem);
     if (budget <= 0.0) {
       row.infeasible_reason =
           "AMAT target leaves no L1 time budget at this size";
-      rows[i] = std::move(row);
-      return;
+      continue;
     }
     auto best =
         opt::optimize_single_cache(evals[i], config_.grid,
@@ -433,8 +361,7 @@ std::vector<SizeSweepRow> Explorer::l1_size_sweep(double amat_target_s) const {
                                    config_.search_mode);
     if (!best) {
       row.infeasible_reason = best.why().describe();
-      rows[i] = std::move(row);
-      return;
+      continue;
     }
     row.feasible = true;
     row.result = *best;
@@ -442,8 +369,7 @@ std::vector<SizeSweepRow> Explorer::l1_size_sweep(double amat_target_s) const {
     row.total_leakage_w = best->leakage_w + l2_fixed->leakage_w;
     row.amat_s = best->access_time_s +
                  ml1 * (l2_fixed->access_time_s + ml2 * tmem);
-    rows[i] = std::move(row);
-  });
+  }
   return rows;
 }
 
@@ -455,34 +381,30 @@ std::vector<Explorer::JointSizingRow> Explorer::joint_size_study(
   const auto& l1_sizes = config_.l1_size_sweep;
   const auto& l2_sizes = config_.l2_size_sweep;
 
-  // Pre-warm models/evaluators, then build the per-size fronts in
-  // parallel (each front is itself a full grid enumeration).
+  // Evaluators first (as in l2_size_sweep), then one scheme-II front per
+  // size.
   std::vector<opt::ComponentEvaluator> l1_evals, l2_evals;
   for (std::uint64_t s : l1_sizes) l1_evals.push_back(evaluator(l1_model(s)));
   for (std::uint64_t s : l2_sizes) l2_evals.push_back(evaluator(l2_model(s)));
-
-  std::vector<std::vector<opt::SchemeResult>> l1_fronts(l1_sizes.size());
-  std::vector<std::vector<opt::SchemeResult>> l2_fronts(l2_sizes.size());
-  run_parallel_sweep(l1_sizes.size() + l2_sizes.size(), [&](std::size_t i) {
-    if (i < l1_sizes.size()) {
-      l1_fronts[i] = opt::scheme_frontier(l1_evals[i], config_.grid,
-                                          opt::Scheme::kArrayPeriphery);
-    } else {
-      const std::size_t j = i - l1_sizes.size();
-      l2_fronts[j] = opt::scheme_frontier(l2_evals[j], config_.grid,
-                                          opt::Scheme::kArrayPeriphery);
+  const auto fronts = [&](const std::vector<opt::ComponentEvaluator>& evals) {
+    std::vector<std::vector<opt::SchemeResult>> out;
+    for (const auto& eval : evals) {
+      out.push_back(opt::scheme_frontier(eval, config_.grid,
+                                         opt::Scheme::kArrayPeriphery));
     }
-  });
+    return out;
+  };
+  const auto l1_fronts = fronts(l1_evals);
+  const auto l2_fronts = fronts(l2_evals);
 
-  // The (L1, L2) matching pass is cheap per pair; still fanned out so big
-  // configured sweeps scale.  Row order matches the serial loops (L1-major).
-  std::vector<JointSizingRow> rows(l1_sizes.size() * l2_sizes.size());
-  run_parallel_sweep(rows.size(), [&](std::size_t idx) {
+  // Rows are L1-major.
+  std::vector<JointSizingRow> rows;
+  for (std::size_t idx = 0; idx < l1_sizes.size() * l2_sizes.size(); ++idx) {
     const std::size_t i1 = idx / l2_sizes.size();
     const std::size_t i2 = idx % l2_sizes.size();
     const double ml1 = config_.miss_curves.l1(l1_sizes[i1]);
     const double ml2 = config_.miss_curves.l2(l2_sizes[i2]);
-    JointSizingRow row;
+    JointSizingRow& row = rows.emplace_back();
     row.l1_size_bytes = l1_sizes[i1];
     row.l2_size_bytes = l2_sizes[i2];
 
@@ -510,8 +432,7 @@ std::vector<Explorer::JointSizingRow> Explorer::joint_size_study(
                      ml1 * (best_l2->access_time_s + ml2 * tmem);
       }
     }
-    rows[idx] = std::move(row);
-  });
+  }
   return rows;
 }
 
@@ -532,8 +453,8 @@ std::vector<Fig2Series> Explorer::fig2_tuple_frontiers(
   metrics::TraceSpan span("explorer.fig2_tuple_frontiers");
   const auto system = default_system();
   const opt::TupleMenuSolver solver(system, config_.grid);
-  // Specs run serially; each frontier fans its menu enumeration out over
-  // the pool (parallelizing both layers would just collapse the inner one).
+  // Specs run one after another; each frontier fans its menu passes out
+  // over the pool.
   std::vector<Fig2Series> out;
   for (const auto& spec : specs) {
     Fig2Series s;

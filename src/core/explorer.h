@@ -4,7 +4,6 @@
 // immutable once built).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -185,29 +184,13 @@ class Explorer {
 
   /// Record one degradation event, deduplicated by `key` so a sweep that
   /// leaves the fitted domain thousands of times logs it once per cause.
-  /// Thread-safe: inside run_parallel_sweep the event lands in the task's
-  /// buffer; otherwise it goes straight to the shared log under a mutex.
+  /// Thread-safe: batch workers and served connections share the Explorer.
   void record_degradation(const cachemodel::CacheModel& model,
                           const std::string& key,
                           const std::string& reason) const;
 
-  /// Degradation events staged by one sweep task: (dedup key, event),
-  /// merged into the shared log after the parallel region.
-  using PendingDegradations =
-      std::vector<std::pair<std::string, DegradationEvent>>;
-
-  /// Run `body(i)` for i in [0, n) on the parallel pool, giving each task
-  /// a private degradation buffer and merging the buffers into the shared
-  /// log in task index order afterwards — event content AND order are
-  /// identical at every thread count.
-  void run_parallel_sweep(std::size_t n,
-                          const std::function<void(std::size_t)>& body) const;
-
-  void merge_pending(std::vector<PendingDegradations>&& buffers) const;
-
   ExperimentConfig config_;
-  /// Guards degradation_log_/degradation_keys_ for recordings made outside
-  /// a buffered sweep (direct evaluator use by callers).
+  /// Guards degradation_log_/degradation_keys_.
   mutable std::mutex degradation_mutex_;
   mutable std::vector<DegradationEvent> degradation_log_;
   mutable std::set<std::string> degradation_keys_;

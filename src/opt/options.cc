@@ -1,11 +1,8 @@
 #include "opt/options.h"
 
-#include <algorithm>
-
 #include "util/error.h"
 #include "util/metrics.h"
 #include "util/numeric_guard.h"
-#include "util/parallel.h"
 
 namespace nanocache::opt {
 
@@ -14,67 +11,32 @@ using cachemodel::ComponentMetrics;
 
 namespace {
 
-/// Grids smaller than this are evaluated serially: one structural
-/// evaluation is microseconds, so pool dispatch only pays off once the
-/// pair count clears the fork-join overhead.  Outer sweep loops (targets,
-/// sizes, menus) are the primary parallel axis; when one of those is
-/// already running, nested calls here collapse to serial anyway.
-constexpr std::size_t kMinParallelPairs = 64;
-
-int option_threads(std::size_t n) {
-  return n < kMinParallelPairs ? 1 : 0;  // 0 = pool default
-}
-
 void count_grid_points(std::size_t n) {
   static auto& grid_points =
       metrics::Registry::instance().counter("opt.grid_points_evaluated");
   grid_points.add(n);
 }
 
-/// Rows handed to one batched-kernel call.  Small enough that grids past
-/// kMinParallelPairs split into several chunks for the pool, large enough
-/// to amortize the per-call table allocation.
-constexpr std::size_t kBatchChunkPairs = 32;
-
-/// Per-component eval cost, used as the parallel_for serial-fallback hint.
-constexpr std::uint64_t kEvalCostHintNs = 20'000;
-
-/// Evaluate `kinds` at every pair through the batched kernel.  Chunked so
-/// the pool can spread rows across workers; each chunk is an independent
-/// batch() call and the assembly order is fixed, so the result is bitwise
-/// identical at any thread count (and to the scalar path, per the batch
-/// contract).  Returned as out[k][r] like CacheModel::components_batch.
-std::vector<std::vector<ComponentMetrics>> batch_eval(
-    const ComponentEvaluator::Batch& batch,
-    const std::vector<ComponentKind>& kinds,
+/// `kinds` evaluated at every pair, returned as out[k][r] like
+/// CacheModel::components_batch: through the batched kernel when the
+/// evaluator has one (bitwise equal to the scalar calls, per the batch
+/// contract), else one scalar call per (pair, kind), pair-major.
+std::vector<std::vector<ComponentMetrics>> evaluate_all(
+    const ComponentEvaluator& eval, const std::vector<ComponentKind>& kinds,
     const std::vector<tech::DeviceKnobs>& pairs) {
-  const std::size_t n = pairs.size();
-  const std::size_t num_chunks = (n + kBatchChunkPairs - 1) / kBatchChunkPairs;
-  std::vector<std::vector<std::vector<ComponentMetrics>>> chunks(num_chunks);
-  par::parallel_for(
-      num_chunks,
-      [&](std::size_t c) {
-        const std::size_t lo = c * kBatchChunkPairs;
-        const std::size_t hi = std::min(lo + kBatchChunkPairs, n);
-        const std::vector<tech::DeviceKnobs> sub(pairs.begin() + lo,
-                                                 pairs.begin() + hi);
-        chunks[c] = batch(kinds, sub);
-      },
-      option_threads(n), /*chunk_size=*/1,
-      /*cost_hint_ns=*/kEvalCostHintNs * kinds.size() * kBatchChunkPairs);
+  if (const auto& batch = eval.batch()) return batch(kinds, pairs);
   std::vector<std::vector<ComponentMetrics>> out(kinds.size());
-  for (auto& table : out) table.reserve(n);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    for (std::size_t k = 0; k < kinds.size(); ++k) {
-      auto& src = chunks[c][k];
-      out[k].insert(out[k].end(), src.begin(), src.end());
+  for (auto& table : out) table.reserve(pairs.size());
+  for (const auto& k : pairs) {
+    for (std::size_t i = 0; i < kinds.size(); ++i) {
+      out[i].push_back(eval(kinds[i], k));
     }
   }
   return out;
 }
 
-/// Fold one row of batched metrics into a summed option, in `kinds` order —
-/// the same left fold the scalar loops perform, term for term.
+/// Fold one row of evaluate_all's metrics into a summed option, in
+/// `kinds` order.
 ComponentOption fold_option_row(
     const std::vector<std::vector<ComponentMetrics>>& metrics, std::size_t r,
     const tech::DeviceKnobs& knobs) {
@@ -121,33 +83,18 @@ std::vector<ComponentOption> component_options(
     const std::vector<tech::DeviceKnobs>& pairs) {
   NC_REQUIRE(!pairs.empty(), "option table needs at least one pair");
   count_grid_points(pairs.size());
-  if (const auto& batch = eval.batch()) {
-    const auto metrics = batch_eval(batch, {kind}, pairs);
-    std::vector<ComponentOption> out;
-    out.reserve(pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const auto& m = metrics[0][i];
-      out.push_back(ComponentOption{
-          pairs[i], num::ensure_finite(m.delay_s, "component option delay"),
-          num::ensure_finite(m.leakage_w, "component option leakage"),
-          num::ensure_finite(m.dynamic_energy_j,
-                             "component option dynamic energy")});
-    }
-    return out;
+  const auto metrics = evaluate_all(eval, {kind}, pairs);
+  std::vector<ComponentOption> out;
+  out.reserve(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto& m = metrics[0][i];
+    out.push_back(ComponentOption{
+        pairs[i], num::ensure_finite(m.delay_s, "component option delay"),
+        num::ensure_finite(m.leakage_w, "component option leakage"),
+        num::ensure_finite(m.dynamic_energy_j,
+                           "component option dynamic energy")});
   }
-  return par::parallel_map(
-      pairs.size(),
-      [&](std::size_t i) {
-        const auto& k = pairs[i];
-        const auto m = eval(kind, k);
-        return ComponentOption{
-            k, num::ensure_finite(m.delay_s, "component option delay"),
-            num::ensure_finite(m.leakage_w, "component option leakage"),
-            num::ensure_finite(m.dynamic_energy_j,
-                               "component option dynamic energy")};
-      },
-      option_threads(pairs.size()), /*chunk_size=*/0,
-      /*cost_hint_ns=*/kEvalCostHintNs);
+  return out;
 }
 
 std::vector<ComponentOption> block_options(
@@ -157,33 +104,13 @@ std::vector<ComponentOption> block_options(
   NC_REQUIRE(!kinds.empty(), "component block needs at least one member");
   NC_REQUIRE(!pairs.empty(), "option table needs at least one pair");
   count_grid_points(pairs.size());
-  if (const auto& batch = eval.batch()) {
-    const auto metrics = batch_eval(batch, kinds, pairs);
-    std::vector<ComponentOption> out;
-    out.reserve(pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      out.push_back(fold_option_row(metrics, i, pairs[i]));
-    }
-    return out;
+  const auto metrics = evaluate_all(eval, kinds, pairs);
+  std::vector<ComponentOption> out;
+  out.reserve(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    out.push_back(fold_option_row(metrics, i, pairs[i]));
   }
-  return par::parallel_map(
-      pairs.size(),
-      [&](std::size_t i) {
-        const auto& k = pairs[i];
-        ComponentOption opt;
-        opt.knobs = k;
-        for (ComponentKind kind : kinds) {
-          const auto m = eval(kind, k);
-          opt.delay_s += num::ensure_finite(m.delay_s, "block option delay");
-          opt.leakage_w +=
-              num::ensure_finite(m.leakage_w, "block option leakage");
-          opt.dynamic_j += num::ensure_finite(m.dynamic_energy_j,
-                                              "block option dynamic energy");
-        }
-        return opt;
-      },
-      option_threads(pairs.size()), /*chunk_size=*/0,
-      /*cost_hint_ns=*/kEvalCostHintNs * kinds.size());
+  return out;
 }
 
 OptSpace OptSpace::base() {

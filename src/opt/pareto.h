@@ -6,12 +6,7 @@
 //
 // Determinism: all sorts are stable and acceptance is first-wins, so the
 // returned front (including which of several exactly-equal points
-// survives) is a pure function of the input order.  Large inputs are
-// pre-filtered in parallel chunks whose local fronts are concatenated in
-// chunk order before the final serial pass; because every global-front
-// member survives its chunk pass and the final pass re-applies the exact
-// serial rule, the parallel path returns byte-identical fronts at any
-// thread count.
+// survives) is a pure function of the input order.
 #pragma once
 
 #include <algorithm>
@@ -20,25 +15,13 @@
 #include <utility>
 #include <vector>
 
-#include "util/parallel.h"
-
 namespace nanocache::opt {
 
-namespace detail {
-
-/// Inputs below this size are filtered serially: the sort is cheap and
-/// chunk bookkeeping would dominate.
-constexpr std::size_t kParetoParallelThreshold = 4096;
-
-/// Chunking for the parallel pre-filter: a function of the input size
-/// only, never the thread count, so chunk-front contents are reproducible.
-inline std::size_t pareto_chunk(std::size_t n) {
-  const std::size_t chunk = (n + 63) / 64;  // at most 64 chunks
-  return chunk == 0 ? 1 : chunk;
-}
-
+/// Filter `items` to the 2-objective Pareto front under (fx, fy)
+/// minimization.  Deterministic: sorted by fx ascending on return, ties
+/// resolved by input order.
 template <typename T, typename FX, typename FY>
-std::vector<T> pareto_min2_serial(std::vector<T> items, FX& fx, FY& fy) {
+std::vector<T> pareto_min2(std::vector<T> items, FX fx, FY fy) {
   std::stable_sort(items.begin(), items.end(), [&](const T& a, const T& b) {
     if (fx(a) != fx(b)) return fx(a) < fx(b);
     return fy(a) < fy(b);
@@ -52,48 +35,6 @@ std::vector<T> pareto_min2_serial(std::vector<T> items, FX& fx, FY& fy) {
     }
   }
   return front;
-}
-
-/// Split `items` into order-preserving chunks, reduce each to its local
-/// front via `filter` (in parallel), and concatenate the local fronts in
-/// chunk order.  The result is a superset of the global front whose
-/// relative order of surviving elements matches the input.
-template <typename T, typename Filter>
-std::vector<T> chunked_prefilter(std::vector<T>&& items, Filter&& filter) {
-  const std::size_t n = items.size();
-  const std::size_t chunk = pareto_chunk(n);
-  const std::size_t num_chunks = (n + chunk - 1) / chunk;
-  auto fronts = par::parallel_map(num_chunks, [&](std::size_t c) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = lo + chunk < n ? lo + chunk : n;
-    std::vector<T> slice;
-    slice.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) slice.push_back(std::move(items[i]));
-    return filter(std::move(slice));
-  });
-  std::vector<T> merged;
-  for (auto& f : fronts) {
-    merged.insert(merged.end(), std::make_move_iterator(f.begin()),
-                  std::make_move_iterator(f.end()));
-  }
-  return merged;
-}
-
-}  // namespace detail
-
-/// Filter `items` to the 2-objective Pareto front under (fx, fy)
-/// minimization.  Deterministic: sorted by fx ascending on return, ties
-/// resolved by input order.
-template <typename T, typename FX, typename FY>
-std::vector<T> pareto_min2(std::vector<T> items, FX fx, FY fy) {
-  if (items.size() >= detail::kParetoParallelThreshold &&
-      !par::in_parallel_region() && par::default_threads() > 1) {
-    items = detail::chunked_prefilter(
-        std::move(items), [&](std::vector<T> slice) {
-          return detail::pareto_min2_serial(std::move(slice), fx, fy);
-        });
-  }
-  return detail::pareto_min2_serial(std::move(items), fx, fy);
 }
 
 /// Evenly thin `items` (assumed sorted along the sweep axis) down to at

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
 #include "opt/engine.h"
 #include "opt/pareto.h"
 #include "opt/pruned.h"
 #include "util/error.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 
 namespace nanocache::opt {
 
@@ -150,9 +148,8 @@ void count_combos(std::size_t n) {
 
 /// Argmin order for feasible candidates: lowest leakage, then lowest
 /// delay, then lowest grid index (the per-component option-index tuple,
-/// compared lexicographically).  A total order, so any reduction —
-/// sequential or merged from parallel partials — selects the same winner
-/// regardless of iteration or arrival order.
+/// compared lexicographically).  A total order, so the winner does not
+/// depend on the order the candidates are scanned in.
 bool better_combo(const Combo& a, const Combo& b) {
   if (a.leakage_w != b.leakage_w) return a.leakage_w < b.leakage_w;
   if (a.delay_s != b.delay_s) return a.delay_s < b.delay_s;
@@ -176,61 +173,19 @@ OptOutcome<SchemeResult> scheme1_exhaustive(
   const auto combos = pareto_dp(tables);
   count_combos(combos.size());
 
-  struct Acc {
-    const Combo* best = nullptr;
-    double fastest = std::numeric_limits<double>::infinity();
-  };
-  const Acc acc = par::parallel_reduce(
-      combos.size(), Acc{},
-      [&](Acc& a, std::size_t i) {
-        const Combo& c = combos[i];
-        a.fastest = std::min(a.fastest, c.delay_s);
-        if (c.delay_s > delay_constraint_s) return;
-        if (a.best == nullptr || better_combo(c, *a.best)) a.best = &c;
-      },
-      [](Acc& into, Acc&& from) {
-        into.fastest = std::min(into.fastest, from.fastest);
-        if (from.best != nullptr &&
-            (into.best == nullptr || better_combo(*from.best, *into.best))) {
-          into.best = from.best;
-        }
-      });
-  if (acc.best == nullptr) {
-    return detail::infeasible_delay(delay_constraint_s, acc.fastest,
+  const Combo* best = nullptr;
+  double fastest = std::numeric_limits<double>::infinity();
+  for (const Combo& c : combos) {
+    fastest = std::min(fastest, c.delay_s);
+    if (c.delay_s > delay_constraint_s) continue;
+    if (best == nullptr || better_combo(c, *best)) best = &c;
+  }
+  if (best == nullptr) {
+    return detail::infeasible_delay(delay_constraint_s, fastest,
                                     Scheme::kPerComponent);
   }
-  return detail::combo_result(space, tables, *acc.best);
+  return detail::combo_result(space, tables, *best);
 }
-
-/// Feasible-argmin accumulator for the flat block-pair scan.  Candidates
-/// are ordered by (leakage, delay, flattened grid index) — see
-/// better_combo for why the index tie-break makes the reduction
-/// deterministic under any chunking.
-struct FlatBest {
-  bool has = false;
-  double leakage_w = 0.0;
-  double delay_s = 0.0;
-  std::size_t index = 0;  ///< flattened grid index of the candidate
-  double fastest = std::numeric_limits<double>::infinity();
-
-  bool candidate_better(double leak, double delay, std::size_t idx) const {
-    if (!has) return true;
-    if (leak != leakage_w) return leak < leakage_w;
-    if (delay != delay_s) return delay < delay_s;
-    return idx < index;
-  }
-
-  void merge(const FlatBest& other) {
-    fastest = std::min(fastest, other.fastest);
-    if (other.has &&
-        candidate_better(other.leakage_w, other.delay_s, other.index)) {
-      has = true;
-      leakage_w = other.leakage_w;
-      delay_s = other.delay_s;
-      index = other.index;
-    }
-  }
-};
 
 OptOutcome<SchemeResult> blocks_exhaustive(
     const ComponentEvaluator& eval, const std::vector<tech::DeviceKnobs>& pairs,
@@ -240,28 +195,31 @@ OptOutcome<SchemeResult> blocks_exhaustive(
   const std::size_t n = blocks.array.size() * np;
   count_combos(n);
   detail::count_combos_evaluated(n);
-  const FlatBest best = par::parallel_reduce(
-      n, FlatBest{},
-      [&](FlatBest& acc, std::size_t i) {
-        const auto& a = blocks.array[i / np];
-        const auto& p = blocks.periphery[i % np];
-        const double delay = a.delay_s + p.delay_s;
-        acc.fastest = std::min(acc.fastest, delay);
-        if (delay > delay_constraint_s) return;
-        const double leak = a.leakage_w + p.leakage_w;
-        if (acc.candidate_better(leak, delay, i)) {
-          acc.has = true;
-          acc.leakage_w = leak;
-          acc.delay_s = delay;
-          acc.index = i;
-        }
-      },
-      [](FlatBest& into, FlatBest&& from) { into.merge(from); });
-  if (!best.has) {
-    return detail::infeasible_delay(delay_constraint_s, best.fastest, scheme);
+  // Flat block-pair scan in grid order; the argmin is by (leakage, delay,
+  // flattened grid index), the block analogue of better_combo.
+  std::size_t best = n;
+  double best_leak = 0.0;
+  double best_delay = 0.0;
+  double fastest = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& a = blocks.array[i / np];
+    const auto& p = blocks.periphery[i % np];
+    const double delay = a.delay_s + p.delay_s;
+    fastest = std::min(fastest, delay);
+    if (delay > delay_constraint_s) continue;
+    const double leak = a.leakage_w + p.leakage_w;
+    if (best == n || leak < best_leak ||
+        (leak == best_leak && delay < best_delay)) {
+      best = i;
+      best_leak = leak;
+      best_delay = delay;
+    }
   }
-  return detail::block_result(space, scheme, blocks.array[best.index / np],
-                              blocks.periphery[best.index % np]);
+  if (best == n) {
+    return detail::infeasible_delay(delay_constraint_s, fastest, scheme);
+  }
+  return detail::block_result(space, scheme, blocks.array[best / np],
+                              blocks.periphery[best % np]);
 }
 
 }  // namespace
@@ -332,19 +290,12 @@ std::vector<TradeoffPoint> leakage_delay_curve(
     const ComponentEvaluator& eval, const KnobGrid& grid, Scheme scheme,
     const std::vector<double>& delay_targets_s, SearchMode mode,
     const OptSpace& space) {
-  // One optimization per target, fanned out over the pool; infeasible
-  // targets are dropped after the sweep so output order is target order.
-  const auto per_target = par::parallel_map(
-      delay_targets_s.size(), [&](std::size_t i) {
-        auto r = optimize_single_cache(eval, grid, scheme,
-                                       delay_targets_s[i], mode, space);
-        std::optional<TradeoffPoint> point;
-        if (r) point = TradeoffPoint{delay_targets_s[i], *r};
-        return point;
-      });
+  // One optimization per target, in target order; infeasible targets are
+  // dropped.
   std::vector<TradeoffPoint> out;
-  for (const auto& p : per_target) {
-    if (p) out.push_back(*p);
+  for (const double target : delay_targets_s) {
+    auto r = optimize_single_cache(eval, grid, scheme, target, mode, space);
+    if (r) out.push_back(TradeoffPoint{target, *r});
   }
   return out;
 }

@@ -448,9 +448,9 @@ MenuScan scan_menu(std::size_t index, const Menu& menu,
     }
     if (frontier) records.push_back(record);
   }
-  // A state off its own menu's front is off the global front too
-  // (pareto_min2's chunked-prefilter argument), so only the local front is
-  // kept.
+  // A state off its own menu's front is off the global front too (the
+  // state that dominates it is a candidate there), so only the local front
+  // is kept.
   if (frontier) scan.front = pareto_records(std::move(records));
   return scan;
 }

@@ -1,20 +1,18 @@
-// Parallel execution engine for the exploration sweeps.
+// Fork-join pool for the two computations big enough to spread across
+// cores: Service::run_batch (one request per task) and the tuple-menu
+// passes in opt/tuple_menu.cc (bound_menus, the solve waves).  Every other
+// sweep in the library — Section 4 delay ladders, Section 5 size sweeps,
+// option tables, Pareto filters — is a few milliseconds of work and runs
+// as a plain loop (docs/MODELING.md §9).
 //
-// The paper's experiments are embarrassingly parallel enumerations
-// (Section 4 scheme grids, Section 5 size sweeps and menu tuples), so the
-// engine is a chunked fork-join pool: `parallel_for` splits an index range
-// into contiguous chunks which persistent worker threads claim from an
-// atomic counter (chunked self-scheduling, the cheap cousin of work
-// stealing).  The calling thread always participates, so `threads == 1`
-// degrades to a plain serial loop with zero pool traffic.
+// `parallel_for` splits an index range into contiguous chunks which
+// persistent worker threads claim from an atomic counter (chunked
+// self-scheduling).  The calling thread always participates, so
+// `threads == 1` degrades to a plain serial loop with zero pool traffic.
 //
-// Determinism contract (what the reduction helpers guarantee):
+// Determinism contract:
 //  * `parallel_map` writes result i from task i — output order is index
 //    order regardless of thread count or chunk schedule.
-//  * `parallel_reduce` chunks the range as a function of the range size
-//    ONLY (never the thread count) and merges per-chunk partials in chunk
-//    index order, so even non-associative merges (floating-point sums,
-//    first-wins argmin) produce bit-identical results at any thread count.
 //  * Nested calls are rejected: a `parallel_for` issued from inside a
 //    worker runs inline and serially on that worker (no oversubscription,
 //    no deadlock, and the task keeps exclusive use of any thread-local
@@ -61,9 +59,9 @@ int default_threads();
 bool in_parallel_region();
 
 /// RAII guard forcing every parallel call issued from the current thread
-/// to run serially for the guard's lifetime.  Used by code that needs a
-/// deterministic single-threaded evaluation order (for example
-/// degradation-event recording outside a buffered sweep).
+/// to run serially for the guard's lifetime.  The server holds one while a
+/// connection thread answers a line: concurrency there comes from the
+/// connections, not from forking inside a request.
 class SerialRegionGuard {
  public:
   SerialRegionGuard();
@@ -99,14 +97,6 @@ void count_serial_region();
 /// chunking degenerates to a single chunk.
 void run_region(std::size_t n, RawBody invoke, void* ctx, int threads,
                 std::size_t chunk_size);
-
-/// Chunk size for parallel_reduce: a function of the range size only, so
-/// partial-result boundaries (and therefore merged results) are identical
-/// at every thread count.
-inline std::size_t reduce_chunk(std::size_t n) {
-  const std::size_t chunk = (n + 255) / 256;  // at most 256 chunks
-  return chunk == 0 ? 1 : chunk;
-}
 
 }  // namespace detail
 
@@ -148,38 +138,6 @@ auto parallel_map(std::size_t n, Fn&& fn, int threads = 0,
       n, [&](std::size_t i) { out[i] = fn(i); }, threads, chunk_size,
       cost_hint_ns);
   return out;
-}
-
-/// Deterministic reduction: accumulate indices into per-chunk copies of
-/// `identity` via `accumulate(acc, i)`, then fold the per-chunk partials
-/// with `merge(into, from)` in chunk index order.  Chunk boundaries depend
-/// only on `n`, so the result is bit-identical at any thread count even
-/// for non-associative merges.
-template <typename T, typename Accumulate, typename Merge>
-T parallel_reduce(std::size_t n, T identity, Accumulate&& accumulate,
-                  Merge&& merge, int threads = 0,
-                  std::uint64_t cost_hint_ns = 0) {
-  if (n == 0) return identity;
-  const std::size_t chunk = detail::reduce_chunk(n);
-  const std::size_t num_chunks = (n + chunk - 1) / chunk;
-  std::vector<T> partials(num_chunks, identity);
-  parallel_for(
-      num_chunks,
-      [&](std::size_t c) {
-        const std::size_t lo = c * chunk;
-        const std::size_t hi = lo + chunk < n ? lo + chunk : n;
-        T& acc = partials[c];
-        for (std::size_t i = lo; i < hi; ++i) accumulate(acc, i);
-      },
-      threads, /*chunk_size=*/1,
-      // A chunk task costs `chunk` per-index units; the fallback compares
-      // num_chunks * (chunk * hint) ~= n * hint, as intended.
-      cost_hint_ns == 0 ? 0 : cost_hint_ns * chunk);
-  T result = std::move(partials[0]);
-  for (std::size_t c = 1; c < num_chunks; ++c) {
-    merge(result, std::move(partials[c]));
-  }
-  return result;
 }
 
 }  // namespace nanocache::par

@@ -1,6 +1,5 @@
-// The parallel engine's contracts: index coverage, deterministic
-// reductions, typed-error propagation, degenerate ranges, and nested-call
-// rejection.
+// The parallel engine's contracts: index coverage, index-ordered maps,
+// typed-error propagation, degenerate ranges, and nested-call rejection.
 #include "util/parallel.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
@@ -136,65 +134,6 @@ TEST(ParallelMap, ResultsInIndexOrder) {
   }
 }
 
-TEST(ParallelReduce, FloatingPointSumIsBitIdenticalAcrossThreadCounts) {
-  // A sum whose value depends on association order: harmonic-ish terms of
-  // wildly varying magnitude.  Identical bits at every thread count is the
-  // determinism contract, not just approximate equality.
-  const std::size_t n = 10'000;
-  const auto sum_at = [&](int threads) {
-    return par::parallel_reduce(
-        n, 0.0,
-        [](double& acc, std::size_t i) {
-          acc += std::exp2(static_cast<double>(i % 64)) /
-                 (static_cast<double>(i) + 1.0);
-        },
-        [](double& into, double from) { into += from; }, threads);
-  };
-  const double base = sum_at(1);
-  for (int threads : {2, 4, 8}) {
-    EXPECT_EQ(base, sum_at(threads)) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelReduce, FirstWinsArgminMatchesSerialScan) {
-  // Many duplicate minima; first-wins is order-sensitive, so this passes
-  // only if partials merge in chunk index order.
-  const std::size_t n = 5'000;
-  const auto value = [](std::size_t i) {
-    return static_cast<double>((i * 7919) % 100);
-  };
-  struct Best {
-    double v = 1e300;
-    std::size_t idx = 0;
-  };
-  const auto argmin_at = [&](int threads) {
-    return par::parallel_reduce(
-        n, Best{},
-        [&](Best& acc, std::size_t i) {
-          if (value(i) < acc.v) acc = Best{value(i), i};
-        },
-        [](Best& into, Best from) {
-          if (from.v < into.v) into = from;  // strict: earlier chunk wins ties
-        },
-        threads);
-  };
-  Best serial;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (value(i) < serial.v) serial = Best{value(i), i};
-  }
-  for (int threads : {1, 2, 4, 8}) {
-    const auto b = argmin_at(threads);
-    EXPECT_EQ(b.idx, serial.idx) << "threads=" << threads;
-    EXPECT_EQ(b.v, serial.v) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
-  const int r = par::parallel_reduce(
-      0, 42, [](int&, std::size_t) { FAIL(); }, [](int&, int) { FAIL(); });
-  EXPECT_EQ(r, 42);
-}
-
 TEST(Defaults, SetDefaultThreadsRoundTrips) {
   par::set_default_threads(3);
   EXPECT_EQ(par::default_threads(), 3);
@@ -272,17 +211,18 @@ TEST(CostHint, ZeroHintMeansUnknownAndStaysParallel) {
 }
 
 TEST(CostHint, FallbackDoesNotChangeResults) {
-  // A non-associative floating-point fold: any reordering would show up in
-  // the low bits.  The serial fallback walks the same chunk boundaries in
-  // the same order, so the result must be bit-identical at every hint.
+  // Per-index results folded in index order by a non-associative
+  // floating-point sum: any reordering would show up in the low bits.
+  // parallel_map writes slot i from task i, so the fold must be
+  // bit-identical whether the region forked or fell back to serial.
   const auto run = [](std::uint64_t hint) {
-    return par::parallel_reduce(
-        10'000, 0.0,
-        [](double& acc, std::size_t i) {
-          acc += std::sin(static_cast<double>(i)) * 1e-3;
-        },
-        [](double& into, double from) { into += from; },
-        /*threads=*/4, hint);
+    const auto terms = par::parallel_map(
+        10'000,
+        [](std::size_t i) { return std::sin(static_cast<double>(i)) * 1e-3; },
+        /*threads=*/4, /*chunk_size=*/0, hint);
+    double sum = 0.0;
+    for (const double t : terms) sum += t;
+    return sum;
   };
   const double baseline = run(0);               // unknown cost: pool
   const double serial = run(1);                 // tiny: serial fallback

@@ -3,9 +3,12 @@
 # and `tsan` CMake presets).  The fault-injection suite in particular is
 # meant to run under asan/ubsan: an injected fault that corrupts memory
 # instead of throwing a typed error fails here even if the plain build
-# happens to pass.  The tsan preset targets the parallel sweep engine:
-# NANOCACHE_THREADS=4 forces multi-threaded sweeps even on small CI boxes,
-# so data races in the pool or the explorer caches surface as hard errors.
+# happens to pass.  The tsan preset targets what still runs concurrently:
+# Service::run_batch's workers, the tuple-menu passes (bound_menus and the
+# solve waves) and the server's connection threads with their evaluation
+# slots.  NANOCACHE_THREADS=4 forces the pool to fork even on small CI
+# boxes, so data races in the pool, the memo and disk caches or the
+# explorer's model and degradation logs surface as hard errors.
 #
 # Usage: tools/run_sanitizers.sh [asan|ubsan|tsan ...]   (default: asan ubsan)
 set -euo pipefail
