@@ -1,26 +1,19 @@
 // PERF — google-benchmark microbenchmarks of the library itself: model
 // evaluation, fitting, simulation throughput, and optimizer latency.
 //
-// Also the parallel-sweep timing harness:
+// Also a timing harness with two gates:
 //   perf_library --emit-json [path]
-// runs the scheme-comparison and tuple-menu sweeps plus a 100-request
-// batched-service workload at 1/2/4/8 threads through the public
-// nanocache::api facade, checks the serialized results are byte-identical
-// at every thread count, and writes wall time, speedup, batch throughput
-// and memoization hit rate as JSON (default: BENCH_parallel_sweep.json).
-// It also writes BENCH_pruned_search.json: pruned-vs-exhaustive combo
-// accounting (byte-identity + reduction ratio) and a cold/warm disk-cache
-// pass over the batch workload (persistent hit rate + byte-identity), and
-// BENCH_serve.json: server-mode throughput (requests/s over a unix socket,
-// cold service vs warm, single vs 8 concurrent clients), gated on every
-// served stream being byte-identical to batch-mode output, and
-// BENCH_design_space.json: the v3 design space (associativity x banks x
-// node x power gating) swept pruned-vs-exhaustive with per-point combo
-// accounting, gated on byte-identity at every point, and
-// BENCH_surrogate.json: the surrogate serving tier (precompute +
-// distinct in-ladder optimizes served surrogate-warm vs exact, both on
-// one thread), gated on a >= 10x throughput ratio and every answer staying
-// within its proven bound.
+// runs a 100-request batched-service workload at 1/2/4/8 threads through
+// the public nanocache::api facade and writes wall time and throughput per
+// thread count as JSON (default: BENCH_parallel_sweep.json), gated on the
+// best multi-thread run reaching >= 0.9x single-thread throughput on a
+// multicore host; and writes BENCH_surrogate.json: the surrogate serving
+// tier (precompute + distinct in-ladder optimizes served surrogate-warm vs
+// exact, both on one thread), gated on a >= 10x throughput ratio and every
+// answer staying within its proven bound.  Byte-identity across thread
+// counts, search modes, disk-cache replays and served connections is the
+// tier-1 suite's job (ParallelDeterminism, PrunedSearch, ApiDiskCache,
+// BatchGolden).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -30,21 +23,14 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include <thread>
-
-#include "api/batch_io.h"
 #include "api/metrics_json.h"
 #include "api/surrogate_precompute.h"
-#include "server/client.h"
-#include "server/server.h"
 #include "util/metrics.h"
 #include "cachemodel/fitted_cache.h"
 #include "core/explorer.h"
-#include "core/report.h"
 #include "nanocache/api.h"
 #include "opt/continuous.h"
 #include "opt/schemes.h"
@@ -199,30 +185,6 @@ BENCHMARK(BM_DecaySimulation)->Arg(0)->Arg(1024);
 
 // --- parallel-sweep timing harness ------------------------------------------
 
-/// One timed sweep: returns wall seconds and a result fingerprint (the
-/// rendered report, so "identical output" means byte-identical text).
-struct SweepSample {
-  double wall_s = 0.0;
-  std::string fingerprint;
-};
-
-template <typename Fn>
-SweepSample time_sweep(Fn&& render) {
-  // Min of three runs: wall-clock minimum is the standard noise-resistant
-  // estimator for a deterministic workload.
-  SweepSample s;
-  s.wall_s = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    s.fingerprint = render();
-    s.wall_s = std::min(
-        s.wall_s, std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count());
-  }
-  return s;
-}
-
 /// Fresh facade service (its memo cache starts empty, so every timed run
 /// does the same work).
 std::shared_ptr<api::Service> fresh_service() {
@@ -296,66 +258,18 @@ std::vector<api::Request> batch_workload() {
 }
 
 int emit_parallel_sweep_json(const std::string& path) {
-  // Sweep requests served through the facade; fingerprints are the
-  // serialized response bytes, so "identical" means byte-identical JSONL.
-  api::Request schemes_request;
-  schemes_request.kind = api::RequestKind::kSweep;
-  schemes_request.sweep.kind = api::SweepKind::kSchemes;
-  const auto render_schemes = [&] {
-    return api::response_to_json(fresh_service()->serve(schemes_request));
-  };
-  api::Request tuple_request;
-  tuple_request.kind = api::RequestKind::kTupleMenu;
-  tuple_request.tuple_menu.include_frontier = true;
-  const auto render_tuples = [&] {
-    return api::response_to_json(fresh_service()->serve(tuple_request));
-  };
-
-  // Untimed warmup: first-run lazy initialization (allocator arenas) must
-  // not inflate the threads=1 baseline.
-  render_schemes();
-  render_tuples();
-
-  // Rows with more workers than the host has hardware threads cannot show
-  // real parallel speedup (the extra workers just time-slice); they are
-  // still run — oversubscription must not change bytes or crash — but
-  // marked "unmeasured" so downstream tooling (and the CI perf gate) never
-  // treats their wall time as a scaling measurement.
-  const int hw = par::hardware_threads();
-  struct Row {
-    std::string name;
-    int threads;
-    SweepSample sample;
-  };
-  std::vector<Row> rows;
-  bool deterministic = true;
-  std::string baseline_schemes, baseline_tuples;
-  for (int threads : {1, 2, 4, 8}) {
-    par::set_default_threads(threads);
-    const auto s = time_sweep(render_schemes);
-    const auto t = time_sweep(render_tuples);
-    if (threads == 1) {
-      baseline_schemes = s.fingerprint;
-      baseline_tuples = t.fingerprint;
-    } else if (s.fingerprint != baseline_schemes ||
-               t.fingerprint != baseline_tuples) {
-      deterministic = false;
-    }
-    rows.push_back({"scheme_comparison", threads, s});
-    rows.push_back({"tuple_menu", threads, t});
-  }
-
-  // Batched-service workload: throughput per thread count, byte-identity
-  // across thread counts, and the t=1 dedup/memoization accounting (the
-  // hit/miss split can shift under concurrency; responses cannot).
+  // Batched-service workload: throughput per thread count, and the t=1
+  // dedup/memoization accounting (the hit/miss split can shift under
+  // concurrency; responses cannot).
   const auto workload = batch_workload();
+  fresh_service()->run_batch(workload);  // untimed warmup (allocator arenas)
+  const int hw = par::hardware_threads();
   struct BatchRun {
     int threads;
     double wall_s;
   };
   std::vector<BatchRun> batch_runs;
   api::BatchStats batch_stats;
-  std::string batch_baseline;
   for (int threads : {1, 2, 4, 8}) {
     par::set_default_threads(threads);
     const auto service = fresh_service();
@@ -364,17 +278,7 @@ int emit_parallel_sweep_json(const std::string& path) {
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    std::string bytes;
-    for (const auto& response : result.responses) {
-      bytes += api::response_to_json(response);
-      bytes += '\n';
-    }
-    if (threads == 1) {
-      batch_baseline = bytes;
-      batch_stats = result.stats;
-    } else if (bytes != batch_baseline) {
-      deterministic = false;
-    }
+    if (threads == 1) batch_stats = result.stats;
     batch_runs.push_back({threads, wall});
   }
   par::set_default_threads(0);
@@ -406,27 +310,10 @@ int emit_parallel_sweep_json(const std::string& path) {
 
   out << "{\n"
       << "  \"hardware_threads\": " << hw << ",\n"
-      << "  \"deterministic_across_thread_counts\": "
-      << (deterministic ? "true" : "false") << ",\n"
       << "  \"multi_thread_speedup\": " << multi_speedup << ",\n"
       << "  \"perf_gate_applicable\": "
       << (gate_applicable ? "true" : "false") << ",\n"
       << "  \"perf_gate_ok\": " << (perf_ok ? "true" : "false") << ",\n"
-      << "  \"sweeps\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& r = rows[i];
-    double base = 0.0;
-    for (const auto& b : rows) {
-      if (b.name == r.name && b.threads == 1) base = b.sample.wall_s;
-    }
-    out << "    {\"name\": \"" << r.name << "\", \"threads\": " << r.threads
-        << ", \"hardware_threads\": " << hw
-        << ", \"wall_s\": " << r.sample.wall_s << ", \"speedup\": "
-        << (r.sample.wall_s > 0.0 ? base / r.sample.wall_s : 0.0)
-        << (r.threads > hw ? ", \"unmeasured\": true" : "") << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n"
       << "  \"batch\": {\n"
       << "    \"requests\": " << batch_stats.requests << ",\n"
       << "    \"unique_requests\": " << batch_stats.unique_requests << ",\n"
@@ -450,313 +337,10 @@ int emit_parallel_sweep_json(const std::string& path) {
   out << "    ]\n  },\n"
       << "  \"metrics\": " << api::current_metrics_json(&batch_stats) << "\n"
       << "}\n";
-  const bool memoized = batch_stats.memo_hits > 0 && batch_stats.hit_rate() > 0;
-  std::cout << "wrote " << path << " (deterministic="
-            << (deterministic ? "true" : "false")
-            << ", memo_hit_rate=" << batch_stats.hit_rate()
+  std::cout << "wrote " << path << " (memo_hit_rate=" << batch_stats.hit_rate()
             << ", multi_thread_speedup=" << multi_speedup
             << ", perf_gate=" << (perf_ok ? "ok" : "FAIL") << ")\n";
-  return deterministic && memoized && perf_ok ? 0 : 1;
-}
-
-/// Pruned-search + persistent-cache accounting, written next to the
-/// parallel-sweep JSON.  Exit 0 requires byte-identical pruned/exhaustive
-/// serializations, the >= 5x scheme-I combo reduction the differential
-/// tests enforce, and a warm disk-cache pass that actually hits.
-int emit_pruned_search_json(const std::string& path) {
-  auto& registry = metrics::Registry::instance();
-  auto& evaluated = registry.counter("opt.combos_evaluated");
-  auto& skipped = registry.counter("opt.combos_skipped");
-
-  api::Request schemes_request;
-  schemes_request.kind = api::RequestKind::kSweep;
-  schemes_request.sweep.kind = api::SweepKind::kSchemes;
-
-  const auto run_mode = [&](bool exhaustive, std::uint64_t* combos,
-                            std::uint64_t* skips) {
-    api::ServiceConfig config;
-    config.exhaustive_search = exhaustive;
-    auto service = api::Service::create(config);
-    if (!service) {
-      std::cerr << "service: " << service.error().message << "\n";
-      std::exit(1);
-    }
-    const std::uint64_t evaluated_before = evaluated.value();
-    const std::uint64_t skipped_before = skipped.value();
-    const std::string bytes =
-        api::response_to_json(service.value()->serve(schemes_request));
-    *combos = evaluated.value() - evaluated_before;
-    *skips = skipped.value() - skipped_before;
-    return bytes;
-  };
-
-  std::uint64_t pruned_combos = 0, pruned_skips = 0;
-  std::uint64_t exhaustive_combos = 0, exhaustive_skips = 0;
-  const std::string pruned_bytes = run_mode(false, &pruned_combos,
-                                            &pruned_skips);
-  const std::string exhaustive_bytes = run_mode(true, &exhaustive_combos,
-                                                &exhaustive_skips);
-  const bool search_identical = pruned_bytes == exhaustive_bytes;
-  const double ratio = pruned_combos > 0
-                           ? static_cast<double>(exhaustive_combos) /
-                                 static_cast<double>(pruned_combos)
-                           : 0.0;
-
-  // Cold/warm persistent-cache pass: same workload, fresh service each
-  // time, shared on-disk segment.  The warm run must hit for every unique
-  // request and serve byte-identical responses.
-  const std::string cache_dir = path + ".cache_tmp";
-  std::filesystem::remove_all(cache_dir);
-  const auto workload = batch_workload();
-  const auto run_cached = [&] {
-    api::ServiceConfig config;
-    config.cache_dir = cache_dir;
-    auto service = api::Service::create(config);
-    if (!service) {
-      std::cerr << "service: " << service.error().message << "\n";
-      std::exit(1);
-    }
-    return service.value()->run_batch(workload);
-  };
-  const auto cold = run_cached();
-  const auto warm = run_cached();
-  bool cache_identical = cold.responses.size() == warm.responses.size();
-  if (cache_identical) {
-    for (std::size_t i = 0; i < cold.responses.size(); ++i) {
-      if (api::response_to_json(cold.responses[i]) !=
-          api::response_to_json(warm.responses[i])) {
-        cache_identical = false;
-        break;
-      }
-    }
-  }
-  std::filesystem::remove_all(cache_dir);
-  const double warm_hit_rate =
-      warm.stats.unique_requests > 0
-          ? static_cast<double>(warm.stats.disk_hits) /
-                static_cast<double>(warm.stats.unique_requests)
-          : 0.0;
-
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot write " << path << "\n";
-    return 1;
-  }
-  out << "{\n"
-      << "  \"pruning\": {\n"
-      << "    \"exhaustive_combos\": " << exhaustive_combos << ",\n"
-      << "    \"pruned_combos\": " << pruned_combos << ",\n"
-      << "    \"pruned_combos_skipped\": " << pruned_skips << ",\n"
-      << "    \"reduction_ratio\": " << ratio << ",\n"
-      << "    \"byte_identical\": " << (search_identical ? "true" : "false")
-      << "\n"
-      << "  },\n"
-      << "  \"disk_cache\": {\n"
-      << "    \"requests\": " << warm.stats.requests << ",\n"
-      << "    \"unique_requests\": " << warm.stats.unique_requests << ",\n"
-      << "    \"cold_disk_hits\": " << cold.stats.disk_hits << ",\n"
-      << "    \"cold_disk_misses\": " << cold.stats.disk_misses << ",\n"
-      << "    \"warm_disk_hits\": " << warm.stats.disk_hits << ",\n"
-      << "    \"warm_disk_misses\": " << warm.stats.disk_misses << ",\n"
-      << "    \"warm_hit_rate\": " << warm_hit_rate << ",\n"
-      << "    \"byte_identical\": " << (cache_identical ? "true" : "false")
-      << "\n"
-      << "  }\n"
-      << "}\n";
-  std::cout << "wrote " << path << " (reduction_ratio=" << ratio
-            << ", warm_disk_hits=" << warm.stats.disk_hits << ")\n";
-  const bool ok = search_identical && cache_identical && ratio >= 5.0 &&
-                  warm.stats.disk_hits > 0;
-  return ok ? 0 : 1;
-}
-
-/// The v3 design space swept pruned-vs-exhaustive: one optimize request
-/// per sampled (associativity, banks, node, gating) point, served by a
-/// pruned and an exhaustive service with per-point combo-counter deltas.
-/// Exit 0 requires byte-identical responses at every point.
-int emit_design_space_json(const std::string& path) {
-  struct Point {
-    int associativity;       // 0 = default organization
-    std::uint32_t banks;     // 0 = default single bank
-    int node_nm;             // 0 = default technology
-    bool gated;
-    double target_ps;
-  };
-  // Every v3 axis covered at least once: explicit associativities, a
-  // banked point, two non-default nodes, fully associative (generous
-  // target: FA tag broadcast is slow by design), and power gating.
-  const std::vector<Point> points = {
-      {2, 0, 0, false, 3000.0},  {4, 2, 0, false, 3000.0},
-      {8, 0, 45, false, 3000.0}, {1, 4, 32, false, 3000.0},
-      {-1, 0, 0, false, 200000.0}, {0, 0, 0, true, 1400.0},
-  };
-
-  auto& registry = metrics::Registry::instance();
-  auto& evaluated = registry.counter("opt.combos_evaluated");
-
-  const auto request_for = [](const Point& p) {
-    api::Request r;
-    r.kind = api::RequestKind::kOptimize;
-    r.optimize.scheme = api::SchemeId::kI;
-    r.optimize.delay.target_ps = p.target_ps;
-    r.optimize.organization.associativity = p.associativity;
-    r.optimize.organization.banks = p.banks;
-    r.optimize.node_nm = p.node_nm;
-    r.optimize.power_gating.enabled = p.gated;
-    if (p.gated) r.optimize.power_gating.perf_loss_budget = 0.1;
-    return r;
-  };
-
-  const auto run_mode = [&](const api::Request& request, bool exhaustive,
-                            std::uint64_t* combos) {
-    api::ServiceConfig config;
-    config.exhaustive_search = exhaustive;
-    auto service = api::Service::create(config);
-    if (!service) {
-      std::cerr << "service: " << service.error().message << "\n";
-      std::exit(1);
-    }
-    const std::uint64_t before = evaluated.value();
-    const std::string bytes =
-        api::response_to_json(service.value()->serve(request));
-    *combos = evaluated.value() - before;
-    return bytes;
-  };
-
-  bool all_identical = true;
-  std::uint64_t total_pruned = 0, total_exhaustive = 0;
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot write " << path << "\n";
-    return 1;
-  }
-  out << "{\n  \"design_space\": {\n    \"points\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto& p = points[i];
-    const auto request = request_for(p);
-    std::uint64_t pruned_combos = 0, exhaustive_combos = 0;
-    const std::string pruned = run_mode(request, false, &pruned_combos);
-    const std::string exhaustive = run_mode(request, true, &exhaustive_combos);
-    const bool identical = pruned == exhaustive;
-    all_identical = all_identical && identical;
-    total_pruned += pruned_combos;
-    total_exhaustive += exhaustive_combos;
-    out << "      {\"associativity\": " << p.associativity
-        << ", \"banks\": " << p.banks << ", \"node_nm\": " << p.node_nm
-        << ", \"power_gating\": " << (p.gated ? "true" : "false")
-        << ", \"pruned_combos\": " << pruned_combos
-        << ", \"exhaustive_combos\": " << exhaustive_combos
-        << ", \"byte_identical\": " << (identical ? "true" : "false") << "}"
-        << (i + 1 < points.size() ? "," : "") << "\n";
-  }
-  const double ratio = total_pruned > 0
-                           ? static_cast<double>(total_exhaustive) /
-                                 static_cast<double>(total_pruned)
-                           : 0.0;
-  out << "    ],\n"
-      << "    \"total_pruned_combos\": " << total_pruned << ",\n"
-      << "    \"total_exhaustive_combos\": " << total_exhaustive << ",\n"
-      << "    \"reduction_ratio\": " << ratio << ",\n"
-      << "    \"byte_identical\": " << (all_identical ? "true" : "false")
-      << "\n  }\n}\n";
-  std::cout << "wrote " << path << " (points=" << points.size()
-            << ", reduction_ratio=" << ratio
-            << ", byte_identical=" << (all_identical ? "true" : "false")
-            << ")\n";
-  return all_identical ? 0 : 1;
-}
-
-/// Server-mode throughput: the batch workload served over a unix socket,
-/// cold service vs warm, one client vs 8 concurrent.  The wall-clock
-/// numbers are informational; the exit code gates only on byte-identity of
-/// every served stream with batch-mode output.
-int emit_serve_json(const std::string& path) {
-  const auto workload = batch_workload();
-  std::string input;
-  for (const auto& request : workload) {
-    input += api::request_to_json(request);
-    input += '\n';
-  }
-  // The batch reference from a fresh service: the determinism contract
-  // makes it byte-identical to any other service with the same config.
-  const std::string expected = [&] {
-    std::istringstream in(input);
-    std::ostringstream out;
-    api::run_batch_jsonl(*fresh_service(), in, out);
-    return out.str();
-  }();
-
-  server::ServerConfig config;
-  config.listen.kind = server::ListenKind::kUnix;
-  config.listen.path = path + ".sock";
-  std::filesystem::remove(config.listen.path);
-  server::Server srv(fresh_service(), std::move(config));
-  srv.start();
-
-  const auto drive = [&](int clients, double* wall_s) {
-    std::vector<std::string> got(clients);
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (int c = 0; c < clients; ++c) {
-      threads.emplace_back([&, c] {
-        auto client = server::Client::connect(srv.config().listen);
-        client.send(input);
-        client.shutdown_write();
-        while (auto line = client.read_line()) {
-          got[c] += *line;
-          got[c] += '\n';
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    *wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    for (const auto& stream : got) {
-      if (stream != expected) return false;
-    }
-    return true;
-  };
-
-  struct Run {
-    const char* phase;
-    int clients;
-    double wall_s = 0.0;
-  };
-  std::vector<Run> runs = {{"cold", 1}, {"warm", 1}, {"warm_concurrent", 8}};
-  bool identical = true;
-  for (auto& run : runs) {
-    identical = drive(run.clients, &run.wall_s) && identical;
-  }
-  srv.shutdown();
-  srv.wait();
-
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot write " << path << "\n";
-    return 1;
-  }
-  out << "{\n"
-      << "  \"hardware_threads\": " << par::hardware_threads() << ",\n"
-      << "  \"requests_per_client\": " << workload.size() << ",\n"
-      << "  \"byte_identical_to_batch\": " << (identical ? "true" : "false")
-      << ",\n"
-      << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto& run = runs[i];
-    const double total =
-        static_cast<double>(workload.size()) * run.clients;
-    out << "    {\"phase\": \"" << run.phase << "\", \"clients\": "
-        << run.clients << ", \"requests\": " << static_cast<int>(total)
-        << ", \"wall_s\": " << run.wall_s << ", \"requests_per_s\": "
-        << (run.wall_s > 0.0 ? total / run.wall_s : 0.0) << "}"
-        << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << path << " (byte_identical="
-            << (identical ? "true" : "false") << ")\n";
-  return identical ? 0 : 1;
+  return perf_ok ? 0 : 1;
 }
 
 /// The surrogate serving tier: precompute tables for the default
@@ -911,17 +495,9 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--emit-json") {
       const std::string path =
           i + 1 < argc ? argv[i + 1] : "BENCH_parallel_sweep.json";
-      const int sweep_rc = emit_parallel_sweep_json(path);
-      const int pruned_rc =
-          emit_pruned_search_json("BENCH_pruned_search.json");
-      const int serve_rc = emit_serve_json("BENCH_serve.json");
-      const int space_rc =
-          emit_design_space_json("BENCH_design_space.json");
+      const int batch_rc = emit_parallel_sweep_json(path);
       const int surrogate_rc = emit_surrogate_json("BENCH_surrogate.json");
-      if (sweep_rc != 0) return sweep_rc;
-      if (pruned_rc != 0) return pruned_rc;
-      if (serve_rc != 0) return serve_rc;
-      return space_rc != 0 ? space_rc : surrogate_rc;
+      return batch_rc != 0 ? batch_rc : surrogate_rc;
     }
   }
   benchmark::Initialize(&argc, argv);

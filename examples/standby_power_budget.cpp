@@ -1,15 +1,13 @@
 // Scenario: a battery-powered device must hold its cache subsystem under a
 // hard standby-power budget without giving up responsiveness.  The flow
-// combines everything in the library: capture a representative trace,
-// replay it against decay configurations, optimize the process knobs, and
-// pick the cheapest combination that meets the budget.
-#include <filesystem>
+// combines everything in the library: replay a representative workload
+// against decay configurations, optimize the process knobs, and pick the
+// cheapest combination that meets the budget.
 #include <iostream>
 
 #include "core/explorer.h"
 #include "sim/hierarchy.h"
 #include "sim/suite.h"
-#include "sim/trace_io.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -19,17 +17,7 @@ int main() {
   const double budget_mw = 3.0;  // standby budget for the 16KB L1
   constexpr double kSleepRatio = 0.05;
 
-  // 1. Capture a representative trace from the workload of interest and
-  //    reload it (in a real flow this file comes from the target system).
-  const auto trace_path =
-      std::filesystem::temp_directory_path() / "standby_example.trace";
-  {
-    auto live = sim::make_workload("web");
-    sim::save_trace(*live, 400'000, trace_path.string());
-  }
-  std::cout << "captured trace: " << trace_path << "\n\n";
-
-  // 2. Knob optimization at the required L1 access time.
+  // 1. Knob optimization at the required L1 access time.
   core::Explorer explorer;
   const auto& l1 = explorer.l1_model(16 * 1024);
   const auto eval = opt::structural_evaluator(l1);
@@ -48,20 +36,21 @@ int main() {
             << fmt_fixed(units::seconds_to_ps(knobs->access_time_s), 0)
             << " pS\n\n";
 
-  // 3. Sweep decay intervals on the captured trace.
-  TextTable t("decay sweep on the captured trace (knob-optimized leakage)");
+  // 2. Sweep decay intervals, replaying the same deterministic workload
+  //    stream for each one.
+  TextTable t("decay sweep on the web workload (knob-optimized leakage)");
   t.set_header({"decay interval", "live lines", "L1 miss rate",
                 "standby leakage [mW]", "meets " +
                     fmt_fixed(budget_mw, 1) + " mW budget?"});
   bool met = false;
   for (std::uint64_t interval : {0ull, 8192ull, 2048ull, 512ull}) {
-    auto replay = sim::load_trace(trace_path.string());
+    const auto replay = sim::make_workload("web");
     sim::SetAssociativeCache l1_sim(16 * 1024, 32, 2);
     if (interval) l1_sim.enable_decay(interval);
     sim::TwoLevelHierarchy hier(std::move(l1_sim),
                                 sim::SetAssociativeCache(1024 * 1024, 64, 8));
-    hier.warmup(replay, 100'000);
-    hier.run(replay, 300'000);
+    hier.warmup(*replay, 100'000);
+    hier.run(*replay, 300'000);
     const double live = hier.l1().average_live_fraction();
     const double standby_mw = units::watts_to_mw(
         knobs->leakage_w * (live + kSleepRatio * (1.0 - live)));
@@ -77,6 +66,5 @@ int main() {
                       "slowest decay interval that fits.\n"
                     : "budget not met: consider a smaller L1 or a more "
                       "aggressive sleep transistor.\n");
-  std::filesystem::remove(trace_path);
   return 0;
 }

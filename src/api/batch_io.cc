@@ -715,7 +715,7 @@ std::string response_line(const Response& response) {
                               ? ErrorCode::kNumericDomain
                               : ErrorCode::kInternal;
     fallback.error.message =
-        std::string("response serialization failed: ") + e.what();
+        "response serialization failed: " + std::string(e.message());
     return response_to_json(fallback);
   }
 }

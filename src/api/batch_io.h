@@ -70,7 +70,8 @@ std::string request_canonical_key(const Request& request);
 std::string response_line(const Response& response);
 
 /// Run a parse step, mapping a thrown kConfig Error to a kConfig failure
-/// and anything else to kInternal, with the exception text as message.
+/// and anything else to kInternal, with the exception text (without any
+/// source location) as message.
 /// Every request parser (JSONL lines, CLI flags) reports failures this way.
 template <typename T, typename Fn>
 Outcome<T> parse_outcome(Fn&& parse) {
@@ -80,7 +81,7 @@ Outcome<T> parse_outcome(Fn&& parse) {
     const ErrorCode code = e.category() == ErrorCategory::kConfig
                                ? ErrorCode::kConfig
                                : ErrorCode::kInternal;
-    return Outcome<T>::failure(code, e.what());
+    return Outcome<T>::failure(code, std::string(e.message()));
   } catch (const std::exception& e) {
     return Outcome<T>::failure(ErrorCode::kInternal, e.what());
   }

@@ -57,14 +57,16 @@ opt::Scheme to_scheme(SchemeId id) {
 
 /// Run `fn`, folding thrown nanocache::Errors (and anything else) into a
 /// typed failure.  Every facade entry point funnels through here so no
-/// internal exception type ever crosses the public boundary.
+/// internal exception type ever crosses the public boundary.  The failure
+/// carries Error::message(), so no source location reaches a response.
 template <typename Fn>
 auto guarded(Fn&& fn) -> Outcome<decltype(fn())> {
   using R = decltype(fn());
   try {
     return Outcome<R>(fn());
   } catch (const Error& e) {
-    return Outcome<R>::failure(to_error_code(e.category()), e.what());
+    return Outcome<R>::failure(to_error_code(e.category()),
+                               std::string(e.message()));
   } catch (const std::exception& e) {
     return Outcome<R>::failure(ErrorCode::kInternal, e.what());
   }

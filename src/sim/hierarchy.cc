@@ -26,24 +26,6 @@ void TwoLevelHierarchy::access_l2(std::uint64_t address, bool is_write) {
   if (!r2.hit) {
     ++stats_.l2_misses;
     ++stats_.memory_accesses;  // line fill (or fetch-on-write) from memory
-
-    if (l2_prefetch_) {
-      // Sequential prefetch of the next L2 block.  The hierarchy's demand
-      // counters (l2_accesses / l2_misses) are untouched — prefetch
-      // traffic is reported via l2_prefetches and memory_accesses.  (The
-      // cache-internal l2().stats() do include the prefetch fills.)
-      const std::uint64_t next_block = address / l2_.block_bytes() + 1;
-      const std::uint64_t next_addr = next_block * l2_.block_bytes();
-      if (!l2_.contains(next_addr)) {
-        const auto rp = l2_.access(next_addr, /*is_write=*/false);
-        ++stats_.l2_prefetches;
-        ++stats_.memory_accesses;
-        if (rp.writeback) {
-          ++stats_.l2_writebacks;
-          ++stats_.memory_accesses;
-        }
-      }
-    }
   }
 }
 

@@ -19,7 +19,6 @@ struct HierarchyStats {
   std::uint64_t memory_accesses = 0;
   std::uint64_t l1_writebacks = 0;
   std::uint64_t l2_writebacks = 0;
-  std::uint64_t l2_prefetches = 0;  ///< prefetch fills issued (if enabled)
 
   double l1_miss_rate() const {
     return references == 0 ? 0.0
@@ -63,11 +62,6 @@ class TwoLevelHierarchy {
   /// Warm up (references processed but not counted in stats).
   void warmup(TraceSource& trace, std::uint64_t count);
 
-  /// Enable sequential (next-line) prefetching into the L2: every demand
-  /// L2 miss also fetches the following L2 block.  Prefetches are counted
-  /// separately and do not inflate the demand miss statistics.
-  void enable_l2_next_line_prefetch() { l2_prefetch_ = true; }
-
   const HierarchyStats& stats() const { return stats_; }
   void reset_stats();
 
@@ -83,7 +77,6 @@ class TwoLevelHierarchy {
   SetAssociativeCache l1_;
   SetAssociativeCache l2_;
   WritePolicy policy_;
-  bool l2_prefetch_ = false;
   HierarchyStats stats_;
 };
 

@@ -8,12 +8,14 @@
 //
 // NC_REQUIRE is the standard argument-validation macro (category kConfig);
 // the NC_REQUIRE_* variants attach the other categories.  All of them
-// format the failed condition and a caller-supplied message into the
-// exception text.
+// format a caller-supplied message into the exception text, and the failed
+// condition and source location into what() only (see Error::message).
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace nanocache {
 
@@ -26,8 +28,9 @@ namespace nanocache {
 ///                    violation (NaN/Inf inputs, out-of-fit-domain knobs,
 ///                    overflowing exp, degenerate fits); recoverable by
 ///                    falling back to a more robust model path.
-///   kIo            - filesystem / serialization failures (missing,
-///                    truncated or corrupt trace/CSV files).
+///   kIo            - filesystem, socket or serialization failures (an
+///                    unusable cache directory or export path, a socket
+///                    that cannot bind or connect).
 ///   kInfeasible    - the request is well-formed but no solution satisfies
 ///                    its constraints (impossible delay/AMAT budgets).
 ///   kInternal      - invariant violations inside the library; a bug, not
@@ -54,10 +57,24 @@ class Error : public std::runtime_error {
 
   Error(ErrorCategory category, const std::string& what);
 
+  /// what() additionally carries `context` (NC_REQUIRE's failed condition
+  /// and source location) after the message.
+  Error(ErrorCategory category, const std::string& what,
+        const std::string& context);
+
   ErrorCategory category() const noexcept { return category_; }
+
+  /// The category prefix and the human-readable text, without the context
+  /// what() appends: the form that goes on the wire, the same in every
+  /// build.  what() keeps the full text for logs and debuggers.  The view
+  /// is valid while this Error lives.
+  std::string_view message() const noexcept {
+    return std::string_view(what(), message_size_);
+  }
 
  private:
   ErrorCategory category_;
+  std::size_t message_size_;
 };
 
 namespace detail {

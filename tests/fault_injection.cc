@@ -1,24 +1,23 @@
 #include "fault_injection.h"
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <vector>
 
+#include "api/disk_cache.h"
 #include "cachemodel/cache_model.h"
 #include "cachemodel/fitted_cache.h"
 #include "cachemodel/organization.h"
 #include "core/explorer.h"
 #include "energy/memory_system.h"
-#include "opt/anneal.h"
 #include "opt/continuous.h"
 #include "opt/grid.h"
 #include "opt/options.h"
 #include "opt/outcome.h"
 #include "opt/schemes.h"
+#include "server/client.h"
+#include "server/listener.h"
 #include "sim/missmodel.h"
-#include "sim/trace_io.h"
 #include "tech/characterize.h"
 #include "tech/fitted.h"
 #include "tech/params.h"
@@ -64,19 +63,6 @@ std::vector<tech::KnobSample> good_samples() {
     }
   }
   return s;
-}
-
-/// Write `content` to a fresh file under the system temp directory and
-/// return its path.  Files are tiny and the directory is cleaned by the OS;
-/// a per-process counter keeps names unique.
-std::string temp_trace(const std::string& content) {
-  static int counter = 0;
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("nanocache_fault_" + std::to_string(++counter) + ".trc");
-  std::ofstream out(path);
-  out << content;
-  out.close();
-  return path.string();
 }
 
 void add(std::vector<FaultCase>& cases, std::string name,
@@ -279,38 +265,17 @@ std::vector<FaultCase> build_standard_faults() {
         cachemodel::ComponentAssignment(tech::DeviceKnobs{0.35, 12.0}));
   });
 
-  // --- trace I/O ---------------------------------------------------------
-  add(cases, "trace-missing-file", EC::kIo, [] {
-    sim::load_trace("/nonexistent_nanocache_dir/missing.trc");
+  // --- persistence and transport I/O ------------------------------------
+  add(cases, "disk-cache-dir-under-a-file", EC::kIo, [] {
+    api::DiskCache::open("/dev/null/nanocache_cache", "0123456789abcdef");
   });
-  add(cases, "trace-no-accesses", EC::kIo, [] {
-    sim::load_trace(temp_trace("# only a comment\n\n"));
+  add(cases, "client-connect-missing-unix-socket", EC::kIo, [] {
+    server::Client::connect(server::parse_listen_spec(
+        "unix:/nonexistent_nanocache_dir/missing.sock"));
   });
-  add(cases, "trace-garbage-kind", EC::kIo, [] {
-    sim::load_trace(temp_trace("R 1f\nX 2a\n"));
-  });
-  add(cases, "trace-truncated-line", EC::kIo, [] {
-    sim::load_trace(temp_trace("R 1f\nR\n"));
-  });
-  add(cases, "trace-bad-hex-address", EC::kIo, [] {
-    sim::load_trace(temp_trace("R zz9\n"));
-  });
-  add(cases, "trace-crlf-garbage-kind", EC::kIo, [] {
-    sim::load_trace(temp_trace("Q 1f\r\n"));
-  });
-  add(cases, "trace-over-access-limit", EC::kIo, [] {
-    sim::TraceLoadOptions limit;
-    limit.max_accesses = 2;
-    sim::load_trace(temp_trace("R 1\nW 2\nR 3\n"), limit);
-  });
-  add(cases, "trace-zero-access-limit", EC::kConfig, [] {
-    sim::TraceLoadOptions limit;
-    limit.max_accesses = 0;
-    sim::load_trace(temp_trace("R 1\n"), limit);
-  });
-  add(cases, "trace-save-unwritable-path", EC::kIo, [] {
-    sim::VectorTrace trace({{0x10, false}});
-    sim::save_trace(trace, 1, "/nonexistent_nanocache_dir/out.trc");
+  add(cases, "listener-bind-missing-directory", EC::kIo, [] {
+    server::Listener::open(server::parse_listen_spec(
+        "unix:/nonexistent_nanocache_dir/server.sock"));
   });
 
   // --- miss models --------------------------------------------------------
@@ -345,14 +310,6 @@ std::vector<FaultCase> build_standard_faults() {
         opt::structural_evaluator(small_cache()),
         opt::KnobGrid::paper_default(), opt::Scheme::kUniform, 1e-15);
     *r;  // dereferencing an infeasible outcome must throw, not crash
-  });
-  add(cases, "anneal-impossible-delay-deref", EC::kInfeasible, [] {
-    opt::AnnealConfig cfg;
-    cfg.iterations = 200;
-    const auto r = opt::anneal_single_cache(
-        opt::structural_evaluator(small_cache()),
-        opt::KnobGrid::paper_default(), opt::Scheme::kUniform, 1e-15, cfg);
-    r.value();
   });
   add(cases, "continuous-impossible-delay-deref", EC::kInfeasible, [] {
     const auto r = opt::optimize_continuous(

@@ -1,8 +1,8 @@
 // Fault-injection harness: a registry of deliberately-broken inputs for
-// every public entry point (model fitting, cache construction, trace I/O,
-// optimizers, experiment configs) plus a driver that checks each fault
-// dies with a correctly-categorized nanocache::Error — no crash, no hang,
-// no silent NaN, no miscategorized exception.
+// every public entry point (model fitting, cache construction, disk-cache
+// and socket I/O, optimizers, experiment configs) plus a driver that
+// checks each fault dies with a correctly-categorized nanocache::Error —
+// no crash, no hang, no silent NaN, no miscategorized exception.
 //
 // The registry is a plain data structure so the GoogleTest suite, the
 // sanitizer presets and any future fuzz driver can share it; the
@@ -21,7 +21,7 @@ namespace nanocache::testing {
 /// One injected fault: a closure poking a broken input into a public API,
 /// and the error category the library contract promises for it.
 struct FaultCase {
-  std::string name;              ///< unique slug, e.g. "trace-bad-hex"
+  std::string name;              ///< unique slug, e.g. "grid-empty-axis"
   ErrorCategory expected;        ///< category the Error must carry
   std::function<void()> inject;  ///< must throw nanocache::Error(expected)
 };

@@ -12,6 +12,7 @@
 #include <sys/resource.h>
 
 #include <csignal>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -386,12 +387,49 @@ TEST(ApiDiskCache, FailedWriteDegradesToMemoryOnly) {
 
 TEST(ApiDiskCache, ExhaustiveSearchModeIsByteIdentical) {
   // The differential oracle wired through the public config: both engines
-  // serve the same bytes (the pruned engine's correctness contract).
-  const auto workload = small_workload();
+  // serve the same bytes (the pruned engine's correctness contract), over
+  // the small workload, the scheme-comparison sweep, and one optimize per
+  // v3 design-space axis: explicit associativities, banks, two non-default
+  // nodes, fully associative (generous target: the FA tag broadcast is
+  // slow by design) and power gating.
+  auto workload = small_workload();
+  Request sweep;
+  sweep.id = "sweep";
+  sweep.kind = RequestKind::kSweep;
+  sweep.sweep.kind = SweepKind::kSchemes;
+  workload.push_back(std::move(sweep));
+  struct Point {
+    int associativity;    // 0 = default organization, -1 = fully associative
+    std::uint32_t banks;  // 0 = default single bank
+    int node_nm;          // 0 = default technology
+    bool gated;
+    double target_ps;
+  };
+  for (const Point& p : {Point{2, 0, 0, false, 3000.0},
+                         Point{4, 2, 0, false, 3000.0},
+                         Point{8, 0, 45, false, 3000.0},
+                         Point{1, 4, 32, false, 3000.0},
+                         Point{-1, 0, 0, false, 200000.0},
+                         Point{0, 0, 0, true, 1400.0}}) {
+    Request r;
+    r.id = "v3-" + std::to_string(workload.size());
+    r.kind = RequestKind::kOptimize;
+    r.optimize.scheme = SchemeId::kI;
+    r.optimize.delay.target_ps = p.target_ps;
+    r.optimize.organization.associativity = p.associativity;
+    r.optimize.organization.banks = p.banks;
+    r.optimize.node_nm = p.node_nm;
+    r.optimize.power_gating.enabled = p.gated;
+    if (p.gated) r.optimize.power_gating.perf_loss_budget = 0.1;
+    workload.push_back(std::move(r));
+  }
   const auto pruned = make_service()->run_batch(workload);
   ServiceConfig config;
   config.exhaustive_search = true;
   const auto exhaustive = make_service(std::move(config))->run_batch(workload);
+  for (const auto& response : pruned.responses) {
+    EXPECT_TRUE(response.ok) << response.id << ": " << response.error.message;
+  }
   EXPECT_EQ(serialized(pruned), serialized(exhaustive));
 }
 

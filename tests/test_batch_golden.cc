@@ -9,7 +9,9 @@
 // fastest AMAT, repeated targets, and two frontier requests.  The third
 // holds one frontier request per Figure-2 spec, so every spec's frontier is
 // pinned at full precision.  The fourth holds one line per way a request
-// can fail to parse, pinning every parse error's bytes.
+// can fail to parse, pinning every parse error's bytes; the fifth one
+// well-formed line per validation or infeasibility site a request can
+// reach, pinning every error message free of source locations.
 //
 // Regenerating the goldens after an *intentional* model change:
 //   NANOCACHE_REGEN_GOLDEN=1 ./tests/test_batch_golden
@@ -80,6 +82,8 @@ constexpr Fixture kFrontierFixture{"tuple_frontier_requests.jsonl",
                                    "tuple_frontier_responses_golden.jsonl"};
 constexpr Fixture kMalformedFixture{"malformed_requests.jsonl",
                                     "malformed_responses_golden.jsonl"};
+constexpr Fixture kInvalidFixture{"invalid_requests.jsonl",
+                                  "invalid_responses_golden.jsonl"};
 
 /// True (and the golden rewritten) when the caller asked for regeneration;
 /// tests then skip their comparisons.
@@ -264,6 +268,28 @@ TEST(BatchGolden, MalformedRequestsAnswerGoldenErrorsBatchAndServed) {
   const auto service = make_service();
   EXPECT_EQ(batch_output(*service, input), golden);
   EXPECT_EQ(served_outputs(service, input, /*clients=*/1).front(), golden);
+}
+
+TEST(BatchGolden, InvalidRequestsAnswerGoldenErrorsBatchAndServed) {
+  // Well-formed requests that fail validation (or cannot be met) answer
+  // with the category and the human message only: the failed condition
+  // and source location a precondition carries stay out of the wire bytes,
+  // so the same request gets the same answer from every build.
+  ThreadCountGuard guard;
+  const std::string input = read_file(data_path(kInvalidFixture.requests));
+  ASSERT_FALSE(input.empty());
+  if (maybe_regenerate_golden(kInvalidFixture, input)) {
+    GTEST_SKIP() << "golden regenerated";
+  }
+  const std::string golden = read_file(data_path(kInvalidFixture.golden));
+  EXPECT_EQ(golden.find(".cc:"), std::string::npos);
+  for (int threads : {1, 8}) {
+    par::set_default_threads(threads);
+    const auto service = make_service();
+    EXPECT_EQ(batch_output(*service, input), golden) << "threads=" << threads;
+    EXPECT_EQ(served_outputs(service, input, /*clients=*/1).front(), golden)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -1,82 +1,16 @@
-// Tests for the feature extensions: trace serialization, process corners,
-// and the read/write dynamic-energy split.
+// Tests for the feature extensions: process corners and the read/write
+// dynamic-energy split.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 
 #include "cachemodel/cache_model.h"
 #include "energy/memory_system.h"
-#include "sim/generators.h"
-#include "sim/trace_io.h"
 #include "tech/corners.h"
 #include "util/error.h"
 
 namespace nanocache {
 namespace {
-
-std::filesystem::path temp_file(const char* name) {
-  return std::filesystem::temp_directory_path() / name;
-}
-
-// --- trace I/O ---------------------------------------------------------------
-
-TEST(TraceIo, RoundTripPreservesAccesses) {
-  const auto path = temp_file("nanocache_trace_rt.txt");
-  sim::StrideGenerator gen(0x1000, 64, 4096, 0.3, 42);
-  sim::save_trace(gen, 500, path.string());
-
-  sim::StrideGenerator ref(0x1000, 64, 4096, 0.3, 42);
-  auto loaded = sim::load_trace(path.string());
-  EXPECT_EQ(loaded.size(), 500u);
-  for (int i = 0; i < 500; ++i) {
-    const auto a = ref.next();
-    const auto b = loaded.next();
-    EXPECT_EQ(a.address, b.address) << i;
-    EXPECT_EQ(a.is_write, b.is_write) << i;
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(TraceIo, CommentsAndBlankLinesIgnored) {
-  const auto path = temp_file("nanocache_trace_comments.txt");
-  {
-    std::ofstream out(path);
-    out << "# header\n\nR ff\nW 1a\n# trailing\n";
-  }
-  auto t = sim::load_trace(path.string());
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.next().address, 0xffu);
-  const auto w = t.next();
-  EXPECT_EQ(w.address, 0x1au);
-  EXPECT_TRUE(w.is_write);
-  std::filesystem::remove(path);
-}
-
-TEST(TraceIo, RejectsMalformedLines) {
-  const auto path = temp_file("nanocache_trace_bad.txt");
-  for (const char* body : {"X 12\n", "R zz\n", "R\n", "R 12junk\n"}) {
-    {
-      std::ofstream out(path);
-      out << body;
-    }
-    EXPECT_THROW(sim::load_trace(path.string()), Error) << body;
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(TraceIo, RejectsMissingAndEmptyFiles) {
-  EXPECT_THROW(sim::load_trace("/nonexistent/nanocache.trace"), Error);
-  const auto path = temp_file("nanocache_trace_empty.txt");
-  {
-    std::ofstream out(path);
-    out << "# nothing here\n";
-  }
-  EXPECT_THROW(sim::load_trace(path.string()), Error);
-  std::filesystem::remove(path);
-}
 
 // --- corners -----------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 // Randomized property tests across module boundaries: organization fuzz,
 // random-assignment consistency, DP-vs-thinning quality, and three-way
-// optimizer agreement (exact DP vs annealing vs continuous).
+// optimizer agreement (pruned search vs exhaustive search vs continuous).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,8 +9,8 @@
 #include "sim/hierarchy.h"
 #include "util/error.h"
 #include "energy/memory_system.h"
-#include "opt/anneal.h"
 #include "opt/continuous.h"
+#include "opt/schemes.h"
 #include "opt/tuple_menu.h"
 #include "util/rng.h"
 
@@ -74,8 +74,9 @@ TEST(FuzzAssignment, RandomAssignmentsBracketedByCorners) {
 }
 
 TEST(FuzzOptimizers, ThreeWayAgreementOnFittedObjective) {
-  // Exact DP, annealing and the continuous solver attack the same fitted
-  // objective; their optima must nest correctly at random targets.
+  // The pruned and exhaustive searches and the continuous solver attack the
+  // same fitted objective; their optima must nest correctly at random
+  // targets.
   tech::DeviceModel dev(tech::bptm65());
   CacheModel model(cachemodel::l1_organization(16 * 1024, dev),
                    tech::DeviceModel(dev.params()));
@@ -91,15 +92,16 @@ TEST(FuzzOptimizers, ThreeWayAgreementOnFittedObjective) {
     const double target = lo * (1.05 + rng.uniform() * 0.9);
     const auto exact = opt::optimize_single_cache(
         eval, grid, opt::Scheme::kArrayPeriphery, target);
-    const auto sa = opt::anneal_single_cache(
-        eval, grid, opt::Scheme::kArrayPeriphery, target);
+    const auto exhaustive = opt::optimize_single_cache(
+        eval, grid, opt::Scheme::kArrayPeriphery, target,
+        opt::SearchMode::kExhaustive);
     const auto cont = opt::optimize_continuous(
         fits, range, opt::Scheme::kArrayPeriphery, target);
-    ASSERT_TRUE(exact && sa && cont) << target;
-    // continuous <= exact grid <= annealing (with heuristic slack).
+    ASSERT_TRUE(exact && exhaustive && cont) << target;
+    // continuous <= exact grid, and both grid searches find the same optimum.
     EXPECT_LE(cont->leakage_w, exact->leakage_w * (1 + 1e-6)) << target;
-    EXPECT_GE(sa->leakage_w, exact->leakage_w * (1 - 1e-9)) << target;
-    EXPECT_LE(sa->leakage_w, exact->leakage_w * 1.10) << target;
+    EXPECT_EQ(exhaustive->leakage_w, exact->leakage_w) << target;
+    EXPECT_EQ(exhaustive->assignment, exact->assignment) << target;
   }
 }
 
