@@ -10,6 +10,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -213,18 +214,25 @@ MenuDesign to_menu_design(const opt::SystemDesignPoint& point,
   return d;
 }
 
-/// Satellite check: a grid override must stay inside the paper's knob
-/// ranges (the fitted forms and the BPTM device model are calibrated for
-/// them).  Out-of-range values are a typed kConfig error — never clamped.
+/// A knob value must stay inside the paper's knob range [min, max] (the
+/// fitted forms and the BPTM device model are calibrated for it).  An
+/// out-of-range value is a typed kConfig error — never clamped.  Grid
+/// overrides and eval knobs share this check, so both errors read alike.
+void validate_knob_value(std::string_view what, double value, double min,
+                         double max) {
+  NC_REQUIRE(value >= min && value <= max,
+             std::string(what) + " " + std::to_string(value) +
+                 " outside the paper's knob range [" + std::to_string(min) +
+                 ", " + std::to_string(max) + "]");
+}
+
 void validate_grid_axis(const char* axis, const std::vector<double>& values,
                         double min, double max) {
   NC_REQUIRE(!values.empty(),
              std::string(axis) + " grid override must be non-empty");
   for (std::size_t i = 0; i < values.size(); ++i) {
-    NC_REQUIRE(values[i] >= min && values[i] <= max,
-               std::string(axis) + " grid value " + std::to_string(values[i]) +
-                   " outside the paper's knob range [" + std::to_string(min) +
-                   ", " + std::to_string(max) + "]");
+    validate_knob_value(std::string(axis) + " grid value", values[i], min,
+                        max);
     NC_REQUIRE(i == 0 || values[i - 1] < values[i],
                std::string(axis) +
                    " grid values must be strictly increasing");
@@ -249,6 +257,18 @@ void validate_node(int node_nm) {
   if (node_nm != 0) (void)tech::node_params(node_nm);
 }
 
+/// Eval knobs at the configured node (0) and at 65 nm must lie inside the
+/// window `capabilities` advertises.  Other nodes are not checked: each has
+/// its own calibrated window, which the wire does not advertise yet.
+void validate_eval_knobs(const Knobs& knobs, int node_nm) {
+  if (node_nm != 0 && node_nm != 65) return;
+  const tech::KnobRange ranges{};
+  validate_knob_value("knobs.vth_v", knobs.vth_v, ranges.vth_min_v,
+                      ranges.vth_max_v);
+  validate_knob_value("knobs.tox_a", knobs.tox_a, ranges.tox_min_a,
+                      ranges.tox_max_a);
+}
+
 void validate_power_gating(const PowerGatingSpec& gating) {
   NC_REQUIRE(gating.perf_loss_budget >= 0.0 && gating.perf_loss_budget <= 1.0,
              "power_gating.perf_loss_budget must be in [0, 1]");
@@ -261,13 +281,6 @@ int resolve_associativity(Level level, const OrganizationSpec& org) {
   if (org.associativity != 0) return org.associativity;
   return level == Level::kL2 ? 8 : 2;
 }
-
-/// Fork-join cost hints for run_batch's two request classes.  Order of
-/// magnitude only — they feed the par::kSerialFallbackNs comparison, so
-/// all that matters is that a handful of evals stays serial while a
-/// handful of optimizer runs forks.
-constexpr std::uint64_t kCheapRequestCostHintNs = 20'000;    // memoized eval
-constexpr std::uint64_t kHeavyRequestCostHintNs = 1'000'000; // optimizer run
 
 }  // namespace
 
@@ -683,6 +696,7 @@ Outcome<EvalResponse> Service::evaluate(const EvalRequest& request) const {
   return guarded([&] {
     validate_organization(request.organization);
     validate_node(request.node_nm);
+    validate_eval_knobs(request.knobs, request.node_nm);
     const Level level = request.target.level;
     const std::uint64_t size =
         impl_->resolve_size(level, request.target.size_bytes);
@@ -1055,30 +1069,21 @@ BatchResult Service::run_batch(const std::vector<Request>& requests) const {
     peak_queue.record_max(static_cast<std::int64_t>(first_occurrence.size()));
   }
 
-  // Partition unique requests by expected cost.  Tuple-menu requests are
-  // the stragglers (one 3x3 menu outweighs the rest of a typical batch):
-  // they run first, one at a time on this thread, so each one's menu
-  // enumeration fans out across the whole pool instead of collapsing to
-  // serial inside a batch worker.  Other heavy requests (optimizer and
-  // sweep runs, milliseconds each) are dealt one at a time so a slow
-  // request never pins a whole chunk behind it; cheap ones (evals,
-  // capabilities, tens of microseconds) keep the default contiguous
-  // chunking, which hands each worker a run of requests per pool ticket —
-  // and the cost hint collapses a batch of only-cheap requests to a serial
-  // loop that skips pool wake-up entirely.  Every region writes unique
-  // slot u, so response assembly is independent of the partition.
-  std::vector<std::size_t> menus;
-  std::vector<std::size_t> cheap;
-  std::vector<std::size_t> heavy;
+  // Tuple-menu requests are the stragglers (one 3x3 menu outweighs the
+  // rest of a typical batch): they run first, one at a time on this thread,
+  // so each one's menu enumeration fans out across the whole pool instead
+  // of collapsing to serial inside a batch worker.  Every other unique
+  // request goes to one region, one request per claim.  Each request
+  // writes unique slot u, so response assembly is independent of the
+  // schedule.
+  std::vector<std::size_t> rest;
+  std::vector<Response> unique_responses(first_occurrence.size());
   for (std::size_t u = 0; u < first_occurrence.size(); ++u) {
-    const auto kind = requests[first_occurrence[u]].kind;
-    if (kind == RequestKind::kTupleMenu) {
-      menus.push_back(u);
-    } else if (kind == RequestKind::kEval ||
-               kind == RequestKind::kCapabilities) {
-      cheap.push_back(u);
+    const Request& request = requests[first_occurrence[u]];
+    if (request.kind == RequestKind::kTupleMenu) {
+      unique_responses[u] = serve(request);
     } else {
-      heavy.push_back(u);
+      rest.push_back(u);
     }
   }
 
@@ -1089,25 +1094,13 @@ BatchResult Service::run_batch(const std::vector<Request>& requests) const {
   // machinery in unit tests that call par::parallel_for directly.
   const int batch_threads =
       std::min(par::default_threads(), par::hardware_threads());
-
-  std::vector<Response> unique_responses(first_occurrence.size());
-  for (const std::size_t u : menus) {
-    unique_responses[u] = serve(requests[first_occurrence[u]]);
-  }
   par::parallel_for(
-      heavy.size(),
+      rest.size(),
       [&](std::size_t i) {
-        const std::size_t u = heavy[i];
+        const std::size_t u = rest[i];
         unique_responses[u] = serve(requests[first_occurrence[u]]);
       },
-      batch_threads, /*chunk_size=*/1, kHeavyRequestCostHintNs);
-  par::parallel_for(
-      cheap.size(),
-      [&](std::size_t i) {
-        const std::size_t u = cheap[i];
-        unique_responses[u] = serve(requests[first_occurrence[u]]);
-      },
-      batch_threads, /*chunk_size=*/0, kCheapRequestCostHintNs);
+      batch_threads);
 
   batch.responses.resize(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {

@@ -466,18 +466,4 @@ std::vector<Fig2Series> Explorer::fig2_tuple_frontiers(
   return out;
 }
 
-std::vector<std::vector<std::optional<opt::SystemDesignPoint>>>
-Explorer::fig2_tuple_table(const std::vector<opt::MenuSpec>& specs,
-                           const std::vector<double>& amat_targets_s) const {
-  metrics::TraceSpan span("explorer.fig2_tuple_table");
-  const auto system = default_system();
-  const opt::TupleMenuSolver solver(system, config_.grid);
-  // One menu enumeration per spec answers every target of its row.
-  std::vector<std::vector<std::optional<opt::SystemDesignPoint>>> table;
-  for (const auto& spec : specs) {
-    table.push_back(solver.solve(spec, amat_targets_s).best);
-  }
-  return table;
-}
-
 }  // namespace nanocache::core

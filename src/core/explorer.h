@@ -132,12 +132,6 @@ class Explorer {
   std::vector<Fig2Series> fig2_tuple_frontiers(
       const std::vector<opt::MenuSpec>& specs = default_fig2_specs()) const;
 
-  /// Best energy per menu spec at each AMAT target (the tabular view of
-  /// Figure 2).
-  std::vector<std::vector<std::optional<opt::SystemDesignPoint>>>
-  fig2_tuple_table(const std::vector<opt::MenuSpec>& specs,
-                   const std::vector<double>& amat_targets_s) const;
-
   static std::vector<opt::MenuSpec> default_fig2_specs();
   static std::string menu_label(const opt::MenuSpec& spec);
 

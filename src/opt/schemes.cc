@@ -286,18 +286,4 @@ std::vector<SchemeResult> scheme_frontier(const ComponentEvaluator& eval,
       [](const SchemeResult& r) { return r.leakage_w; });
 }
 
-std::vector<TradeoffPoint> leakage_delay_curve(
-    const ComponentEvaluator& eval, const KnobGrid& grid, Scheme scheme,
-    const std::vector<double>& delay_targets_s, SearchMode mode,
-    const OptSpace& space) {
-  // One optimization per target, in target order; infeasible targets are
-  // dropped.
-  std::vector<TradeoffPoint> out;
-  for (const double target : delay_targets_s) {
-    auto r = optimize_single_cache(eval, grid, scheme, target, mode, space);
-    if (r) out.push_back(TradeoffPoint{target, *r});
-  }
-  return out;
-}
-
 }  // namespace nanocache::opt

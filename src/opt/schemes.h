@@ -46,18 +46,6 @@ OptOutcome<SchemeResult> optimize_single_cache(
 double min_access_time(const ComponentEvaluator& eval, const KnobGrid& grid,
                        Scheme scheme, const OptSpace& space = OptSpace::base());
 
-/// Leakage-vs-delay trade-off curve: optimal leakage at each constraint in
-/// `delay_targets_s` (infeasible targets are skipped).
-struct TradeoffPoint {
-  double delay_constraint_s = 0.0;
-  SchemeResult result;
-};
-std::vector<TradeoffPoint> leakage_delay_curve(
-    const ComponentEvaluator& eval, const KnobGrid& grid, Scheme scheme,
-    const std::vector<double>& delay_targets_s,
-    SearchMode mode = SearchMode::kPruned,
-    const OptSpace& space = OptSpace::base());
-
 /// The full (access time, leakage) Pareto front of a cache under a scheme:
 /// every non-dominated assignment on the grid, sorted by access time
 /// ascending / leakage descending.  This is the per-level primitive joint

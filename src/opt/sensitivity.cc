@@ -68,17 +68,6 @@ KnobSensitivity sensitivities(LeakFn leak, DelayFn delay,
 
 }  // namespace
 
-KnobSensitivity component_sensitivity(const ComponentEvaluator& eval,
-                                      ComponentKind kind,
-                                      const tech::DeviceKnobs& at,
-                                      const tech::KnobRange& range,
-                                      double vth_step_v, double tox_step_a) {
-  return sensitivities(
-      [&](const tech::DeviceKnobs& k) { return eval(kind, k).leakage_w; },
-      [&](const tech::DeviceKnobs& k) { return eval(kind, k).delay_s; }, at,
-      range, vth_step_v, tox_step_a);
-}
-
 KnobSensitivity cache_sensitivity(const ComponentEvaluator& eval,
                                   const tech::DeviceKnobs& at,
                                   const tech::KnobRange& range,

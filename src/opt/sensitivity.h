@@ -1,4 +1,4 @@
-// Knob sensitivity analysis: normalized local derivatives of a component's
+// Knob sensitivity analysis: normalized local derivatives of a cache's
 // leakage and delay with respect to Vth and Tox.  This quantifies the
 // Figure 1 discussion — which knob is the stronger leakage lever and which
 // the stronger delay lever — at any operating point, and drives the
@@ -27,16 +27,9 @@ struct KnobSensitivity {
   double leakage_efficiency_tox() const;
 };
 
-/// Central-difference sensitivities of one component at `at`.
-/// Steps default to 10 mV / 0.1 A and are shrunk near the knob bounds.
-KnobSensitivity component_sensitivity(const ComponentEvaluator& eval,
-                                      cachemodel::ComponentKind kind,
-                                      const tech::DeviceKnobs& at,
-                                      const tech::KnobRange& range,
-                                      double vth_step_v = 0.01,
-                                      double tox_step_a = 0.1);
-
-/// Whole-cache sensitivity (component metrics summed before the log).
+/// Whole-cache central-difference sensitivities at `at` (component metrics
+/// summed before the log).  Steps default to 10 mV / 0.1 A and are shrunk
+/// near the knob bounds.
 KnobSensitivity cache_sensitivity(const ComponentEvaluator& eval,
                                   const tech::DeviceKnobs& at,
                                   const tech::KnobRange& range,

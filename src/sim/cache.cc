@@ -10,30 +10,12 @@ namespace {
 bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 }  // namespace
 
-std::string replacement_name(Replacement r) {
-  switch (r) {
-    case Replacement::kLru:
-      return "LRU";
-    case Replacement::kFifo:
-      return "FIFO";
-    case Replacement::kRandom:
-      return "random";
-    case Replacement::kPlru:
-      return "PLRU";
-  }
-  return "unknown";
-}
-
 SetAssociativeCache::SetAssociativeCache(std::uint64_t size_bytes,
                                          std::uint32_t block_bytes,
-                                         std::uint32_t associativity,
-                                         Replacement policy,
-                                         std::uint64_t seed)
+                                         std::uint32_t associativity)
     : size_bytes_(size_bytes),
       block_bytes_(block_bytes),
-      assoc_(associativity),
-      policy_(policy),
-      rng_state_(seed | 1) {
+      assoc_(associativity) {
   NC_REQUIRE(is_pow2(size_bytes_), "cache size must be a power of two");
   NC_REQUIRE(is_pow2(block_bytes_) && block_bytes_ >= 8,
              "block size must be a power of two >= 8");
@@ -45,42 +27,21 @@ SetAssociativeCache::SetAssociativeCache(std::uint64_t size_bytes,
   lines_.resize(num_sets_ * assoc_);
 }
 
-std::uint32_t SetAssociativeCache::pick_victim(std::uint64_t set_index) {
-  Line* set = &lines_[set_index * assoc_];
-  // Prefer an invalid way.
+std::uint32_t SetAssociativeCache::pick_victim(std::uint64_t set_index) const {
+  const Line* set = &lines_[set_index * assoc_];
+  // Prefer an invalid way, else the least recently used one.
   for (std::uint32_t w = 0; w < assoc_; ++w) {
     if (!set[w].valid) return w;
   }
-  switch (policy_) {
-    case Replacement::kLru:
-    case Replacement::kFifo: {
-      std::uint32_t victim = 0;
-      std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-      for (std::uint32_t w = 0; w < assoc_; ++w) {
-        if (set[w].order < oldest) {
-          oldest = set[w].order;
-          victim = w;
-        }
-      }
-      return victim;
-    }
-    case Replacement::kRandom: {
-      // xorshift64 step.
-      rng_state_ ^= rng_state_ << 13;
-      rng_state_ ^= rng_state_ >> 7;
-      rng_state_ ^= rng_state_ << 17;
-      return static_cast<std::uint32_t>(rng_state_ % assoc_);
-    }
-    case Replacement::kPlru: {
-      // Bit-PLRU: evict the first way whose reference bit is clear.
-      for (std::uint32_t w = 0; w < assoc_; ++w) {
-        if (set[w].plru == 0) return w;
-      }
-      // All set (shouldn't persist; access() clears) — fall back to way 0.
-      return 0;
+  std::uint32_t victim = 0;
+  std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
+  for (std::uint32_t w = 0; w < assoc_; ++w) {
+    if (set[w].last_access < oldest) {
+      oldest = set[w].last_access;
+      victim = w;
     }
   }
-  return 0;
+  return victim;
 }
 
 void SetAssociativeCache::enable_decay(std::uint64_t interval_accesses) {
@@ -118,8 +79,7 @@ void SetAssociativeCache::reset_stats() {
   awake_line_ticks_ = 0.0;
 }
 
-AccessResult SetAssociativeCache::access(std::uint64_t address, bool is_write,
-                                         bool allocate_on_miss) {
+AccessResult SetAssociativeCache::access(std::uint64_t address, bool is_write) {
   ++stats_.accesses;
   ++tick_;
   const std::uint64_t block = block_of(address);
@@ -142,46 +102,20 @@ AccessResult SetAssociativeCache::access(std::uint64_t address, bool is_write,
           result.evicted_block = set[w].tag * num_sets_ + set_index;
           ++stats_.writebacks;
         }
-        if (!allocate_on_miss) {
-          set[w].valid = false;
-          set[w].dirty = false;
-          return result;
-        }
         set[w].tag = tag;
         set[w].dirty = is_write;
-        set[w].order = tick_;
         set[w].last_access = tick_;
-        set[w].plru = 1;
         return result;
       }
       result.hit = true;
       if (is_write) set[w].dirty = true;
       accrue_awake(set[w]);
       set[w].last_access = tick_;
-      if (policy_ == Replacement::kLru) set[w].order = tick_;
-      if (policy_ == Replacement::kPlru) {
-        set[w].plru = 1;
-        // If all reference bits are now set, clear the others.
-        bool all = true;
-        for (std::uint32_t v = 0; v < assoc_; ++v) {
-          if (set[v].plru == 0) {
-            all = false;
-            break;
-          }
-        }
-        if (all) {
-          for (std::uint32_t v = 0; v < assoc_; ++v) {
-            if (v != w) set[v].plru = 0;
-          }
-        }
-      }
       return result;
     }
   }
 
   ++stats_.misses;
-  if (!allocate_on_miss) return result;
-
   const std::uint32_t victim = pick_victim(set_index);
   Line& line = set[victim];
   if (line.valid) {
@@ -198,9 +132,7 @@ AccessResult SetAssociativeCache::access(std::uint64_t address, bool is_write,
   line.valid = true;
   line.tag = tag;
   line.dirty = is_write;
-  line.order = tick_;  // insertion time serves both LRU and FIFO
   line.last_access = tick_;
-  line.plru = 1;
   return result;
 }
 
@@ -211,21 +143,6 @@ bool SetAssociativeCache::contains(std::uint64_t address) const {
   const Line* set = &lines_[set_index * assoc_];
   for (std::uint32_t w = 0; w < assoc_; ++w) {
     if (set[w].valid && set[w].tag == tag) return !decayed(set[w]);
-  }
-  return false;
-}
-
-bool SetAssociativeCache::invalidate_block(std::uint64_t block_address) {
-  const std::uint64_t set_index = set_of(block_address);
-  const std::uint64_t tag = tag_of(block_address);
-  Line* set = &lines_[set_index * assoc_];
-  for (std::uint32_t w = 0; w < assoc_; ++w) {
-    if (set[w].valid && set[w].tag == tag) {
-      const bool dirty = set[w].dirty;
-      set[w].valid = false;
-      set[w].dirty = false;
-      return dirty;
-    }
   }
   return false;
 }

@@ -1,19 +1,14 @@
-// Trace-driven set-associative cache with pluggable replacement.  This is
-// the architectural-simulation substrate behind the paper's Section 5 miss
+// Trace-driven set-associative LRU cache.  This is the
+// architectural-simulation substrate behind the paper's Section 5 miss
 // statistics.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/trace.h"
 
 namespace nanocache::sim {
-
-enum class Replacement { kLru, kFifo, kRandom, kPlru };
-
-std::string replacement_name(Replacement r);
 
 /// Outcome of one cache lookup.
 struct AccessResult {
@@ -38,23 +33,14 @@ struct CacheStats {
 class SetAssociativeCache {
  public:
   SetAssociativeCache(std::uint64_t size_bytes, std::uint32_t block_bytes,
-                      std::uint32_t associativity,
-                      Replacement policy = Replacement::kLru,
-                      std::uint64_t seed = 1);
+                      std::uint32_t associativity);
 
-  /// Look up `address`; on miss, allocate by default (write-allocate,
-  /// writeback).  With `allocate_on_miss` false, a miss is counted but the
-  /// line is not filled — the no-write-allocate path of a write-through
-  /// front side.
-  AccessResult access(std::uint64_t address, bool is_write,
-                      bool allocate_on_miss = true);
+  /// Look up `address`; on miss, allocate (write-allocate, writeback) and
+  /// evict the least recently used way.
+  AccessResult access(std::uint64_t address, bool is_write);
 
   /// Probe without updating state; true if resident.
   bool contains(std::uint64_t address) const;
-
-  /// Invalidate a block if present (back-invalidation support); returns
-  /// whether the line was present and dirty.
-  bool invalidate_block(std::uint64_t block_address);
 
   /// Enable cache decay (gated-Vdd-style, state-destroying): a line
   /// untouched for `interval_accesses` cache accesses is put to sleep.
@@ -81,9 +67,8 @@ class SetAssociativeCache {
     std::uint64_t tag = 0;
     bool valid = false;
     bool dirty = false;
-    std::uint64_t order = 0;        ///< LRU/FIFO timestamp
-    std::uint64_t last_access = 0;  ///< decay clock (access ticks)
-    std::uint32_t plru = 0;         ///< PLRU reference bit
+    /// Tick of the last touch: both the LRU order and the decay clock.
+    std::uint64_t last_access = 0;
   };
 
   bool decayed(const Line& line) const {
@@ -102,16 +87,14 @@ class SetAssociativeCache {
   std::uint64_t tag_of(std::uint64_t block) const {
     return block / num_sets_;
   }
-  std::uint32_t pick_victim(std::uint64_t set_index);
+  std::uint32_t pick_victim(std::uint64_t set_index) const;
 
   std::uint64_t size_bytes_;
   std::uint32_t block_bytes_;
   std::uint32_t assoc_;
   std::uint64_t num_sets_;
-  Replacement policy_;
   std::vector<Line> lines_;  ///< num_sets * assoc, set-major
   std::uint64_t tick_ = 0;
-  std::uint64_t rng_state_;
   std::uint64_t decay_interval_ = 0;
   std::uint64_t stats_start_tick_ = 0;
   double awake_line_ticks_ = 0.0;

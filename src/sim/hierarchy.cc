@@ -5,9 +5,8 @@
 namespace nanocache::sim {
 
 TwoLevelHierarchy::TwoLevelHierarchy(SetAssociativeCache l1,
-                                     SetAssociativeCache l2,
-                                     WritePolicy policy)
-    : l1_(std::move(l1)), l2_(std::move(l2)), policy_(policy) {
+                                     SetAssociativeCache l2)
+    : l1_(std::move(l1)), l2_(std::move(l2)) {
   NC_REQUIRE(l2_.block_bytes() >= l1_.block_bytes(),
              "L2 block must be >= L1 block");
   NC_REQUIRE(l2_.block_bytes() % l1_.block_bytes() == 0,
@@ -31,17 +30,6 @@ void TwoLevelHierarchy::access_l2(std::uint64_t address, bool is_write) {
 
 void TwoLevelHierarchy::access(std::uint64_t address, bool is_write) {
   ++stats_.references;
-
-  if (policy_ == WritePolicy::kWriteThroughNoAllocate && is_write) {
-    // L1 is updated only on hit (clean — L2 always has the data too);
-    // the write itself always proceeds to L2.
-    const auto r1 = l1_.access(address, /*is_write=*/false,
-                               /*allocate_on_miss=*/false);
-    if (!r1.hit) ++stats_.l1_misses;
-    access_l2(address, /*is_write=*/true);
-    return;
-  }
-
   const auto r1 = l1_.access(address, is_write);
   if (r1.writeback) {
     ++stats_.l1_writebacks;

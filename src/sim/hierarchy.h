@@ -29,29 +29,13 @@ struct HierarchyStats {
     return l2_accesses == 0 ? 0.0
                             : static_cast<double>(l2_misses) / l2_accesses;
   }
-  /// Global L2 miss rate (misses per reference).
-  double l2_global_miss_rate() const {
-    return references == 0 ? 0.0
-                           : static_cast<double>(l2_misses) / references;
-  }
-};
-
-/// L1 write handling.
-enum class WritePolicy {
-  /// Write-back, write-allocate (default, what the paper-era L1s used for
-  /// data): writes dirty the L1 line; dirty victims drain into L2.
-  kWriteBackAllocate,
-  /// Write-through, no-write-allocate: every write also goes to L2; write
-  /// misses do not fill L1.
-  kWriteThroughNoAllocate,
 };
 
 class TwoLevelHierarchy {
  public:
   /// Caches are moved in; L2 block size must be >= L1 block size and both
   /// must divide evenly.
-  TwoLevelHierarchy(SetAssociativeCache l1, SetAssociativeCache l2,
-                    WritePolicy policy = WritePolicy::kWriteBackAllocate);
+  TwoLevelHierarchy(SetAssociativeCache l1, SetAssociativeCache l2);
 
   /// Process one reference through the hierarchy.
   void access(std::uint64_t address, bool is_write);
@@ -68,15 +52,12 @@ class TwoLevelHierarchy {
   const SetAssociativeCache& l1() const { return l1_; }
   const SetAssociativeCache& l2() const { return l2_; }
 
-  WritePolicy write_policy() const { return policy_; }
-
  private:
-  /// L2-side handling shared by both write policies.
+  /// L2-side handling of L1 misses and dirty L1 victims.
   void access_l2(std::uint64_t address, bool is_write);
 
   SetAssociativeCache l1_;
   SetAssociativeCache l2_;
-  WritePolicy policy_;
   HierarchyStats stats_;
 };
 

@@ -1,10 +1,8 @@
 // Address-trace abstraction consumed by the cache simulator.  Traces are
-// pull-based streams so synthetic generators of unbounded length compose
-// with finite replay buffers.
+// pull-based streams, so synthetic generators of unbounded length compose.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace nanocache::sim {
 
@@ -20,25 +18,6 @@ class TraceSource {
  public:
   virtual ~TraceSource() = default;
   virtual Access next() = 0;
-};
-
-/// Fixed prerecorded trace that replays (and wraps around) a buffer.
-class VectorTrace final : public TraceSource {
- public:
-  explicit VectorTrace(std::vector<Access> accesses)
-      : accesses_(std::move(accesses)) {}
-
-  Access next() override {
-    const Access a = accesses_[cursor_];
-    cursor_ = (cursor_ + 1) % accesses_.size();
-    return a;
-  }
-
-  std::size_t size() const { return accesses_.size(); }
-
- private:
-  std::vector<Access> accesses_;
-  std::size_t cursor_ = 0;
 };
 
 }  // namespace nanocache::sim

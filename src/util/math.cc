@@ -93,88 +93,6 @@ double r_squared(const std::vector<double>& observed,
   return 1.0 - ss_res / ss_tot;
 }
 
-double ExpFit::operator()(double x) const { return c0 + c1 * std::exp(rate * x); }
-
-namespace {
-
-/// Inner solve for y = c0 + c1 * exp(rate * x) at a fixed rate; returns the
-/// sum of squared residuals and fills c0/c1.
-double exp_inner_solve(const std::vector<double>& x,
-                       const std::vector<double>& y, double rate, double* c0,
-                       double* c1) {
-  const std::size_t n = y.size();
-  std::vector<double> design(n * 2);
-  for (std::size_t i = 0; i < n; ++i) {
-    design[i * 2 + 0] = 1.0;
-    design[i * 2 + 1] = std::exp(rate * x[i]);
-  }
-  const auto beta = least_squares(design, 2, y);
-  *c0 = beta[0];
-  *c1 = beta[1];
-  double ss = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double r = y[i] - (beta[0] + beta[1] * design[i * 2 + 1]);
-    ss += r * r;
-  }
-  return ss;
-}
-
-}  // namespace
-
-ExpFit fit_exponential(const std::vector<double>& x,
-                       const std::vector<double>& y, double rate_lo,
-                       double rate_hi, int steps) {
-  NC_REQUIRE(x.size() == y.size() && x.size() >= 3,
-             "fit_exponential needs >= 3 samples");
-  NC_REQUIRE(rate_hi > rate_lo, "invalid rate bracket");
-  NC_REQUIRE(steps >= 2, "fit_exponential needs >= 2 scan steps");
-
-  double best_rate = rate_lo;
-  double best_ss = std::numeric_limits<double>::infinity();
-  double c0 = 0.0;
-  double c1 = 0.0;
-  for (int i = 0; i <= steps; ++i) {
-    const double rate =
-        rate_lo + (rate_hi - rate_lo) * static_cast<double>(i) / steps;
-    double a = 0.0;
-    double b = 0.0;
-    const double ss = exp_inner_solve(x, y, rate, &a, &b);
-    if (ss < best_ss) {
-      best_ss = ss;
-      best_rate = rate;
-    }
-  }
-  // Golden-section refinement around the best grid point.
-  const double span = (rate_hi - rate_lo) / steps;
-  double lo = best_rate - span;
-  double hi = best_rate + span;
-  constexpr double kInvPhi = 0.6180339887498949;
-  for (int it = 0; it < 60; ++it) {
-    const double m1 = hi - kInvPhi * (hi - lo);
-    const double m2 = lo + kInvPhi * (hi - lo);
-    double a = 0.0;
-    double b = 0.0;
-    const double s1 = exp_inner_solve(x, y, m1, &a, &b);
-    const double s2 = exp_inner_solve(x, y, m2, &a, &b);
-    if (s1 < s2) {
-      hi = m2;
-    } else {
-      lo = m1;
-    }
-  }
-  best_rate = 0.5 * (lo + hi);
-  exp_inner_solve(x, y, best_rate, &c0, &c1);
-
-  ExpFit fit;
-  fit.c0 = c0;
-  fit.c1 = c1;
-  fit.rate = best_rate;
-  std::vector<double> pred(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) pred[i] = fit(x[i]);
-  fit.r2 = r_squared(y, pred);
-  return fit;
-}
-
 double SeparableExpFit::operator()(double x1, double x2) const {
   return c0 + c1 * std::exp(r1 * x1) + c2 * std::exp(r2 * x2);
 }
@@ -301,7 +219,5 @@ PowerLawFit fit_power_law(const std::vector<double>& x,
   fit.r2_log = r_squared(logy, pred);
   return fit;
 }
-
-double lerp(double a, double b, double t) { return a + (b - a) * t; }
 
 }  // namespace nanocache::math

@@ -25,24 +25,6 @@ std::vector<double> least_squares(const std::vector<double>& x_rowmajor,
 double r_squared(const std::vector<double>& observed,
                  const std::vector<double>& predicted);
 
-/// Result of fitting y = c0 + c1 * exp(rate * x).
-struct ExpFit {
-  double c0 = 0.0;
-  double c1 = 0.0;
-  double rate = 0.0;
-  double r2 = 0.0;
-
-  double operator()(double x) const;
-};
-
-/// Fit y = c0 + c1 * exp(rate * x) by scanning `rate` over
-/// [rate_lo, rate_hi] (grid of `steps` points, then golden-section refine)
-/// and solving the inner linear problem in (c0, c1) by least squares.
-/// Deterministic and robust for the monotone device curves fitted here.
-ExpFit fit_exponential(const std::vector<double>& x,
-                       const std::vector<double>& y, double rate_lo,
-                       double rate_hi, int steps = 200);
-
 /// Result of fitting y = c0 + c1 * exp(r1 * x1) + c2 * exp(r2 * x2), the
 /// two-variable separable form of the paper's leakage model (Eq. 1).
 struct SeparableExpFit {
@@ -93,8 +75,5 @@ struct PowerLawFit {
 
 PowerLawFit fit_power_law(const std::vector<double>& x,
                           const std::vector<double>& y);
-
-/// Numerically robust linear interpolation helper: clamps outside the table.
-double lerp(double a, double b, double t);
 
 }  // namespace nanocache::math

@@ -42,39 +42,12 @@ inline double ensure_positive(double value, const char* context) {
   return value;
 }
 
-/// Value must be finite and >= 0.
-inline double ensure_nonnegative(double value, const char* context) {
-  ensure_finite(value, context);
-  if (value < 0.0) throw_domain("negative value", context, value);
-  return value;
-}
-
-/// Value must be finite and inside [lo, hi].
-inline double ensure_in_range(double value, double lo, double hi,
-                              const char* context) {
-  ensure_finite(value, context);
-  if (value < lo || value > hi) {
-    throw Error(ErrorCategory::kNumericDomain,
-                std::string("value out of range in ") + context + " (" +
-                    std::to_string(value) + " not in [" + std::to_string(lo) +
-                    ", " + std::to_string(hi) + "])");
-  }
-  return value;
-}
-
 /// exp() that refuses non-finite or overflowing arguments instead of
 /// returning Inf.
 inline double checked_exp(double x, const char* context) {
   ensure_finite(x, context);
   if (x > kMaxExpArg) throw_domain("exp overflow", context, x);
   return std::exp(x);
-}
-
-/// log() that refuses non-positive or non-finite arguments instead of
-/// returning NaN/-Inf.
-inline double checked_log(double x, const char* context) {
-  ensure_positive(x, context);
-  return std::log(x);
 }
 
 }  // namespace nanocache::num

@@ -19,10 +19,10 @@ namespace {
 std::atomic<int> g_default_threads{0};  // 0 = unset, fall through to env/hw
 thread_local int tl_region_depth = 0;
 /// Pool worker index of the current thread (0 = a caller thread), for the
-/// per-worker chunk-claim counters.
+/// per-worker claim counters (`chunks_claimed`: one index per claim).
 thread_local int tl_worker_id = 0;
 
-metrics::Counter& worker_chunk_counter() {
+metrics::Counter& worker_claim_counter() {
   // One counter per worker identity.  Worker ids are dense and small
   // (<= kMaxThreads), so the name set is bounded; the reference is cached
   // per thread so steady state is one atomic add per claim.
@@ -47,21 +47,18 @@ int env_threads() {
   return static_cast<int>(v);
 }
 
-/// One fork-join region: workers claim chunks from `next` until the range
-/// drains or a chunk fails.
+/// One fork-join region: workers claim indices from `next` until the range
+/// drains or an index fails.
 ///
 /// Error determinism: `error_bound` is the lowest failing index recorded so
-/// far (SIZE_MAX while none).  Workers stop claiming chunks that start at
-/// or above the bound and break out of a running chunk when they reach it.
-/// A chunk's indices all lie below the start of every later chunk, so a
-/// chunk can only be cancelled at indices the serial loop would never have
-/// reached — the chunk containing the globally lowest failing index always
-/// runs up to and records it, and the propagated error is byte-identical
-/// to the serial run at any thread count.
+/// far (SIZE_MAX while none).  Workers stop claiming once the next index is
+/// at or above the bound.  Claims come in increasing index order, so an
+/// index is only skipped when the serial loop would never have reached it —
+/// every index below the globally lowest failure runs, that failure is
+/// recorded, and the propagated error is byte-identical to the serial run
+/// at any thread count.
 struct Region {
   std::size_t n = 0;
-  std::size_t chunk = 1;
-  std::size_t num_chunks = 0;
   detail::RawBody invoke = nullptr;
   void* ctx = nullptr;
 
@@ -86,26 +83,18 @@ struct Region {
     }
   }
 
-  void run_chunks() {
-    auto& chunks_claimed = worker_chunk_counter();
+  void run_indices() {
+    auto& claims = worker_claim_counter();
     for (;;) {
-      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) return;
-      const std::size_t lo = c * chunk;
-      // Every index of this chunk is at or above an already-recorded
-      // failure: the serial loop would have stopped before reaching it.
-      if (lo >= error_bound.load(std::memory_order_relaxed)) return;
-      chunks_claimed.add(1);
-      const std::size_t hi = lo + chunk < n ? lo + chunk : n;
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (i >= error_bound.load(std::memory_order_relaxed)) break;
-        try {
-          invoke(ctx, i);
-        } catch (...) {
-          record_failure(i);
-          // Every unclaimed chunk starts above i; nothing left to do.
-          return;
-        }
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n || i >= error_bound.load(std::memory_order_relaxed)) return;
+      claims.add(1);
+      try {
+        invoke(ctx, i);
+      } catch (...) {
+        record_failure(i);
+        // Every unclaimed index lies above i; nothing left to do.
+        return;
       }
     }
   }
@@ -135,7 +124,7 @@ class Pool {
     }
     work_cv_.notify_all();
     ++tl_region_depth;
-    region.run_chunks();
+    region.run_indices();
     --tl_region_depth;
     std::unique_lock<std::mutex> lock(mutex_);
     region_ = nullptr;  // late wakers must not join a drained region
@@ -180,7 +169,7 @@ class Pool {
         ++active_;
       }
       ++tl_region_depth;
-      region->run_chunks();
+      region->run_indices();
       --tl_region_depth;
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -231,15 +220,13 @@ SerialRegionGuard::~SerialRegionGuard() { --tl_region_depth; }
 
 namespace detail {
 
-bool use_serial(std::size_t n, int& threads, std::uint64_t cost_hint_ns) {
+bool use_serial(std::size_t n, int& threads) {
   if (threads == 0) threads = default_threads();
   NC_REQUIRE(threads >= 1, "parallel_for thread count must be >= 1");
   if (threads > kMaxThreads) threads = kMaxThreads;
-  // Serial paths: single thread requested, a degenerate range, a nested
-  // call from inside a worker (rejected from parallelism, run inline), or
-  // an estimated total cost too small to amortize a pool round trip.
-  if (threads == 1 || n == 1 || tl_region_depth > 0) return true;
-  return cost_hint_ns > 0 && n <= kSerialFallbackNs / cost_hint_ns;
+  // Serial paths: single thread requested, a degenerate range, or a nested
+  // call from inside a worker (rejected from parallelism, run inline).
+  return threads == 1 || n == 1 || tl_region_depth > 0;
 }
 
 void count_serial_region() {
@@ -248,30 +235,13 @@ void count_serial_region() {
   serial_regions.add(1);
 }
 
-void run_region(std::size_t n, RawBody invoke, void* ctx, int threads,
-                std::size_t chunk_size) {
+void run_region(std::size_t n, RawBody invoke, void* ctx, int threads) {
   Region region;
   region.n = n;
-  if (chunk_size == 0) {
-    // ~4 chunks per thread for balance without excessive claim traffic.
-    chunk_size = n / (static_cast<std::size_t>(threads) * 4);
-    if (chunk_size == 0) chunk_size = 1;
-  }
-  region.chunk = chunk_size;
-  region.num_chunks = (n + chunk_size - 1) / chunk_size;
   region.invoke = invoke;
   region.ctx = ctx;
-
-  if (region.num_chunks < 2) {
-    count_serial_region();
-    for (std::size_t i = 0; i < n; ++i) invoke(ctx, i);
-    return;
-  }
-
   const int workers =
-      region.num_chunks < static_cast<std::size_t>(threads)
-          ? static_cast<int>(region.num_chunks)
-          : threads;
+      n < static_cast<std::size_t>(threads) ? static_cast<int>(n) : threads;
   {
     auto& registry = metrics::Registry::instance();
     static auto& regions = registry.counter("parallel.regions");

@@ -5,14 +5,16 @@
 // option tables, Pareto filters — is a few milliseconds of work and runs
 // as a plain loop (docs/MODELING.md §9).
 //
-// `parallel_for` splits an index range into contiguous chunks which
-// persistent worker threads claim from an atomic counter (chunked
-// self-scheduling).  The calling thread always participates, so
-// `threads == 1` degrades to a plain serial loop with zero pool traffic.
+// `parallel_for` hands out an index range one index at a time: persistent
+// worker threads claim the next index from an atomic counter
+// (self-scheduling).  Both callers run few, uneven tasks — a request, a
+// menu — so one index per claim balances them without a chunking knob.
+// The calling thread always participates, so `threads == 1` degrades to a
+// plain serial loop with zero pool traffic.
 //
 // Determinism contract:
 //  * `parallel_map` writes result i from task i — output order is index
-//    order regardless of thread count or chunk schedule.
+//    order regardless of thread count or claim schedule.
 //  * Nested calls are rejected: a `parallel_for` issued from inside a
 //    worker runs inline and serially on that worker (no oversubscription,
 //    no deadlock, and the task keeps exclusive use of any thread-local
@@ -30,7 +32,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -70,12 +71,6 @@ class SerialRegionGuard {
   SerialRegionGuard& operator=(const SerialRegionGuard&) = delete;
 };
 
-/// Estimated total serial cost (ns) below which forking a region costs
-/// more than it saves: regions with a non-zero cost hint whose estimated
-/// total falls under this threshold run serially.  ~3 ms comfortably
-/// covers pool wake/drain latency plus cross-core cache traffic.
-inline constexpr std::uint64_t kSerialFallbackNs = 3'000'000;
-
 namespace detail {
 
 /// Type-erased region body: `invoke(ctx, i)` runs index i.  A raw function
@@ -85,35 +80,28 @@ using RawBody = void (*)(void*, std::size_t);
 
 /// Resolves `threads` in place (0 -> default_threads(), clamped to the
 /// pool cap) and decides whether the region must run serially: single
-/// thread, degenerate range, nested call, or an estimated total cost
-/// (n * cost_hint_ns) under kSerialFallbackNs.
-bool use_serial(std::size_t n, int& threads, std::uint64_t cost_hint_ns);
+/// thread, degenerate range, or nested call.
+bool use_serial(std::size_t n, int& threads);
 
 /// Bumps the parallel.serial_regions counter (cached reference inside).
 void count_serial_region();
 
-/// Parallel path: chunk [0, n) and run it on the pool.  Rethrows the
-/// lowest-index failure.  May still fall back to a serial loop when the
-/// chunking degenerates to a single chunk.
-void run_region(std::size_t n, RawBody invoke, void* ctx, int threads,
-                std::size_t chunk_size);
+/// Parallel path: run [0, n) on the pool, one index per claim.  Rethrows
+/// the lowest-index failure.
+void run_region(std::size_t n, RawBody invoke, void* ctx, int threads);
 
 }  // namespace detail
 
-/// Run `body(i)` for every i in [0, n), distributing contiguous chunks
-/// over `threads` threads (0 = default_threads()).  `chunk_size == 0`
-/// picks a balanced chunk automatically.  Runs serially when n < 2,
-/// threads == 1, the caller is already inside a parallel region, or
-/// `cost_hint_ns` (estimated serial cost per index, 0 = unknown) says the
-/// whole region is cheaper than a pool round trip — the serial fallback
-/// never changes results, only scheduling (see the determinism contract
-/// above).  `body` is invoked through a per-region function pointer, not a
+/// Run `body(i)` for every i in [0, n) over `threads` threads
+/// (0 = default_threads()).  Runs serially when n < 2, threads == 1, or
+/// the caller is already inside a parallel region — the serial path never
+/// changes results, only scheduling (see the determinism contract above).
+/// `body` is invoked through a per-region function pointer, not a
 /// std::function, so lambdas run with zero per-index type-erasure cost.
 template <typename Body>
-void parallel_for(std::size_t n, Body&& body, int threads = 0,
-                  std::size_t chunk_size = 0, std::uint64_t cost_hint_ns = 0) {
+void parallel_for(std::size_t n, Body&& body, int threads = 0) {
   if (n == 0) return;
-  if (detail::use_serial(n, threads, cost_hint_ns)) {
+  if (detail::use_serial(n, threads)) {
     detail::count_serial_region();
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
@@ -124,19 +112,16 @@ void parallel_for(std::size_t n, Body&& body, int threads = 0,
       [](void* ctx, std::size_t i) { (*static_cast<B*>(ctx))(i); },
       const_cast<void*>(
           static_cast<const void*>(std::addressof(body))),
-      threads, chunk_size);
+      threads);
 }
 
 /// Map [0, n) through `fn`, returning results in index order.  The result
 /// type must be default-constructible.
 template <typename Fn>
-auto parallel_map(std::size_t n, Fn&& fn, int threads = 0,
-                  std::size_t chunk_size = 0, std::uint64_t cost_hint_ns = 0)
+auto parallel_map(std::size_t n, Fn&& fn, int threads = 0)
     -> std::vector<decltype(fn(std::size_t{}))> {
   std::vector<decltype(fn(std::size_t{}))> out(n);
-  parallel_for(
-      n, [&](std::size_t i) { out[i] = fn(i); }, threads, chunk_size,
-      cost_hint_ns);
+  parallel_for(n, [&](std::size_t i) { out[i] = fn(i); }, threads);
   return out;
 }
 

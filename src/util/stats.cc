@@ -31,11 +31,4 @@ double percentile(std::vector<double> values, double q) {
   return values[idx];
 }
 
-double coefficient_of_variation(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  const double m = mean(values);
-  if (m <= 0.0) return 0.0;
-  return sample_stddev(values) / m;
-}
-
 }  // namespace nanocache::math

@@ -14,7 +14,4 @@ double sample_stddev(const std::vector<double>& values);
 /// Percentile by nearest-rank on a copy of the data; `q` in [0, 1].
 double percentile(std::vector<double> values, double q);
 
-/// stddev / mean; 0 when the mean is non-positive or n < 2.
-double coefficient_of_variation(const std::vector<double>& values);
-
 }  // namespace nanocache::math

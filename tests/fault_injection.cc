@@ -143,8 +143,6 @@ std::vector<FaultCase> build_standard_faults() {
   // --- numeric guards ---------------------------------------------------
   add(cases, "guard-exp-overflow", EC::kNumericDomain,
       [] { num::checked_exp(800.0, "test exponent"); });
-  add(cases, "guard-log-nonpositive", EC::kNumericDomain,
-      [] { num::checked_log(0.0, "test log argument"); });
   add(cases, "guard-positive-rejects-negative", EC::kNumericDomain,
       [] { num::ensure_positive(-1.0, "test quantity"); });
   add(cases, "guard-finite-rejects-nan", EC::kNumericDomain,

@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -290,6 +291,36 @@ TEST(BatchGolden, InvalidRequestsAnswerGoldenErrorsBatchAndServed) {
     EXPECT_EQ(served_outputs(service, input, /*clients=*/1).front(), golden)
         << "threads=" << threads;
   }
+
+  // With a disk cache, a cold and then a warm service answer the same
+  // bytes.  Errors are never persisted: the cold run hits nothing, and the
+  // warm run hits only the golden's success lines (the infeasible
+  // optimize is data, not an error).
+  std::size_t successes = 0;
+  for (std::size_t at = golden.find("\"ok\":true"); at != std::string::npos;
+       at = golden.find("\"ok\":true", at + 1)) {
+    ++successes;
+  }
+  ASSERT_EQ(successes, 1u);
+  const std::string dir =
+      testing::TempDir() + "nc_invalid_cache_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  for (const bool warm : {false, true}) {
+    const char* run = warm ? "warm" : "cold";
+    api::ServiceConfig config;
+    config.cache_dir = dir;
+    auto created = api::Service::create(std::move(config));
+    ASSERT_TRUE(created.ok()) << created.error().message;
+    const auto service = created.value();
+    std::istringstream in(input);
+    std::ostringstream out;
+    const auto stats = api::run_batch_jsonl(*service, in, out);
+    EXPECT_EQ(out.str(), golden) << run;
+    EXPECT_EQ(stats.disk_hits, warm ? successes : 0u) << run;
+    EXPECT_EQ(served_outputs(service, input, /*clients=*/1).front(), golden)
+        << run;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

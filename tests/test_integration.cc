@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "core/explorer.h"
+#include "opt/tuple_menu.h"
 
 namespace nanocache::core {
 namespace {
@@ -225,7 +226,13 @@ class Fig2Claims : public ::testing::Test {
     for (double ps = 1500; ps <= 2100; ps += 300) {
       targets.push_back(ps * 1e-12);
     }
-    table_ = new auto(explorer().fig2_tuple_table(specs, targets));
+    // One menu enumeration per spec answers every target of its row.
+    const auto system = explorer().default_system();
+    const opt::TupleMenuSolver solver(system, explorer().config().grid);
+    table_ = new std::vector<std::vector<std::optional<opt::SystemDesignPoint>>>;
+    for (const auto& spec : specs) {
+      table_->push_back(solver.solve(spec, targets).best);
+    }
   }
   static void TearDownTestSuite() {
     delete table_;

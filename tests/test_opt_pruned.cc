@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cachemodel/fitted_cache.h"
@@ -104,16 +105,24 @@ TEST(PrunedSearch, MatchesExhaustiveAtEveryThreadCount) {
 TEST(PrunedSearch, CurveMatchesExhaustive) {
   const auto eval = structural_evaluator(cache16k());
   const auto grid = KnobGrid::paper_default();
-  const auto targets = constraint_ladder();
-  const auto pruned = leakage_delay_curve(eval, grid, Scheme::kPerComponent,
-                                          targets, SearchMode::kPruned);
-  const auto exhaustive = leakage_delay_curve(
-      eval, grid, Scheme::kPerComponent, targets, SearchMode::kExhaustive);
+  // The leakage-vs-delay curve: one optimization per ladder target, in
+  // target order, infeasible targets dropped, in both search modes.
+  const auto curve = [&](SearchMode mode) {
+    std::vector<std::pair<double, SchemeResult>> points;
+    for (const double target : constraint_ladder()) {
+      auto r = optimize_single_cache(eval, grid, Scheme::kPerComponent,
+                                     target, mode);
+      if (r) points.emplace_back(target, *r);
+    }
+    return points;
+  };
+  const auto pruned = curve(SearchMode::kPruned);
+  const auto exhaustive = curve(SearchMode::kExhaustive);
   ASSERT_EQ(pruned.size(), exhaustive.size());
   for (std::size_t i = 0; i < pruned.size(); ++i) {
-    EXPECT_EQ(pruned[i].delay_constraint_s, exhaustive[i].delay_constraint_s);
-    expect_identical(OptOutcome<SchemeResult>(pruned[i].result),
-                     OptOutcome<SchemeResult>(exhaustive[i].result),
+    EXPECT_EQ(pruned[i].first, exhaustive[i].first);
+    expect_identical(OptOutcome<SchemeResult>(pruned[i].second),
+                     OptOutcome<SchemeResult>(exhaustive[i].second),
                      "curve point " + std::to_string(i));
   }
 }

@@ -266,16 +266,6 @@ TEST(SchemeOptimizer, MinAccessTimeOrdering) {
   EXPECT_LE(t2, t3 * (1 + 1e-12));
 }
 
-TEST(LeakageDelayCurve, SkipsInfeasibleTargets) {
-  const auto eval = structural_evaluator(cache16k());
-  const auto grid = KnobGrid::paper_default();
-  const double lo = min_access_time(eval, grid, Scheme::kUniform);
-  const auto curve = leakage_delay_curve(
-      eval, grid, Scheme::kUniform, {lo * 0.5, lo * 1.2, lo * 1.6});
-  ASSERT_EQ(curve.size(), 2u);
-  EXPECT_GE(curve[0].result.leakage_w, curve[1].result.leakage_w);
-}
-
 TEST(Options, PeripheryIsSumOfThreeComponents) {
   const auto eval = structural_evaluator(cache16k());
   const auto pairs = small_grid().pairs();

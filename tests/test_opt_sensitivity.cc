@@ -12,7 +12,6 @@ namespace nanocache::opt {
 namespace {
 
 using cachemodel::CacheModel;
-using cachemodel::ComponentKind;
 
 const CacheModel& cache16k() {
   static auto model = [] {
@@ -68,17 +67,6 @@ TEST(Sensitivity, SubthresholdSlopeMatchesDeviceModel) {
   const double expected =
       -1.0 / (p.subthreshold_ideality_n * p.thermal_voltage_v());
   EXPECT_NEAR(s.leakage_vs_vth / expected, 1.0, 0.25);
-}
-
-TEST(Sensitivity, ComponentAndCacheViewsConsistent) {
-  // The array dominates cache leakage, so the cache-level Vth slope must
-  // sit near the array's.
-  const auto eval = structural_evaluator(cache16k());
-  const tech::DeviceKnobs at{0.30, 12.0};
-  const auto whole = cache_sensitivity(eval, at, range());
-  const auto array = component_sensitivity(eval, ComponentKind::kCellArray,
-                                           at, range());
-  EXPECT_NEAR(whole.leakage_vs_vth / array.leakage_vs_vth, 1.0, 0.35);
 }
 
 TEST(Sensitivity, StencilClampsAtBounds) {

@@ -1,7 +1,10 @@
 // Correctness tests for the set-associative cache and two-level hierarchy:
-// directed traces with known hit/miss outcomes, replacement-policy
-// semantics, writeback accounting and parameter validation.
+// directed traces with known hit/miss outcomes, LRU semantics, writeback
+// accounting and parameter validation.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "sim/cache.h"
 #include "sim/hierarchy.h"
@@ -46,7 +49,7 @@ TEST(Cache, TwoWayAvoidsPairConflict) {
 
 TEST(Cache, LruEvictsLeastRecentlyUsed) {
   // 2-way set: touch A, B, re-touch A, then C evicts B (not A).
-  SetAssociativeCache c(1024, 32, 2, Replacement::kLru);
+  SetAssociativeCache c(1024, 32, 2);
   const std::uint64_t A = 0, B = 512, C = 1024;  // same set (32 sets? no:
   // 1024/(32*2)=16 sets; stride 512 = 16 blocks -> same set index 0)
   c.access(A, false);
@@ -56,35 +59,6 @@ TEST(Cache, LruEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(c.contains(A));
   EXPECT_FALSE(c.contains(B));
   EXPECT_TRUE(c.contains(C));
-}
-
-TEST(Cache, FifoIgnoresReuse) {
-  // Same trace as above: FIFO evicts A (oldest insertion) despite reuse.
-  SetAssociativeCache c(1024, 32, 2, Replacement::kFifo);
-  const std::uint64_t A = 0, B = 512, C = 1024;
-  c.access(A, false);
-  c.access(B, false);
-  c.access(A, false);
-  c.access(C, false);
-  EXPECT_FALSE(c.contains(A));
-  EXPECT_TRUE(c.contains(B));
-  EXPECT_TRUE(c.contains(C));
-}
-
-TEST(Cache, PlruProtectsRecentlyReferenced) {
-  SetAssociativeCache c(1024, 32, 4, Replacement::kPlru);
-  // Fill a set (stride = 1024/(32*4) * 32 = 256 bytes per set wrap).
-  const std::uint64_t stride = 256;
-  for (int i = 0; i < 4; ++i) c.access(i * stride, false);
-  c.access(0, false);            // reference way A
-  c.access(4 * stride, false);   // eviction must not pick block 0
-  EXPECT_TRUE(c.contains(0));
-}
-
-TEST(Cache, RandomReplacementStillCorrectOnHits) {
-  SetAssociativeCache c(1024, 32, 2, Replacement::kRandom, 1234);
-  c.access(64, true);
-  EXPECT_TRUE(c.access(64, false).hit);
 }
 
 TEST(Cache, WritebackOnDirtyEviction) {
@@ -110,15 +84,6 @@ TEST(Cache, WriteHitMarksDirty) {
   c.access(0, true);   // write hit -> dirty
   const auto r = c.access(1024, false);
   EXPECT_TRUE(r.writeback);
-}
-
-TEST(Cache, InvalidateRemovesBlockAndReportsDirty) {
-  SetAssociativeCache c(1024, 32, 2);
-  c.access(0, true);
-  EXPECT_TRUE(c.contains(0));
-  EXPECT_TRUE(c.invalidate_block(0));  // dirty
-  EXPECT_FALSE(c.contains(0));
-  EXPECT_FALSE(c.invalidate_block(0));  // already gone
 }
 
 TEST(Cache, ResetStatsKeepsContents) {
@@ -155,34 +120,6 @@ TEST(Cache, FullyAssociativeWorks) {
     if (c.contains(i * 32)) ++resident;
   }
   EXPECT_EQ(resident, 8);
-}
-
-TEST(ReplacementName, AllNamed) {
-  EXPECT_EQ(replacement_name(Replacement::kLru), "LRU");
-  EXPECT_EQ(replacement_name(Replacement::kFifo), "FIFO");
-  EXPECT_EQ(replacement_name(Replacement::kRandom), "random");
-  EXPECT_EQ(replacement_name(Replacement::kPlru), "PLRU");
-}
-
-// --- property: LRU hit rate never below random's on a looping trace --------
-
-TEST(CacheProperty, LruBeatsRandomOnLoopingTrace) {
-  std::vector<Access> loop;
-  for (int rep = 0; rep < 200; ++rep) {
-    for (int i = 0; i < 48; ++i) {
-      loop.push_back({static_cast<std::uint64_t>(i) * 32, false});
-    }
-  }
-  SetAssociativeCache lru(1024, 32, 4, Replacement::kLru);
-  SetAssociativeCache rnd(1024, 32, 4, Replacement::kRandom, 99);
-  for (const auto& a : loop) {
-    lru.access(a.address, a.is_write);
-    rnd.access(a.address, a.is_write);
-  }
-  // A 48-block loop through a 32-block cache thrashes LRU completely;
-  // random keeps some blocks.  This is the classic LRU pathology, so here
-  // random must win — the test pins the *semantics*, not a preference.
-  EXPECT_GE(lru.stats().misses, rnd.stats().misses);
 }
 
 // --- hierarchy ---------------------------------------------------------------
@@ -236,11 +173,19 @@ TEST(Hierarchy, LocalMissRatesComputed) {
   }
   EXPECT_NEAR(h.stats().l1_miss_rate(), 1.0, 1e-12);
   EXPECT_NEAR(h.stats().l2_local_miss_rate(), 1.0, 1e-12);
-  EXPECT_NEAR(h.stats().l2_global_miss_rate(), 1.0, 1e-12);
 }
 
+/// Replays four consecutive 32-byte blocks forever.
+class FourBlockLoop final : public TraceSource {
+ public:
+  Access next() override { return {(i_++ % 4) * 32, false}; }
+
+ private:
+  std::uint64_t i_ = 0;
+};
+
 TEST(Hierarchy, WarmupExcludedFromStats) {
-  VectorTrace t({{0, false}, {32, false}, {64, false}, {96, false}});
+  FourBlockLoop t;
   TwoLevelHierarchy h(SetAssociativeCache(1024, 32, 2),
                       SetAssociativeCache(16 * 1024, 64, 8));
   h.warmup(t, 4);
@@ -263,7 +208,6 @@ TEST(Hierarchy, EmptyStatsAreZeroRates) {
   HierarchyStats s;
   EXPECT_DOUBLE_EQ(s.l1_miss_rate(), 0.0);
   EXPECT_DOUBLE_EQ(s.l2_local_miss_rate(), 0.0);
-  EXPECT_DOUBLE_EQ(s.l2_global_miss_rate(), 0.0);
 }
 
 // --- property: larger caches never miss more on a deterministic trace ------
@@ -283,7 +227,7 @@ TEST_P(CacheSizeMonotonicity, MissesNonIncreasingWithSize) {
   for (std::uint64_t size = 1024; size <= 64 * 1024; size *= 2) {
     // LRU has the stack property on looping traces; FIFO would be exposed
     // to Belady's anomaly.
-    SetAssociativeCache c(size, 32, 2, Replacement::kLru);
+    SetAssociativeCache c(size, 32, 2);
     for (const auto& a : trace) c.access(a.address, a.is_write);
     EXPECT_LE(c.stats().misses, prev_misses) << "size=" << size;
     prev_misses = c.stats().misses;

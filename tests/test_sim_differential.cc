@@ -79,7 +79,7 @@ class DifferentialFuzz : public ::testing::TestWithParam<Geometry> {};
 TEST_P(DifferentialFuzz, LruAgreesWithReferenceOnRandomTraces) {
   const auto g = GetParam();
   for (std::uint64_t seed : {11ull, 22ull, 33ull}) {
-    SetAssociativeCache dut(g.size, g.block, g.assoc, Replacement::kLru);
+    SetAssociativeCache dut(g.size, g.block, g.assoc);
     ReferenceCache ref(g.size, g.block, g.assoc);
     Rng rng(seed);
     // Footprint ~4x the cache: plenty of capacity and conflict misses.

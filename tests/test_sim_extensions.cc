@@ -1,101 +1,14 @@
-// Tests for the simulator extensions: write-through/no-write-allocate
-// hierarchy policy, the no-allocate cache path, and the program-phase
-// generator.
+// Tests for the program-phase trace generator.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "sim/generators.h"
-#include "sim/hierarchy.h"
-#include "util/rng.h"
 #include "util/error.h"
 
 namespace nanocache::sim {
 namespace {
-
-// --- no-allocate cache path --------------------------------------------------
-
-TEST(NoAllocate, MissDoesNotFill) {
-  SetAssociativeCache c(1024, 32, 2);
-  const auto r = c.access(0x100, false, /*allocate_on_miss=*/false);
-  EXPECT_FALSE(r.hit);
-  EXPECT_FALSE(c.contains(0x100));
-  EXPECT_EQ(c.stats().misses, 1u);
-}
-
-TEST(NoAllocate, HitStillUpdatesRecency) {
-  SetAssociativeCache c(1024, 32, 2, Replacement::kLru);
-  const std::uint64_t A = 0, B = 512, C = 1024;  // one set
-  c.access(A, false);
-  c.access(B, false);
-  // Touch A through the no-allocate path: must refresh its recency.
-  EXPECT_TRUE(c.access(A, false, /*allocate_on_miss=*/false).hit);
-  c.access(C, false);  // evicts B, not A
-  EXPECT_TRUE(c.contains(A));
-  EXPECT_FALSE(c.contains(B));
-}
-
-// --- write-through hierarchy --------------------------------------------------
-
-TEST(WriteThrough, EveryWriteReachesL2) {
-  TwoLevelHierarchy wt(SetAssociativeCache(1024, 32, 2),
-                       SetAssociativeCache(16 * 1024, 64, 8),
-                       WritePolicy::kWriteThroughNoAllocate);
-  for (int i = 0; i < 10; ++i) wt.access(0x40, true);  // same line
-  EXPECT_EQ(wt.stats().l2_accesses, 10u);
-}
-
-TEST(WriteThrough, WriteMissDoesNotFillL1) {
-  TwoLevelHierarchy wt(SetAssociativeCache(1024, 32, 2),
-                       SetAssociativeCache(16 * 1024, 64, 8),
-                       WritePolicy::kWriteThroughNoAllocate);
-  wt.access(0x80, true);
-  EXPECT_FALSE(wt.l1().contains(0x80));
-  EXPECT_TRUE(wt.l2().contains(0x80));
-}
-
-TEST(WriteThrough, ReadsStillAllocate) {
-  TwoLevelHierarchy wt(SetAssociativeCache(1024, 32, 2),
-                       SetAssociativeCache(16 * 1024, 64, 8),
-                       WritePolicy::kWriteThroughNoAllocate);
-  wt.access(0x80, false);
-  EXPECT_TRUE(wt.l1().contains(0x80));
-}
-
-TEST(WriteThrough, NoL1Writebacks) {
-  TwoLevelHierarchy wt(SetAssociativeCache(1024, 32, 1),
-                       SetAssociativeCache(16 * 1024, 64, 8),
-                       WritePolicy::kWriteThroughNoAllocate);
-  // Read-allocate a line, write it (stays clean), then conflict it out.
-  wt.access(0, false);
-  wt.access(0, true);
-  wt.access(1024, false);
-  EXPECT_EQ(wt.stats().l1_writebacks, 0u);
-}
-
-TEST(WriteThrough, MoreL2TrafficThanWriteBackWhenResident) {
-  // The classic write-through cost shows on a working set resident in L1:
-  // write-back coalesces repeated writes in the L1 line; write-through
-  // sends every one of them to L2.
-  auto run = [](WritePolicy policy) {
-    TwoLevelHierarchy h(SetAssociativeCache(4096, 32, 2),
-                        SetAssociativeCache(64 * 1024, 64, 8), policy);
-    Rng rng(7);
-    for (int i = 0; i < 20000; ++i) {
-      const std::uint64_t addr = rng.below(2048);  // fits in L1
-      h.access(addr & ~7ull, rng.uniform() < 0.4);
-    }
-    return h.stats().l2_accesses;
-  };
-  EXPECT_GT(run(WritePolicy::kWriteThroughNoAllocate),
-            5 * run(WritePolicy::kWriteBackAllocate));
-}
-
-TEST(WriteThrough, PolicyAccessorWorks) {
-  TwoLevelHierarchy h(SetAssociativeCache(1024, 32, 2),
-                      SetAssociativeCache(16 * 1024, 64, 8));
-  EXPECT_EQ(h.write_policy(), WritePolicy::kWriteBackAllocate);
-}
 
 // --- phase generator ----------------------------------------------------------
 

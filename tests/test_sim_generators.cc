@@ -187,13 +187,5 @@ TEST(MixGenerator, Validates) {
   EXPECT_THROW(MixGenerator(std::move(neg), {-1.0}, 1), Error);
 }
 
-TEST(VectorTrace, ReplaysAndWraps) {
-  VectorTrace t({{1, false}, {2, true}});
-  EXPECT_EQ(t.next().address, 1u);
-  EXPECT_TRUE(t.next().is_write);
-  EXPECT_EQ(t.next().address, 1u);  // wrapped
-  EXPECT_EQ(t.size(), 2u);
-}
-
 }  // namespace
 }  // namespace nanocache::sim

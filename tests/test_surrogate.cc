@@ -115,13 +115,13 @@ TEST(SurrogateDifferential, EvalsAreExactWithTablesLoaded) {
   const auto surrogate = surrogate_service(dir);
   const auto exact_only = make_service();
 
-  // No table covers an eval: on and off the paper's 7x5 grid, `auto` and
-  // `exact` answer exactly, byte for byte as a table-less service does,
-  // and touch no routing counter.
+  // No table covers an eval: on and off the paper's 7x5 grid (inside the
+  // knob window), `auto` and `exact` answer exactly, byte for byte as a
+  // table-less service does, and touch no routing counter.
   const std::vector<Knobs> knobs{{0.2, 10.0},     {0.35, 12.0},
                                  {0.5, 14.0},     {0.33, 11.7},
                                  {0.2062, 10.31}, {0.487, 13.93},
-                                 {0.41, 10.06},   {0.21, 9.5}};
+                                 {0.41, 10.06}};
   for (const auto& k : knobs) {
     for (const Exactness exactness : {Exactness::kAuto, Exactness::kExact}) {
       const std::uint64_t before = routing_counts();
@@ -135,6 +135,19 @@ TEST(SurrogateDifferential, EvalsAreExactWithTablesLoaded) {
                     eval_request(k.vth_v, k.tox_a, exactness))))
           << "vth=" << k.vth_v << " tox=" << k.tox_a;
     }
+  }
+
+  // A knob outside the advertised window is the same typed config error
+  // with or without tables, and still touches no routing counter.
+  for (const Exactness exactness : {Exactness::kAuto, Exactness::kExact}) {
+    const std::uint64_t before = routing_counts();
+    const auto served = surrogate->serve(eval_request(0.21, 9.5, exactness));
+    EXPECT_EQ(routing_counts(), before);
+    ASSERT_FALSE(served.ok);
+    EXPECT_EQ(served.error.code, ErrorCode::kConfig);
+    EXPECT_EQ(response_to_json(served),
+              response_to_json(
+                  exact_only->serve(eval_request(0.21, 9.5, exactness))));
   }
 
   // A surrogate pin on an eval is the typed reject of an uncovered request.

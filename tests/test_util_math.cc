@@ -77,32 +77,6 @@ TEST(RSquared, MismatchedSizesThrow) {
   EXPECT_THROW(r_squared({1.0}, {1.0, 2.0}), Error);
 }
 
-TEST(FitExponential, RecoversKnownCurve) {
-  // y = 5 + 2 e^(-3x)
-  std::vector<double> x, y;
-  for (int i = 0; i <= 20; ++i) {
-    x.push_back(i * 0.1);
-    y.push_back(5.0 + 2.0 * std::exp(-3.0 * i * 0.1));
-  }
-  const auto fit = fit_exponential(x, y, -10.0, -0.5);
-  EXPECT_NEAR(fit.rate, -3.0, 0.05);
-  EXPECT_NEAR(fit.c0, 5.0, 0.02);
-  EXPECT_NEAR(fit.c1, 2.0, 0.02);
-  EXPECT_GT(fit.r2, 0.9999);
-}
-
-TEST(FitExponential, EvaluatesThroughOperator) {
-  ExpFit f;
-  f.c0 = 1.0;
-  f.c1 = 2.0;
-  f.rate = 0.5;
-  EXPECT_NEAR(f(2.0), 1.0 + 2.0 * std::exp(1.0), 1e-12);
-}
-
-TEST(FitExponential, TooFewSamplesThrows) {
-  EXPECT_THROW(fit_exponential({1.0, 2.0}, {1.0, 2.0}, -1, 1), Error);
-}
-
 TEST(FitSeparableExponentials, RecoversTwoAxisModel) {
   // z = 1 + 4 e^(-20 x) + 9 e^(-0.8 y): the leakage-model shape.
   std::vector<double> x, y, z;

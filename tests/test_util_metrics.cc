@@ -166,7 +166,7 @@ TEST(TraceSpan, PoolWorkersRootTheirOwnSpans) {
     TraceSpan caller("test.span.pool_caller");
     par::parallel_for(
         64, [](std::size_t) { TraceSpan s("test.span.pool_work"); },
-        /*threads=*/4, /*chunk_size=*/1);
+        /*threads=*/4);
   }
   std::size_t workers = 0;
   std::set<std::uint64_t> threads;
@@ -176,7 +176,7 @@ TEST(TraceSpan, PoolWorkersRootTheirOwnSpans) {
     threads.insert(s.thread_id);
     // A pool worker has no enclosing span: its stack is thread-local, so
     // the span roots at depth 0 regardless of the caller's nesting.  The
-    // calling thread also executes chunks; there the caller span IS the
+    // calling thread also executes indices; there the caller span IS the
     // parent.  Either way the span's NAME — the phase-aggregation key —
     // is identical, which is what keeps metrics stable across thread
     // counts.

@@ -35,14 +35,6 @@ TEST(ParallelFor, EmptyRangeIsANoOp) {
   EXPECT_FALSE(called);
 }
 
-TEST(ParallelFor, ChunkLargerThanRangeRunsSerially) {
-  std::vector<int> hits(5, 0);  // plain ints: serial path, no races
-  par::parallel_for(
-      hits.size(), [&](std::size_t i) { hits[i] += 1; },
-      /*threads=*/8, /*chunk_size=*/100);
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
 TEST(ParallelFor, SingleThreadRunsInCallingThread) {
   const auto caller = std::this_thread::get_id();
   par::parallel_for(
@@ -72,8 +64,7 @@ TEST(ParallelFor, PropagatesTypedErrorWithCategory) {
 
 TEST(ParallelFor, LowestFailingIndexWinsWhenChunksRace) {
   // Two failing indices; the reported error must be the lower one whenever
-  // both chunks ran.  With chunk_size=1 and the failure at index 0, chunk 0
-  // always runs (some thread claims it first), so index 0 must win.
+  // both ran.  Index 0 is always claimed first, so it must win.
   try {
     par::parallel_for(
         64,
@@ -81,7 +72,7 @@ TEST(ParallelFor, LowestFailingIndexWinsWhenChunksRace) {
           if (i == 0) throw Error(ErrorCategory::kConfig, "first");
           if (i == 63) throw Error(ErrorCategory::kInternal, "last");
         },
-        /*threads=*/4, /*chunk_size=*/1);
+        /*threads=*/4);
     FAIL() << "expected an error";
   } catch (const Error& e) {
     EXPECT_EQ(e.category(), ErrorCategory::kConfig);
@@ -148,9 +139,8 @@ TEST(Defaults, HardwareThreadsIsPositive) {
 
 TEST(ParallelFor, PropagatedErrorIsThreadCountInvariant) {
   // Several failing indices scattered through the range: whatever the
-  // thread count or chunking, the error that surfaces must be the one the
-  // serial loop would hit first — the batch byte-identity contract depends
-  // on it.
+  // thread count, the error that surfaces must be the one the serial loop
+  // would hit first — the batch byte-identity contract depends on it.
   const auto body = [](std::size_t i) {
     if (i == 5 || i == 100 || i == 900) {
       throw Error(ErrorCategory::kNumericDomain,
@@ -158,20 +148,17 @@ TEST(ParallelFor, PropagatedErrorIsThreadCountInvariant) {
     }
   };
   for (const int threads : {1, 2, 8}) {
-    for (const std::size_t chunk : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{7}}) {
-      try {
-        par::parallel_for(1000, body, threads, chunk);
-        FAIL() << "expected an error";
-      } catch (const Error& e) {
-        EXPECT_STREQ(e.what(), "[numeric-domain] boom at 5")
-            << "threads=" << threads << " chunk=" << chunk;
-      }
+    try {
+      par::parallel_for(1000, body, threads);
+      FAIL() << "expected an error";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "[numeric-domain] boom at 5")
+          << "threads=" << threads;
     }
   }
 }
 
-// --- Cost-hinted serial fallback (tiny regions skip the pool) -------------
+// --- Serial-region accounting and fold determinism ------------------------
 
 std::uint64_t serial_regions() {
   return metrics::Registry::instance()
@@ -179,28 +166,7 @@ std::uint64_t serial_regions() {
       .value();
 }
 
-TEST(CostHint, TinyRegionsRunSerially) {
-  const auto before = serial_regions();
-  std::vector<int> hits(64, 0);  // plain ints: only race-free if serial
-  par::parallel_for(
-      hits.size(), [&](std::size_t i) { hits[i] += 1; },
-      /*threads=*/4, /*chunk_size=*/0, /*cost_hint_ns=*/100);
-  // 64 x 100 ns estimated is far under the 3 ms pool round-trip threshold.
-  EXPECT_EQ(serial_regions(), before + 1);
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(CostHint, ExpensiveRegionsStayParallel) {
-  const auto before = serial_regions();
-  std::vector<std::atomic<int>> hits(64);
-  par::parallel_for(
-      hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); },
-      /*threads=*/4, /*chunk_size=*/0, /*cost_hint_ns=*/1'000'000);
-  EXPECT_EQ(serial_regions(), before);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(CostHint, ZeroHintMeansUnknownAndStaysParallel) {
+TEST(ParallelFor, ForkedRegionIsNotCountedAsSerial) {
   const auto before = serial_regions();
   std::vector<std::atomic<int>> hits(64);
   par::parallel_for(
@@ -210,27 +176,26 @@ TEST(CostHint, ZeroHintMeansUnknownAndStaysParallel) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(CostHint, FallbackDoesNotChangeResults) {
+TEST(ParallelMap, IndexOrderedFoldIsBitIdenticalAtAnyThreadCount) {
   // Per-index results folded in index order by a non-associative
   // floating-point sum: any reordering would show up in the low bits.
   // parallel_map writes slot i from task i, so the fold must be
-  // bit-identical whether the region forked or fell back to serial.
-  const auto run = [](std::uint64_t hint) {
+  // bit-identical whether the region ran serially or forked.
+  const auto run = [](int threads) {
     const auto terms = par::parallel_map(
         10'000,
         [](std::size_t i) { return std::sin(static_cast<double>(i)) * 1e-3; },
-        /*threads=*/4, /*chunk_size=*/0, hint);
+        threads);
     double sum = 0.0;
     for (const double t : terms) sum += t;
     return sum;
   };
-  const double baseline = run(0);               // unknown cost: pool
-  const double serial = run(1);                 // tiny: serial fallback
-  const double parallel = run(100'000'000);     // huge: pool
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial),
-            std::bit_cast<std::uint64_t>(baseline));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(parallel),
-            std::bit_cast<std::uint64_t>(baseline));
+  const double serial = run(1);
+  for (const int threads : {4, 8}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(run(threads)),
+              std::bit_cast<std::uint64_t>(serial))
+        << "threads=" << threads;
+  }
 }
 
 /// setenv/unsetenv wrapper restoring NANOCACHE_THREADS afterwards.
