@@ -110,21 +110,21 @@ struct Writer {
     out += '}';
   }
 
-  void write(double d) { out += json::format_double(d); }
+  void write(double d) { json::append_double(out, d); }
   void write(bool b) { out += b ? "true" : "false"; }
   template <typename T>
     requires std::is_integral_v<T>
   void write(T i) {
     out += std::to_string(i);
   }
-  void write(const std::string& s) { out += json::quote(s); }
+  void write(const std::string& s) { json::append_quoted(out, s); }
   void write(Associativity a) {
     out += a.ways == -1 ? "\"full\"" : std::to_string(a.ways);
   }
   template <typename E>
     requires std::is_enum_v<E>
   void write(E e) {
-    out += json::quote(spelling(e).name(e));
+    json::append_quoted(out, spelling(e).name(e));
   }
   template <typename T>
   void write(const std::vector<T>& items) {
@@ -645,6 +645,7 @@ template <typename T>
 std::string wire_line(const T& value, bool with_id = true) {
   Writer w;
   w.with_id = with_id;
+  w.out.reserve(1024);
   w.write(value);
   return std::move(w.out);
 }

@@ -109,16 +109,21 @@ std::optional<std::string> DiskCache::lookup(const std::string& key) {
 
 void DiskCache::store(const std::string& key,
                       const std::string& response_json) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = entries_.emplace(key, response_json);
-  if (!inserted) return;  // racing duplicate: first store wins
-  ++stores_;
-  disk_counters().stores.add(1);
-  if (!writable_) return;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // A racing duplicate returns here: the first store wins.
+    if (!entries_.emplace(key, response_json).second) return;
+    ++stores_;
+    disk_counters().stores.add(1);
+    if (!writable_) return;
+  }
+  // Only the inserting thread appends, so each key goes out once, and
+  // lookups never wait on the write() below.
   if (!append_line(segment::entry_line(key, response_json))) {
     // Persistence failed mid-run (disk full, file size limit).  The
     // in-memory copy keeps serving this run; stop appending rather than
     // failing requests that already computed fine.
+    std::lock_guard<std::mutex> lock(mutex_);
     writable_ = false;
     metrics::Registry::instance().counter("api.disk.write_errors").add(1);
   }

@@ -16,9 +16,10 @@
 // error (Error(kIo) from open()).
 //
 // Concurrency: entries load fully into memory at open(); lookups and the
-// append-on-store run under one mutex.  The segment stays open (O_APPEND)
-// and each entry goes out in one write(), so concurrent appenders never
-// interleave within a line.  A hit re-parses the stored line with
+// insert-on-store run under one mutex, and the storing thread appends its
+// entry after releasing it.  The segment stays open (O_APPEND) and each
+// entry goes out in one write(), so concurrent appenders never interleave
+// within a line.  A hit re-parses the stored line with
 // parse_response_json, whose round-trip exactness keeps cached responses
 // byte-identical to freshly computed ones.
 #pragma once
@@ -82,7 +83,7 @@ class DiskCache {
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::string> entries_;
   int fd_ = -1;  ///< the open segment (O_APPEND), or -1
-  bool writable_ = true;
+  bool writable_ = true;  ///< read and cleared under mutex_
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::size_t stores_ = 0;

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -300,38 +299,18 @@ struct Service::Impl {
   /// Persistent cross-run result cache (null when cache_dir is empty).
   std::unique_ptr<DiskCache> disk;
 
-  /// Lazily-built per-node Explorers for v3 `node_nm` overrides.  Node 0 is
-  /// the main explorer (the configured default technology and grid).  Node
-  /// explorers always use the node's own default grid — the paper's Vth
-  /// ladder crossed with the node's oxide window — because a user grid
-  /// override is calibrated against the default node's ranges only.
-  mutable std::mutex node_mutex;
-  mutable std::map<int, std::unique_ptr<core::Explorer>> node_explorers;
+  /// Per-node Explorers for v3 `node_nm` overrides, one per supported
+  /// node, built in create() (their models stay lazy) and never written
+  /// after.  Node 0 is the main explorer (the configured default technology
+  /// and grid).  Node explorers always use the node's own default grid —
+  /// the paper's Vth ladder crossed with the node's oxide window — because
+  /// a user grid override is calibrated against the default node's ranges.
+  std::map<int, std::unique_ptr<core::Explorer>> node_explorers;
 
+  /// Callers validate `node_nm` first (validate_node).
   const core::Explorer& explorer_for(int node_nm) const {
     if (node_nm == 0) return *explorer;
-    std::lock_guard<std::mutex> lock(node_mutex);
-    auto it = node_explorers.find(node_nm);
-    if (it == node_explorers.end()) {
-      core::ExperimentConfig node_config = config;
-      node_config.technology = tech::node_params(node_nm);
-      node_config.grid = opt::KnobGrid::paper_default();
-      node_config.grid.tox_values = tech::node_tox_grid(node_config.technology);
-      // Mid-window defaults, mirroring the 65 nm (0.35 V, nominal-Tox) pair.
-      node_config.default_knobs =
-          tech::DeviceKnobs{0.35, node_config.technology.tox_nominal_a};
-      it = node_explorers
-               .emplace(node_nm, std::make_unique<core::Explorer>(
-                                     std::move(node_config)))
-               .first;
-    }
-    return *it->second;
-  }
-
-  const cachemodel::CacheModel& model(Level level,
-                                      std::uint64_t size_bytes) const {
-    return level == Level::kL2 ? explorer->l2_model(size_bytes)
-                               : explorer->l1_model(size_bytes);
+    return *node_explorers.at(node_nm);
   }
 
   /// The cache model a v3 request addresses: the fixed organization when
@@ -599,6 +578,17 @@ Outcome<std::shared_ptr<Service>> Service::create(ServiceConfig config) {
     service->impl_->config = std::move(experiment);
     service->impl_->explorer =
         std::make_unique<core::Explorer>(service->impl_->config);
+    for (const int node_nm : tech::supported_nodes()) {
+      core::ExperimentConfig node_config = service->impl_->config;
+      node_config.technology = tech::node_params(node_nm);
+      node_config.grid = opt::KnobGrid::paper_default();
+      node_config.grid.tox_values = tech::node_tox_grid(node_config.technology);
+      // Mid-window defaults, mirroring the 65 nm (0.35 V, nominal-Tox) pair.
+      node_config.default_knobs =
+          tech::DeviceKnobs{0.35, node_config.technology.tox_nominal_a};
+      service->impl_->node_explorers.emplace(
+          node_nm, std::make_unique<core::Explorer>(std::move(node_config)));
+    }
     service->impl_->fingerprint = service_fingerprint(service->impl_->config);
     if (!service->impl_->api_config.surrogate_dir.empty()) {
       service->impl_->surrogate_store = surrogate::SurrogateStore::open(

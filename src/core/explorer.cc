@@ -21,38 +21,37 @@ Explorer::Explorer(ExperimentConfig config) : config_(std::move(config)) {
   config_.validate();
 }
 
-const CacheModel& Explorer::model(std::uint64_t size_bytes, bool is_l2) const {
-  const auto key = std::make_pair(is_l2, size_bytes);
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  auto it = models_.find(key);
-  if (it == models_.end()) {
-    tech::DeviceModel dev(config_.technology);
-    auto org = is_l2 ? l2_organization(size_bytes, dev)
-                     : l1_organization(size_bytes, dev);
-    it = models_
-             .emplace(key, std::make_unique<CacheModel>(
-                               org, tech::DeviceModel(dev.params())))
-             .first;
+namespace {
+
+/// The map's entry for `key`, built by `build()` outside `mutex` on a
+/// miss.  Racing builders of one key each build; the first insert wins and
+/// every caller gets the map's instance.
+template <typename Map, typename Build>
+const typename Map::mapped_type::element_type& find_or_build(
+    std::mutex& mutex, Map& map, const typename Map::key_type& key,
+    Build&& build) {
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    const auto it = map.find(key);
+    if (it != map.end()) return *it->second;
   }
-  return *it->second;
+  auto built = build();
+  std::lock_guard<std::mutex> lock(mutex);
+  return *map.emplace(key, std::move(built)).first->second;
 }
 
-const CacheModel& Explorer::variant_model(std::uint64_t size_bytes, bool is_l2,
-                                          int associativity,
-                                          std::uint32_t banks) const {
-  const auto key = std::make_tuple(is_l2, size_bytes, associativity, banks);
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  auto it = variant_models_.find(key);
-  if (it == variant_models_.end()) {
+}  // namespace
+
+const CacheModel& Explorer::model(const ModelKey& key) const {
+  return find_or_build(cache_mutex_, models_, key, [&] {
+    const auto& [variant, is_l2, size_bytes, associativity, banks] = key;
     tech::DeviceModel dev(config_.technology);
-    auto org =
-        extended_organization(size_bytes, is_l2, associativity, banks, dev);
-    it = variant_models_
-             .emplace(key, std::make_unique<CacheModel>(
-                               org, tech::DeviceModel(dev.params())))
-             .first;
-  }
-  return *it->second;
+    auto org = variant ? extended_organization(size_bytes, is_l2,
+                                               associativity, banks, dev)
+               : is_l2 ? l2_organization(size_bytes, dev)
+                       : l1_organization(size_bytes, dev);
+    return std::make_unique<CacheModel>(org, tech::DeviceModel(dev.params()));
+  });
 }
 
 void Explorer::record_degradation(const cachemodel::CacheModel& model,
@@ -75,20 +74,11 @@ opt::ComponentEvaluator Explorer::evaluator(
   if (!config_.use_fitted_models) {
     return opt::structural_evaluator(model);
   }
-  const cachemodel::FittedCacheModel* fitted = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = fits_.find(&model);
-    if (it == fits_.end()) {
-      it = fits_
-               .emplace(&model,
-                        std::make_unique<cachemodel::FittedCacheModel>(
-                            cachemodel::FittedCacheModel::fit(model)))
-               .first;
-    }
-    fitted = it->second.get();
-  }
-  const cachemodel::FittedCacheModel& fits = *fitted;
+  const cachemodel::FittedCacheModel& fits =
+      find_or_build(cache_mutex_, fits_, &model, [&] {
+        return std::make_unique<cachemodel::FittedCacheModel>(
+            cachemodel::FittedCacheModel::fit(model));
+      });
   const bool strict =
       config_.degradation_policy == DegradationPolicy::kStrict;
 
@@ -136,14 +126,6 @@ opt::ComponentEvaluator Explorer::evaluator(
     m.delay_s = f->component_delay_s(kind, knobs);
     return m;
   };
-}
-
-const CacheModel& Explorer::l1_model(std::uint64_t size_bytes) const {
-  return model(size_bytes, /*is_l2=*/false);
-}
-
-const CacheModel& Explorer::l2_model(std::uint64_t size_bytes) const {
-  return model(size_bytes, /*is_l2=*/true);
 }
 
 energy::MemorySystemModel Explorer::default_system() const {

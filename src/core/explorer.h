@@ -136,8 +136,12 @@ class Explorer {
   static std::string menu_label(const opt::MenuSpec& spec);
 
   /// Model access (lazily constructed, cached).
-  const cachemodel::CacheModel& l1_model(std::uint64_t size_bytes) const;
-  const cachemodel::CacheModel& l2_model(std::uint64_t size_bytes) const;
+  const cachemodel::CacheModel& l1_model(std::uint64_t size_bytes) const {
+    return model({false, false, size_bytes, 0, 0});
+  }
+  const cachemodel::CacheModel& l2_model(std::uint64_t size_bytes) const {
+    return model({false, true, size_bytes, 0, 0});
+  }
 
   /// Design-space variant: a split-tag organization with explicit
   /// associativity (1/2/4/8, or -1 for fully associative) and bank count.
@@ -145,7 +149,9 @@ class Explorer {
   /// closed forms are calibrated on the paper's fixed organization only.
   const cachemodel::CacheModel& variant_model(std::uint64_t size_bytes,
                                               bool is_l2, int associativity,
-                                              std::uint32_t banks) const;
+                                              std::uint32_t banks) const {
+    return model({true, is_l2, size_bytes, associativity, banks});
+  }
 
   /// The component evaluator the experiments optimize over: structural by
   /// default, or the cached per-cache fitted closed forms when
@@ -173,8 +179,10 @@ class Explorer {
   energy::MemorySystemModel default_system() const;
 
  private:
-  const cachemodel::CacheModel& model(std::uint64_t size_bytes,
-                                      bool is_l2) const;
+  /// (variant, is_l2, size, associativity, banks); l1_model / l2_model
+  /// use variant false with zero associativity and banks.
+  using ModelKey = std::tuple<bool, bool, std::uint64_t, int, std::uint32_t>;
+  const cachemodel::CacheModel& model(const ModelKey& key) const;
 
   /// Record one degradation event, deduplicated by `key` so a sweep that
   /// leaves the fitted domain thousands of times logs it once per cause.
@@ -188,18 +196,12 @@ class Explorer {
   mutable std::mutex degradation_mutex_;
   mutable std::vector<DegradationEvent> degradation_log_;
   mutable std::set<std::string> degradation_keys_;
-  /// Guards the lazily-populated model/fit caches.  Construction happens
-  /// under the lock; returned references stay valid because node-based map
-  /// insertion never relocates existing entries.
+  /// Guards lookups and inserts of the lazily-built model/fit maps; builds
+  /// run outside it.  Returned references stay valid because node-based
+  /// map insertion never relocates existing entries.
   mutable std::mutex cache_mutex_;
-  mutable std::map<std::pair<bool, std::uint64_t>,
-                   std::unique_ptr<cachemodel::CacheModel>>
-      models_;
-  /// Design-space variants keyed by (is_l2, size, associativity, banks);
-  /// same node-based-map reference stability as models_.
-  mutable std::map<std::tuple<bool, std::uint64_t, int, std::uint32_t>,
-                   std::unique_ptr<cachemodel::CacheModel>>
-      variant_models_;
+  /// Fixed organizations and design-space variants, keyed by ModelKey.
+  mutable std::map<ModelKey, std::unique_ptr<cachemodel::CacheModel>> models_;
   /// Fitted closed forms per cache model (only populated when
   /// use_fitted_models is set).
   mutable std::map<const cachemodel::CacheModel*,

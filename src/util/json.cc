@@ -361,18 +361,22 @@ ValuePtr parse(const std::string& text) {
   return Parser(text).parse_document();
 }
 
-std::string format_double(double d) {
+void append_double(std::string& out, double d) {
   NC_REQUIRE_DOMAIN(std::isfinite(d),
                     "non-finite double cannot be serialized to JSON");
   char buf[64];
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), d);
   NC_REQUIRE_INTERNAL(ec == std::errc(), "to_chars failed");
-  return std::string(buf, ptr);
+  out.append(buf, ptr);
 }
 
-std::string quote(const std::string& s) {
+std::string format_double(double d) {
   std::string out;
-  out.reserve(s.size() + 2);
+  append_double(out, d);
+  return out;
+}
+
+void append_quoted(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -395,6 +399,12 @@ std::string quote(const std::string& s) {
     }
   }
   out.push_back('"');
+}
+
+std::string quote(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_quoted(out, s);
   return out;
 }
 

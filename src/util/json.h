@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nanocache::json {
@@ -73,11 +74,13 @@ class Value {
 /// and objects nested deeper than 64 levels.
 ValuePtr parse(const std::string& text);
 
-/// Shortest round-trip decimal representation of `d` (std::to_chars).
+/// Appends to `out` the shortest round-trip decimal of `d` (to_chars).
 /// NaN/Inf are rejected with Error(kNumericDomain) — they are not JSON.
+void append_double(std::string& out, double d);
 std::string format_double(double d);
 
-/// JSON string literal (quotes + escapes) for `s`.
+/// JSON string literal (quotes + escapes) for `s`, appended to `out`.
+void append_quoted(std::string& out, std::string_view s);
 std::string quote(const std::string& s);
 
 }  // namespace nanocache::json

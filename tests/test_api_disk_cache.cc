@@ -6,18 +6,22 @@
 // (an unsupported schema_version never shares a key; a non-finite double
 // has none), and the parse_response_json round-trip exactness the disk hit
 // path depends on.  A version-1 segment resets.  Appends go through
-// one open segment descriptor: many stores reopen byte-identically, and a
-// failed write degrades the cache to memory-only.
+// one open segment descriptor: many stores, serial or from racing threads,
+// reopen byte-identically, and a failed write degrades the cache to
+// memory-only.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -343,6 +347,59 @@ TEST(ApiDiskCache, ManyStoresReopenToByteIdenticalEntries) {
     ASSERT_TRUE(hit.has_value()) << key;
     EXPECT_EQ(*hit, response);
   }
+  fs::remove_all(dir);
+}
+
+TEST(ApiDiskCache, ConcurrentStoresReopenIntact) {
+  // Appends run outside the cache's lock: eight threads storing distinct
+  // ~1 KB entries, plus one key they all race, must leave a segment whose
+  // every line reloads intact, with the raced key written once.
+  const auto dir = test_cache_dir("concurrent_stores");
+  const std::string fingerprint = "00112233aabbccdd";
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 250;
+  const auto value_of = [](int t, int i) {
+    return "{\"v\":" + std::to_string(t * kPerThread + i) + ",\"pad\":\"" +
+           std::string(1000, static_cast<char>('a' + (t + i) % 26)) + "\"}";
+  };
+  std::vector<std::string> shared_values(kThreads);
+  {
+    const auto cache = DiskCache::open(dir.string(), fingerprint);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (int i = 0; i < kPerThread; ++i) {
+          cache->store("key|" + std::to_string(t) + "|" + std::to_string(i),
+                       value_of(t, i));
+          if (i == kPerThread / 2) {
+            shared_values[t] = "{\"shared\":" + std::to_string(t) + "}";
+            cache->store("shared", shared_values[t]);
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(cache->stores(), kThreads * kPerThread + 1u);
+    EXPECT_EQ(cache->flush(), kThreads * kPerThread + 1u);
+  }
+
+  const auto reopened = DiskCache::open(dir.string(), fingerprint);
+  EXPECT_EQ(reopened->corrupt_lines(), 0u);
+  EXPECT_EQ(reopened->entries(), kThreads * kPerThread + 1u);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      const auto hit = reopened->lookup("key|" + std::to_string(t) + "|" +
+                                        std::to_string(i));
+      ASSERT_TRUE(hit.has_value()) << t << "/" << i;
+      EXPECT_EQ(*hit, value_of(t, i));
+    }
+  }
+  const auto shared = reopened->lookup("shared");
+  ASSERT_TRUE(shared.has_value());
+  EXPECT_NE(std::find(shared_values.begin(), shared_values.end(), *shared),
+            shared_values.end());
   fs::remove_all(dir);
 }
 

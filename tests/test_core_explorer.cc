@@ -2,6 +2,11 @@
 // caching, and the structure of each experiment's output.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "core/explorer.h"
 #include "util/error.h"
 
@@ -45,6 +50,68 @@ TEST(Explorer, ModelCachingReturnsSameInstance) {
   // L1 and L2 of the same size are distinct models.
   const auto& l2 = explorer().l2_model(256 * 1024);
   EXPECT_NE(static_cast<const void*>(&a), static_cast<const void*>(&l2));
+}
+
+/// Bitwise equality of every component's metrics from two evaluators of
+/// `model`'s component kinds at `knobs`.
+void expect_components_equal(const cachemodel::CacheModel& model,
+                             const opt::ComponentEvaluator& a,
+                             const opt::ComponentEvaluator& b,
+                             const tech::DeviceKnobs& knobs) {
+  for (std::size_t i = 0; i < model.num_components(); ++i) {
+    const auto kind = cachemodel::kExtendedComponents[i];
+    const auto ma = a(kind, knobs);
+    const auto mb = b(kind, knobs);
+    EXPECT_EQ(std::memcmp(&ma, &mb, sizeof ma), 0) << "component " << i;
+  }
+}
+
+TEST(Explorer, ConcurrentFirstTouchReturnsOneInstance) {
+  // Eight threads race the first touch of a fixed model, a design-space
+  // variant and a fitted evaluator.  Builds run outside the Explorer's
+  // lock, so several threads may build; every caller must still get the
+  // one instance the map kept, equal bit for bit to a serial build.
+  ExperimentConfig config;
+  config.use_fitted_models = true;
+  const Explorer raced(config);
+  const Explorer serial(config);
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kL1Bytes = 32 * 1024;
+  const tech::DeviceKnobs knobs{0.35, 12.0};
+
+  std::latch start(kThreads);
+  std::vector<const cachemodel::CacheModel*> l1(kThreads), variant(kThreads);
+  std::vector<opt::ComponentEvaluator> evals(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      l1[t] = &raced.l1_model(kL1Bytes);
+      variant[t] = &raced.variant_model(64 * 1024, false, 4, 2);
+      evals[t] = raced.evaluator(raced.l1_model(16 * 1024));
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(l1[t], l1[0]);
+    EXPECT_EQ(variant[t], variant[0]);
+  }
+  EXPECT_EQ(l1[0], &raced.l1_model(kL1Bytes));
+  EXPECT_EQ(variant[0], &raced.variant_model(64 * 1024, false, 4, 2));
+
+  const auto& serial_l1 = serial.l1_model(kL1Bytes);
+  expect_components_equal(serial_l1, opt::structural_evaluator(*l1[0]),
+                          opt::structural_evaluator(serial_l1), knobs);
+  const auto& serial_variant = serial.variant_model(64 * 1024, false, 4, 2);
+  expect_components_equal(serial_variant,
+                          opt::structural_evaluator(*variant[0]),
+                          opt::structural_evaluator(serial_variant), knobs);
+  const auto& fitted_model = serial.l1_model(16 * 1024);
+  const auto serial_fitted = serial.evaluator(fitted_model);
+  for (int t = 0; t < kThreads; ++t) {
+    expect_components_equal(fitted_model, evals[t], serial_fitted, knobs);
+  }
 }
 
 TEST(Explorer, Fig1SeriesStructure) {

@@ -6,9 +6,10 @@
 # happens to pass.  The tsan preset targets what still runs concurrently:
 # Service::run_batch's workers, the tuple-menu passes (bound_menus and the
 # solve waves) and the server's connection threads with their evaluation
-# slots.  NANOCACHE_THREADS=4 forces the pool to fork even on small CI
-# boxes, so data races in the pool, the memo and disk caches or the
-# explorer's model and degradation logs surface as hard errors.
+# slots, whose first-touch model builds and disk appends run unlocked.
+# NANOCACHE_THREADS=4 forces the pool to fork even on small boxes, so races
+# in the pool, the memo and disk caches or the explorer's maps and logs
+# surface as hard errors.
 #
 # Usage: tools/run_sanitizers.sh [asan|ubsan|tsan ...]   (default: asan ubsan)
 set -euo pipefail
