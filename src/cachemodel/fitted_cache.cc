@@ -41,16 +41,6 @@ double FittedCacheModel::component_delay_s(
   return delay_[static_cast<std::size_t>(kind)](knobs);
 }
 
-double FittedCacheModel::component_leakage_checked_w(
-    ComponentKind kind, const tech::DeviceKnobs& knobs) const {
-  return leakage_[static_cast<std::size_t>(kind)].evaluate_checked(knobs);
-}
-
-double FittedCacheModel::component_delay_checked_s(
-    ComponentKind kind, const tech::DeviceKnobs& knobs) const {
-  return delay_[static_cast<std::size_t>(kind)].evaluate_checked(knobs);
-}
-
 double FittedCacheModel::leakage_w(const ComponentAssignment& a) const {
   double sum = 0.0;
   for (ComponentKind kind : kAllComponents) {

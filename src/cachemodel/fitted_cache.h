@@ -29,14 +29,6 @@ class FittedCacheModel {
   double component_delay_s(ComponentKind kind,
                            const tech::DeviceKnobs& knobs) const;
 
-  /// Checked variants: validate the knobs are finite and inside the
-  /// characterization rectangle and the result is finite; throw
-  /// nanocache::Error(kNumericDomain) otherwise.
-  double component_leakage_checked_w(ComponentKind kind,
-                                     const tech::DeviceKnobs& knobs) const;
-  double component_delay_checked_s(ComponentKind kind,
-                                   const tech::DeviceKnobs& knobs) const;
-
   /// Whole-cache evaluation by summation (paper Section 3).
   double leakage_w(const ComponentAssignment& a) const;
   double access_time_s(const ComponentAssignment& a) const;

@@ -170,10 +170,6 @@ class Explorer {
   const std::vector<DegradationEvent>& degradation_events() const {
     return degradation_log_;
   }
-  void clear_degradation_events() {
-    degradation_log_.clear();
-    degradation_keys_.clear();
-  }
 
   /// Memory-system model for the configured default sizes.
   energy::MemorySystemModel default_system() const;

@@ -26,19 +26,6 @@ void split_samples(const std::vector<KnobSample>& samples,
   }
 }
 
-void check_knobs_in(const FitDomain& domain, const DeviceKnobs& knobs,
-                    const char* model) {
-  num::ensure_finite(knobs.vth_v, model);
-  num::ensure_finite(knobs.tox_a, model);
-  if (!domain.contains(knobs)) {
-    std::ostringstream os;
-    os << model << " evaluated outside its fitted domain: Vth="
-       << knobs.vth_v << " V, Tox=" << knobs.tox_a << " A not in "
-       << domain.describe();
-    throw Error(ErrorCategory::kNumericDomain, os.str());
-  }
-}
-
 }  // namespace
 
 bool FitDomain::contains(const DeviceKnobs& knobs) const {
@@ -100,15 +87,6 @@ double FittedLeakageModel::operator()(const DeviceKnobs& knobs) const {
          a2_ * std::exp(rate_tox_ * knobs.tox_a);
 }
 
-double FittedLeakageModel::evaluate_checked(const DeviceKnobs& knobs) const {
-  check_knobs_in(domain_, knobs, "fitted leakage model");
-  const double value =
-      a0_ +
-      a1_ * num::checked_exp(rate_vth_ * knobs.vth_v, "fitted leakage") +
-      a2_ * num::checked_exp(rate_tox_ * knobs.tox_a, "fitted leakage");
-  return num::ensure_finite(value, "fitted leakage result");
-}
-
 FittedDelayModel FittedDelayModel::fit(const std::vector<KnobSample>& samples) {
   std::vector<double> vth, tox, value;
   split_samples(samples, &vth, &tox, &value);
@@ -127,14 +105,6 @@ FittedDelayModel FittedDelayModel::fit(const std::vector<KnobSample>& samples) {
 
 double FittedDelayModel::operator()(const DeviceKnobs& knobs) const {
   return k0_ + k1_ * std::exp(k3_ * knobs.vth_v) + k2_ * knobs.tox_a;
-}
-
-double FittedDelayModel::evaluate_checked(const DeviceKnobs& knobs) const {
-  check_knobs_in(domain_, knobs, "fitted delay model");
-  const double value =
-      k0_ + k1_ * num::checked_exp(k3_ * knobs.vth_v, "fitted delay") +
-      k2_ * knobs.tox_a;
-  return num::ensure_finite(value, "fitted delay result");
 }
 
 }  // namespace nanocache::tech

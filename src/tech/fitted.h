@@ -52,11 +52,6 @@ class FittedLeakageModel {
 
   double operator()(const DeviceKnobs& knobs) const;
 
-  /// operator() plus full domain validation: knobs must be finite and
-  /// inside the fitted rectangle, and the result must be finite.  Throws
-  /// nanocache::Error(kNumericDomain) otherwise.
-  double evaluate_checked(const DeviceKnobs& knobs) const;
-
   double a0() const { return a0_; }
   double a1() const { return a1_; }
   double rate_vth() const { return rate_vth_; }  ///< a1 exponent (negative)
@@ -81,10 +76,6 @@ class FittedDelayModel {
   static FittedDelayModel fit(const std::vector<KnobSample>& samples);
 
   double operator()(const DeviceKnobs& knobs) const;
-
-  /// operator() with finite-input, in-domain and finite-output checks;
-  /// throws nanocache::Error(kNumericDomain) on any violation.
-  double evaluate_checked(const DeviceKnobs& knobs) const;
 
   double k0() const { return k0_; }
   double k1() const { return k1_; }

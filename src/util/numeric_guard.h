@@ -17,11 +17,6 @@
 
 namespace nanocache::num {
 
-/// Largest exponent argument accepted by checked_exp: exp(709.8) is the
-/// edge of double range, so anything this size is already a modelling
-/// failure, not a physical quantity.
-inline constexpr double kMaxExpArg = 700.0;
-
 [[noreturn]] inline void throw_domain(const std::string& what,
                                       const char* context, double value) {
   throw Error(ErrorCategory::kNumericDomain,
@@ -40,14 +35,6 @@ inline double ensure_positive(double value, const char* context) {
   ensure_finite(value, context);
   if (!(value > 0.0)) throw_domain("non-positive value", context, value);
   return value;
-}
-
-/// exp() that refuses non-finite or overflowing arguments instead of
-/// returning Inf.
-inline double checked_exp(double x, const char* context) {
-  ensure_finite(x, context);
-  if (x > kMaxExpArg) throw_domain("exp overflow", context, x);
-  return std::exp(x);
 }
 
 }  // namespace nanocache::num

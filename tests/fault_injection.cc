@@ -141,8 +141,6 @@ std::vector<FaultCase> build_standard_faults() {
   std::vector<FaultCase> cases;
 
   // --- numeric guards ---------------------------------------------------
-  add(cases, "guard-exp-overflow", EC::kNumericDomain,
-      [] { num::checked_exp(800.0, "test exponent"); });
   add(cases, "guard-positive-rejects-negative", EC::kNumericDomain,
       [] { num::ensure_positive(-1.0, "test quantity"); });
   add(cases, "guard-finite-rejects-nan", EC::kNumericDomain,
@@ -175,14 +173,6 @@ std::vector<FaultCase> build_standard_faults() {
     auto s = good_samples();
     s[1].knobs.tox_a = kNaN;
     tech::FitDomain::from_samples(s);
-  });
-  add(cases, "fitted-eval-outside-domain", EC::kNumericDomain, [] {
-    small_fits().component_leakage_checked_w(
-        cachemodel::ComponentKind::kCellArray, tech::DeviceKnobs{0.9, 12.0});
-  });
-  add(cases, "fitted-eval-nan-knob", EC::kNumericDomain, [] {
-    small_fits().component_delay_checked_s(
-        cachemodel::ComponentKind::kCellArray, tech::DeviceKnobs{kNaN, 12.0});
   });
 
   // --- cache organization -----------------------------------------------

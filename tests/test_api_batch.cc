@@ -250,6 +250,11 @@ TEST(ApiBatch, CanonicalKeyIgnoresIdOnly) {
 }
 
 TEST(ApiBatch, DedupStatsAndIdEcho) {
+  // One thread: the sweep runs after the optimizes it reuses.  With more,
+  // it can compute a cell while an optimize still holds the same key, and
+  // both miss (MemoCache lets two threads compute one key).
+  ThreadCountGuard guard;
+  par::set_default_threads(1);
   const auto service = make_service();
   const auto requests = mixed_workload();
   const auto batch = service->run_batch(requests);

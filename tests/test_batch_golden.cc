@@ -11,13 +11,20 @@
 // pinned at full precision.  The fourth holds one line per way a request
 // can fail to parse, pinning every parse error's bytes; the fifth one
 // well-formed line per validation or infeasibility site a request can
-// reach, pinning every error message free of source locations.
+// reach, pinning every error message free of source locations.  The last
+// two are the benchmark's seed-7 and seed-9173 study pools.
+//
+// The work golden (work_golden.txt, one "<fixture> <counter> <value>" line
+// each) pins how much search each fixture's batch does: the counters a
+// lost pruning bound or an extra optimizer pass would move, on any host.
 //
 // Regenerating the goldens after an *intentional* model change:
 //   NANOCACHE_REGEN_GOLDEN=1 ./tests/test_batch_golden
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -32,6 +39,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "util/error.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
 
 namespace nanocache {
@@ -62,11 +70,52 @@ std::shared_ptr<api::Service> make_service() {
   return out.value();
 }
 
-std::string batch_output(const api::Service& service,
-                         const std::string& input) {
+/// Counter deltas of one batch, by counter name.
+using Work = std::map<std::string, std::uint64_t>;
+
+/// The counters the work golden pins.  Every one reads exactly at one
+/// thread.  Only the batch's request dedup and which menus the tuple-menu
+/// bounds enumerate and solve also read the same at any thread count: the
+/// rest depend on the memo, and MemoCache lets two threads compute one key
+/// (first insert wins), so at N threads a racing pair can add an optimize
+/// call, its grid points and combos, and a miss.
+struct PinnedCounter {
+  const char* name;
+  bool any_thread_count;
+};
+constexpr PinnedCounter kPinnedCounters[] = {
+    {"api.batch.requests", true},
+    {"api.batch.unique_requests", true},
+    {"api.batch.request_hits", true},
+    {"opt.menus_enumerated", true},
+    {"opt.menus_solved", true},
+    {"opt.designs_considered", true},
+    {"api.memo.hits", false},
+    {"api.memo.misses", false},
+    {"opt.optimize_calls", false},
+    {"opt.grid_points_evaluated", false},
+    {"opt.combos_evaluated", false},
+    {"opt.combos_skipped", false},
+};
+
+/// The batch's response stream; `work`, when given, receives how far the
+/// batch moved every pinned counter.
+std::string batch_output(const api::Service& service, const std::string& input,
+                         Work* work = nullptr) {
+  auto& registry = metrics::Registry::instance();
+  Work before;
+  for (const auto& counter : kPinnedCounters) {
+    before[counter.name] = registry.counter(counter.name).value();
+  }
   std::istringstream in(input);
   std::ostringstream out;
   api::run_batch_jsonl(service, in, out);
+  if (work != nullptr) {
+    work->clear();
+    for (const auto& [name, value] : before) {
+      (*work)[name] = registry.counter(name).value() - value;
+    }
+  }
   return out.str();
 }
 
@@ -85,16 +134,52 @@ constexpr Fixture kMalformedFixture{"malformed_requests.jsonl",
                                     "malformed_responses_golden.jsonl"};
 constexpr Fixture kInvalidFixture{"invalid_requests.jsonl",
                                   "invalid_responses_golden.jsonl"};
+constexpr Fixture kStudySeed7Fixture{"study_seed7_requests.jsonl",
+                                     "study_seed7_responses_golden.jsonl"};
+constexpr Fixture kStudySeed9173Fixture{
+    "study_seed9173_requests.jsonl", "study_seed9173_responses_golden.jsonl"};
+
+constexpr const char* kWorkGolden = "work_golden.txt";
 
 /// True (and the golden rewritten) when the caller asked for regeneration;
-/// tests then skip their comparisons.
-bool maybe_regenerate_golden(const Fixture& fixture, const std::string& input) {
+/// tests then skip their comparisons.  `work`, when given, receives the
+/// counters the regenerating one-thread batch moved.
+bool maybe_regenerate_golden(const Fixture& fixture, const std::string& input,
+                             Work* work = nullptr) {
   if (std::getenv("NANOCACHE_REGEN_GOLDEN") == nullptr) return false;
   par::set_default_threads(1);
   const auto service = make_service();
   std::ofstream out(data_path(fixture.golden), std::ios::binary);
-  out << batch_output(*service, input);
+  out << batch_output(*service, input, work);
   return true;
+}
+
+/// The work golden's lines, sorted, with `fixture`'s replaced by `work`.
+void rewrite_work_golden(const Fixture& fixture, const Work& work) {
+  const std::string prefix = std::string(fixture.requests) + ' ';
+  std::vector<std::string> lines;
+  std::istringstream in(read_file(data_path(kWorkGolden)));
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(prefix, 0) != 0) lines.push_back(line);
+  }
+  for (const auto& [name, value] : work) {
+    lines.push_back(prefix + name + ' ' + std::to_string(value));
+  }
+  std::sort(lines.begin(), lines.end());
+  std::ofstream out(data_path(kWorkGolden), std::ios::binary);
+  for (const auto& line : lines) out << line << '\n';
+}
+
+/// The work golden's counters for `fixture`.
+Work work_golden(const Fixture& fixture) {
+  Work work;
+  std::istringstream in(read_file(data_path(kWorkGolden)));
+  std::string name, counter;
+  std::uint64_t value = 0;
+  while (in >> name >> counter >> value) {
+    if (name == fixture.requests) work[counter] = value;
+  }
+  return work;
 }
 
 /// Send `input` over each of `clients` concurrent connections to a server
@@ -139,22 +224,36 @@ std::vector<std::string> served_outputs(
   return got;
 }
 
-/// The fixture's batch output at 1, 2 and 8 threads, each on a fresh
-/// service so memo state from a previous pass cannot mask a divergence.
+/// The fixture's batch output and work at 1, 2 and 8 threads, each on a
+/// fresh service so memo state from a previous pass cannot mask a
+/// divergence.  Every pinned counter must match the work golden at one
+/// thread, the thread-invariant ones at every thread count.
 void expect_golden_at_any_thread_count(const Fixture& fixture) {
   ThreadCountGuard guard;
   const std::string input = read_file(data_path(fixture.requests));
   ASSERT_FALSE(input.empty());
-  if (maybe_regenerate_golden(fixture, input)) {
+  Work regenerated;
+  if (maybe_regenerate_golden(fixture, input, &regenerated)) {
+    rewrite_work_golden(fixture, regenerated);
     GTEST_SKIP() << "golden regenerated";
   }
   const std::string golden = read_file(data_path(fixture.golden));
   ASSERT_FALSE(golden.empty());
+  const Work expected = work_golden(fixture);
+  ASSERT_FALSE(expected.empty()) << "no work golden for " << fixture.requests;
   for (int threads : {1, 2, 8}) {
     par::set_default_threads(threads);
     const auto service = make_service();
-    EXPECT_EQ(batch_output(*service, input), golden)
+    Work work;
+    EXPECT_EQ(batch_output(*service, input, &work), golden)
         << "threads=" << threads;
+    for (const auto& [name, any_thread_count] : kPinnedCounters) {
+      if (threads > 1 && !any_thread_count) continue;
+      const auto want = expected.find(name);
+      ASSERT_NE(want, expected.end()) << name << " not in " << kWorkGolden;
+      EXPECT_EQ(work[name], want->second)
+          << fixture.requests << ' ' << name << " threads=" << threads;
+    }
   }
 }
 
@@ -184,6 +283,14 @@ TEST(BatchGolden, NineMenuFixtureByteIdenticalAtAnyThreadCount) {
 
 TEST(BatchGolden, FigureTwoFrontiersByteIdenticalAtAnyThreadCount) {
   expect_golden_at_any_thread_count(kFrontierFixture);
+}
+
+TEST(BatchGolden, StudySeed7ByteIdenticalAtAnyThreadCount) {
+  expect_golden_at_any_thread_count(kStudySeed7Fixture);
+}
+
+TEST(BatchGolden, StudySeed9173ByteIdenticalAtAnyThreadCount) {
+  expect_golden_at_any_thread_count(kStudySeed9173Fixture);
 }
 
 TEST(BatchGolden, EightServedConnectionsEachMatchGolden) {

@@ -112,18 +112,6 @@ TEST(Degradation, R2FloorStrictThrows) {
   }
 }
 
-TEST(Degradation, ClearResetsTheLog) {
-  const Explorer e = make_fitted_explorer();
-  const auto eval = e.evaluator(e.l1_model(16 * 1024));
-  eval(ComponentKind::kCellArray, tech::DeviceKnobs{0.55, 12.0});
-  ASSERT_FALSE(e.degradation_events().empty());
-  const_cast<Explorer&>(e).clear_degradation_events();
-  EXPECT_TRUE(e.degradation_events().empty());
-  // A cleared key logs again on the next occurrence.
-  eval(ComponentKind::kCellArray, tech::DeviceKnobs{0.55, 12.0});
-  EXPECT_EQ(e.degradation_events().size(), 1u);
-}
-
 TEST(Degradation, SweepRowsCarryInfeasibleReasons) {
   // An impossible AMAT target: every row must explain itself rather than
   // leaving an unexplained hole.

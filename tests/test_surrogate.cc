@@ -161,14 +161,25 @@ TEST(SurrogateDifferential, OptimizeStaysFeasibleWithinLeakageBound) {
   const auto dir = test_dir("diff_opt");
   ASSERT_GT(precompute_into(dir).optimize_tables, 0u);
   const auto surrogate = surrogate_service(dir);
+  auto& registry = metrics::Registry::instance();
+  auto& optimize_calls = registry.counter("opt.optimize_calls");
+  auto& grid_points = registry.counter("opt.grid_points_evaluated");
 
+  const auto calls_at_start = optimize_calls.value();
   for (const SchemeId scheme :
        {SchemeId::kI, SchemeId::kII, SchemeId::kIII}) {
     for (const double target_ps : {1350.0, 1400.0, 1522.7, 1650.0}) {
+      const auto calls_before = optimize_calls.value();
+      const auto points_before = grid_points.value();
       const auto sur = surrogate->serve(
           optimize_request(target_ps, Exactness::kAuto, scheme));
       ASSERT_TRUE(sur.ok) << sur.error.message;
-      if (sur.served_by != ServedBy::kSurrogate) continue;  // off the ladder
+      // Every target is on a tabulated ladder: losing that coverage would
+      // leave the checks below with nothing to check.
+      ASSERT_EQ(sur.served_by, ServedBy::kSurrogate) << target_ps;
+      // A table lookup runs no optimizer: no call, no grid point.
+      EXPECT_EQ(optimize_calls.value(), calls_before) << target_ps;
+      EXPECT_EQ(grid_points.value(), points_before) << target_ps;
       const auto exact = surrogate->serve(
           optimize_request(target_ps, Exactness::kExact, scheme));
       ASSERT_TRUE(exact.ok && exact.optimize.result.feasible);
@@ -183,6 +194,8 @@ TEST(SurrogateDifferential, OptimizeStaysFeasibleWithinLeakageBound) {
       EXPECT_LE(excess, sur.max_error.leakage_mw + 1e-12);
     }
   }
+  // The exact answers did run the optimizer, so the counters are live.
+  EXPECT_GT(optimize_calls.value(), calls_at_start);
 }
 
 TEST(SurrogateDifferential, ByteStableAcrossThreadCountsAndReload) {
@@ -341,7 +354,7 @@ TEST(SurrogateCorruption, DamagedTablesDegradeToExactNeverWrong) {
 }
 
 TEST(SurrogateCorruption, VersionOneSegmentIsRejected) {
-  const auto dir = test_dir("version_one");
+  const auto dir = test_dir("surrogate_version_one");
   const auto summary = precompute_into(dir);
   const Request request = optimize_request(1522.7);
   ASSERT_EQ(surrogate_service(dir)->serve(request).served_by,
