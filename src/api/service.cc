@@ -1059,36 +1059,45 @@ BatchResult Service::run_batch(const std::vector<Request>& requests) const {
     peak_queue.record_max(static_cast<std::int64_t>(first_occurrence.size()));
   }
 
-  // Tuple-menu requests are the stragglers (one 3x3 menu outweighs the
-  // rest of a typical batch): they run first, one at a time on this thread,
-  // so each one's menu enumeration fans out across the whole pool instead
-  // of collapsing to serial inside a batch worker.  Every other unique
-  // request goes to one region, one request per claim.  Each request
-  // writes unique slot u, so response assembly is independent of the
-  // schedule.
+  // One region serves every unique request, one task per claim, each
+  // writing its unique slot u, so response assembly is independent of the
+  // schedule.  Tuple menus are claimed first: one of them outweighs most
+  // other requests, and nested regions run inline, so each menu enumeration
+  // runs on the worker that claimed it.  The menus of one spec share memo
+  // entries ("menumin|", "menu|", "menufront|"), so they form one task
+  // that serves them in request order: each then finds exactly what the
+  // earlier ones published, and which menus get solved is the same at any
+  // thread count.
+  std::vector<std::vector<std::size_t>> tasks;
+  std::map<std::pair<int, int>, std::size_t> spec_task;
   std::vector<std::size_t> rest;
-  std::vector<Response> unique_responses(first_occurrence.size());
   for (std::size_t u = 0; u < first_occurrence.size(); ++u) {
     const Request& request = requests[first_occurrence[u]];
-    if (request.kind == RequestKind::kTupleMenu) {
-      unique_responses[u] = serve(request);
-    } else {
+    if (request.kind != RequestKind::kTupleMenu) {
       rest.push_back(u);
+      continue;
     }
+    const auto spec = std::make_pair(request.tuple_menu.num_tox,
+                                     request.tuple_menu.num_vth);
+    const auto [it, added] = spec_task.emplace(spec, tasks.size());
+    if (added) tasks.emplace_back();
+    tasks[it->second].push_back(u);
   }
+  for (const std::size_t u : rest) tasks.push_back({u});
 
   // More workers than cores just adds contention on the memo shards and
-  // the metrics registry; requests dealt to workers fan out no further
-  // (nested parallel regions run inline).  Capped here at the service
-  // layer so explicit oversubscribed thread counts still exercise the pool
-  // machinery in unit tests that call par::parallel_for directly.
+  // the metrics registry.  Capped here at the service layer so explicit
+  // oversubscribed thread counts still exercise the pool machinery in unit
+  // tests that call par::parallel_for directly.
+  std::vector<Response> unique_responses(first_occurrence.size());
   const int batch_threads =
       std::min(par::default_threads(), par::hardware_threads());
   par::parallel_for(
-      rest.size(),
+      tasks.size(),
       [&](std::size_t i) {
-        const std::size_t u = rest[i];
-        unique_responses[u] = serve(requests[first_occurrence[u]]);
+        for (const std::size_t u : tasks[i]) {
+          unique_responses[u] = serve(requests[first_occurrence[u]]);
+        }
       },
       batch_threads);
 

@@ -210,7 +210,6 @@ OptOutcome<SchemeResult> blocks_pruned(
   if (fastest > delay_constraint_s) {
     return detail::infeasible_delay(delay_constraint_s, fastest, scheme);
   }
-  const double periph_min_leak = pf.back().opt.leakage_w;
 
   struct Best {
     bool has = false;
@@ -224,9 +223,6 @@ OptOutcome<SchemeResult> blocks_pruned(
   std::size_t evaluated = 0;
   for (const auto& a : af) {
     if (a.opt.delay_s + pf.front().opt.delay_s > delay_constraint_s) break;
-    if (best.has && a.opt.leakage_w + periph_min_leak > best.leakage_w) {
-      continue;
-    }
     for (const auto& p : pf) {
       const double delay = a.opt.delay_s + p.opt.delay_s;
       ++evaluated;

@@ -84,13 +84,18 @@ struct StateMetrics {
   double energy_j = 0.0;
 };
 
-StateMetrics state_metrics(const SysCombo& c, const MemoryTerms& mem) {
+StateMetrics state_metrics(double wdelay_s, double leakage_w, double wdyn_j,
+                           const MemoryTerms& mem) {
   StateMetrics m;
-  m.amat_s = c.wdelay_s + mem.amat_s;
-  m.leakage_w = c.leakage_w + mem.background_w;
+  m.amat_s = wdelay_s + mem.amat_s;
+  m.leakage_w = leakage_w + mem.background_w;
   // Energy uses the achieved AMAT.
-  m.energy_j = c.wdyn_j + mem.dynamic_j + m.leakage_w * m.amat_s;
+  m.energy_j = wdyn_j + mem.dynamic_j + m.leakage_w * m.amat_s;
   return m;
+}
+
+StateMetrics state_metrics(const SysCombo& c, const MemoryTerms& mem) {
+  return state_metrics(c.wdelay_s, c.leakage_w, c.wdyn_j, mem);
 }
 
 /// Every (Vth, Tox) grid pair evaluated once per system component, in
@@ -121,11 +126,20 @@ OptionTables grid_tables(const energy::MemorySystemModel& system,
   return tables;
 }
 
-/// One menu ready for its DP: the weighted, prefiltered option tables and
-/// the two numbers the bound pass derives from them.
+/// A component's least delay, leakage and dynamic energy, each over all of
+/// its options.
+struct OptionFloor {
+  double delay_s = 0.0;
+  double leakage_w = 0.0;
+  double dynamic_j = 0.0;
+};
+
+/// One menu ready for its DP: the weighted, prefiltered option tables, their
+/// per-component floors and the two numbers the bound pass derives from them.
 struct Menu {
   OptionTables options;
   std::array<std::size_t, kSystemComponents> full_n{};  ///< before prefilter
+  std::array<OptionFloor, kSystemComponents> floors{};
   detail::MenuBounds bounds;
 };
 
@@ -169,18 +183,17 @@ Menu prepare_menu(const OptionTables& grid_options, const KnobGrid& grid,
   // minima.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   SysCombo floor;
-  for (const auto& table : menu.options) {
-    double delay = kInf;
-    double leakage = kInf;
-    double dynamic = kInf;
-    for (const auto& o : table) {
-      delay = std::min(delay, o.delay_s);
-      leakage = std::min(leakage, o.leakage_w);
-      dynamic = std::min(dynamic, o.dynamic_j);
+  for (std::size_t c = 0; c < kSystemComponents; ++c) {
+    OptionFloor least{kInf, kInf, kInf};
+    for (const auto& o : menu.options[c]) {
+      least.delay_s = std::min(least.delay_s, o.delay_s);
+      least.leakage_w = std::min(least.leakage_w, o.leakage_w);
+      least.dynamic_j = std::min(least.dynamic_j, o.dynamic_j);
     }
-    floor.wdelay_s += delay;
-    floor.leakage_w += leakage;
-    floor.wdyn_j += dynamic;
+    menu.floors[c] = least;
+    floor.wdelay_s += least.delay_s;
+    floor.leakage_w += least.leakage_w;
+    floor.wdyn_j += least.dynamic_j;
   }
   const auto simple = state_metrics(floor, mem);
   const double amin = simple.amat_s;
@@ -219,25 +232,90 @@ bool key_less(const StepKey& a, const StepKey& b) {
   return a.wdyn_j < b.wdyn_j;
 }
 
+/// The most energy a state may have and still beat an incumbent, as a
+/// function of its AMAT: the largest incumbent energy over the targets that
+/// AMAT meets (+inf for a target with no incumbent yet), -inf when it meets
+/// none.
+class EnergyCeiling {
+ public:
+  EnergyCeiling(const std::vector<double>& amat_targets_s,
+                const std::vector<double>& incumbent_j) {
+    std::vector<std::size_t> order(amat_targets_s.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return amat_targets_s[a] < amat_targets_s[b];
+    });
+    for (const std::size_t t : order) {
+      amat_s_.push_back(amat_targets_s[t]);
+      energy_j_.push_back(incumbent_j[t]);
+    }
+    for (std::size_t i = energy_j_.size(); i > 1; --i) {
+      energy_j_[i - 2] = std::max(energy_j_[i - 2], energy_j_[i - 1]);
+    }
+  }
+
+  double at(double amat_s) const {
+    const auto it = std::lower_bound(amat_s_.begin(), amat_s_.end(), amat_s);
+    return it == amat_s_.end()
+               ? -std::numeric_limits<double>::infinity()
+               : energy_j_[static_cast<std::size_t>(it - amat_s_.begin())];
+  }
+
+ private:
+  std::vector<double> amat_s_;    ///< the targets, ascending
+  std::vector<double> energy_j_;  ///< max incumbent energy from here on
+};
+
+/// A pruned DP's test (docs/MODELING.md §14): finish a key with each later
+/// component's floor, added in DP order, and keep the key iff the energy of
+/// that floor state is at most the ceiling at its AMAT.  Every completion of
+/// the key, and of any key it dominates or extends to, is at or above the
+/// floor state in all three sums, so nothing a dropped key leads to can beat
+/// an incumbent.
+class KeyFilter {
+ public:
+  KeyFilter(const Menu& menu, const MemoryTerms& mem,
+            const EnergyCeiling& ceiling)
+      : floors_(menu.floors), mem_(mem), ceiling_(ceiling) {}
+
+  bool keep(const StepKey& key, std::size_t component) const {
+    double wdelay = key.wdelay_s;
+    double leakage = key.leakage_w;
+    double wdyn = key.wdyn_j;
+    for (std::size_t c = component + 1; c < kSystemComponents; ++c) {
+      wdelay += floors_[c].delay_s;
+      leakage += floors_[c].leakage_w;
+      wdyn += floors_[c].dynamic_j;
+    }
+    const auto m = state_metrics(wdelay, leakage, wdyn, mem_);
+    return m.energy_j <= ceiling_.at(m.amat_s);
+  }
+
+ private:
+  const std::array<OptionFloor, kSystemComponents>& floors_;
+  const MemoryTerms& mem_;
+  const EnergyCeiling& ceiling_;
+};
+
 /// One DP step as a merge: option o's extensions form run o, in state
 /// order; the runs are merged by (key, state, option), which is the order
 /// a stable sort of the state-major extensions yields, and each merged key
 /// goes straight through the staircase test.  Only survivors become
-/// SysCombos.  The buffers are reused across the steps of one DP call
-/// (docs/MODELING.md §14).
+/// SysCombos.  With a filter, the keys it drops never enter a run.  The
+/// buffers are reused across the steps of one DP call (docs/MODELING.md
+/// §14).
 class ParetoStep {
  public:
   void run(const std::vector<SysCombo>& states,
            const std::vector<ComponentOption>& options, std::size_t component,
-           std::vector<SysCombo>& front) {
+           std::vector<SysCombo>& front, const KeyFilter* filter = nullptr) {
     NC_REQUIRE(states.size() < std::numeric_limits<std::uint32_t>::max(),
                "too many DP states");
-    fill_runs(states, options);
+    const std::size_t keys = fill_runs(states, options, component, filter);
     stair_y_.assign(1, -kInf);  // sentinel: precedes every point, never
     stair_z_.assign(1, kInf);   // dominates one, never erased
     front.clear();
-    for (std::size_t left = states.size() * options.size(); left > 0;
-         --left) {
+    for (std::size_t left = keys; left > 0; --left) {
       const std::size_t o = pick_run();
       const StepKey& key = keys_[head_[o]];
       ++head_[o];
@@ -255,13 +333,15 @@ class ParetoStep {
  private:
   static constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  /// Key every extension, run by run, each run closed by a sentinel that
-  /// sorts after every key.  Adding an option's constants is monotone only
-  /// in wdelay: rounding can tie two wdelays that differ, and leakage then
-  /// orders them the other way, so a run found out of order is stable-
-  /// sorted, which keeps state order among equal keys.
-  void fill_runs(const std::vector<SysCombo>& states,
-                 const std::vector<ComponentOption>& options) {
+  /// Key every extension the filter keeps, run by run, each run closed by
+  /// a sentinel that sorts after every key; returns how many keys the runs
+  /// hold.  Adding an option's constants is monotone only in wdelay:
+  /// rounding can tie two wdelays that differ, and leakage then orders them
+  /// the other way, so a run found out of order is stable-sorted, which
+  /// keeps state order among equal keys.
+  std::size_t fill_runs(const std::vector<SysCombo>& states,
+                        const std::vector<ComponentOption>& options,
+                        std::size_t component, const KeyFilter* filter) {
     const std::size_t n = states.size();
     const std::size_t stride = n + 1;
     if (keys_size_ < options.size() * stride) {
@@ -270,21 +350,30 @@ class ParetoStep {
     }
     head_.resize(options.size());
     head_wdelay_.resize(options.size());
+    std::size_t total = 0;
     for (std::size_t o = 0; o < options.size(); ++o) {
       const auto& opt = options[o];
       StepKey* keys = keys_.get() + o * stride;
+      std::size_t kept = 0;
       bool sorted = true;
       for (std::size_t m = 0; m < n; ++m) {
         const auto& s = states[m];
-        keys[m] = {s.wdelay_s + opt.delay_s, s.leakage_w + opt.leakage_w,
-                   s.wdyn_j + opt.dynamic_j, static_cast<std::uint32_t>(m)};
-        if (m > 0 && key_less(keys[m], keys[m - 1])) sorted = false;
+        const StepKey key{s.wdelay_s + opt.delay_s,
+                          s.leakage_w + opt.leakage_w,
+                          s.wdyn_j + opt.dynamic_j,
+                          static_cast<std::uint32_t>(m)};
+        if (filter != nullptr && !filter->keep(key, component)) continue;
+        if (kept > 0 && key_less(key, keys[kept - 1])) sorted = false;
+        keys[kept++] = key;
       }
-      if (!sorted) std::stable_sort(keys, keys + n, key_less);
-      keys[n] = {kInf, kInf, kInf, std::numeric_limits<std::uint32_t>::max()};
+      if (!sorted) std::stable_sort(keys, keys + kept, key_less);
+      keys[kept] = {kInf, kInf, kInf,
+                    std::numeric_limits<std::uint32_t>::max()};
       head_[o] = o * stride;
       head_wdelay_[o] = keys[0].wdelay_s;
+      total += kept;
     }
+    return total;
   }
 
   /// The run whose head comes first in (key, state, option) order.  The
@@ -356,25 +445,37 @@ class ParetoStep {
   std::vector<double> stair_z_;
 };
 
-/// One menu's Pareto-DP over the eight components.  `visit`, when set,
-/// sees each step as menu `index`'s (detail::visit_dp_steps).
-std::vector<SysCombo> run_menu_dp(const Menu& menu, std::size_t state_cap,
-                                  const detail::DpStepVisitor* visit = nullptr,
-                                  std::size_t index = 0) {
+/// What one menu's DP keeps: its last step's states, and whether the state
+/// cap thinned any step.
+struct MenuDp {
+  std::vector<SysCombo> states{SysCombo{}};
+  bool thinned = false;
+};
+
+/// One menu's Pareto-DP over the eight components, pruned by `filter` when
+/// one is given.  `visit`, when set, sees each step as menu `index`'s
+/// (detail::visit_dp_steps).
+MenuDp run_menu_dp(const Menu& menu, std::size_t state_cap,
+                   const KeyFilter* filter = nullptr,
+                   const detail::DpStepVisitor* visit = nullptr,
+                   std::size_t index = 0) {
   const auto& options = menu.options;
   ParetoStep step;
-  std::vector<SysCombo> combos{SysCombo{}};
+  MenuDp dp;
+  auto& combos = dp.states;
   std::vector<SysCombo> next;
   for (std::size_t ci = 0; ci < kSystemComponents; ++ci) {
     detail::count_combos_evaluated(combos.size() * options[ci].size());
     detail::count_combos_skipped(combos.size() *
                                  (menu.full_n[ci] - options[ci].size()));
-    step.run(combos, options[ci], ci, next);
+    step.run(combos, options[ci], ci, next, filter);
     if (visit) (*visit)(index, ci, combos, options[ci], next);
+    const std::size_t front = next.size();
     thin_to(next, state_cap);
+    dp.thinned = dp.thinned || next.size() != front;
     std::swap(combos, next);
   }
-  return combos;
+  return dp;
 }
 
 SystemDesignPoint materialize(const OptionTables& options, const SysCombo& c,
@@ -424,6 +525,7 @@ struct MenuScan {
   /// Per target: the menu's first strictly-lowest-energy feasible state.
   std::vector<std::optional<StateRecord>> best;
   std::size_t states = 0;
+  bool thinned = false;  ///< the state cap thinned a step of the DP
   /// Frontier requests only: the states on the menu-local (AMAT, energy)
   /// front.
   std::vector<StateRecord> front;
@@ -431,10 +533,16 @@ struct MenuScan {
 
 MenuScan scan_menu(std::size_t index, const Menu& menu,
                    const std::vector<double>& amat_targets_s, bool frontier,
-                   const MemoryTerms& mem, std::size_t state_cap) {
-  const auto combos = run_menu_dp(menu, state_cap);
+                   const MemoryTerms& mem,
+                   const EnergyCeiling* ceiling = nullptr) {
+  std::optional<KeyFilter> filter;
+  if (ceiling != nullptr) filter.emplace(menu, mem, *ceiling);
+  const auto dp = run_menu_dp(menu, TupleMenuSolver::kStateCap,
+                              filter ? &*filter : nullptr);
+  const auto& combos = dp.states;
   MenuScan scan;
   scan.states = combos.size();
+  scan.thinned = dp.thinned;
   scan.best.resize(amat_targets_s.size());
   std::vector<StateRecord> records;
   if (frontier) records.reserve(combos.size());
@@ -559,6 +667,16 @@ MenuSolution TupleMenuSolver::solve(
     }
     return frontier && !front_excludes(running, m.min_amat_s, m.lower_bound_j);
   };
+  // Target requests solve the lowest-bound menu alone first, unpruned; every
+  // later menu's DP drops the keys that cannot beat the wave-start
+  // incumbents.  A pruned scan counts only when it is exact for what it
+  // reports: no step was thinned by the state cap, and it beats no
+  // incumbent.  Otherwise the menu is solved again unpruned, and that scan
+  // is its contribution, so every answer is the unpruned solve's.
+  // Frontier requests keep every state and prune nothing.
+  auto& registry = metrics::Registry::instance();
+  static auto& menus_resolved = registry.counter("opt.menus_resolved");
+  const bool prune = !frontier;
   std::size_t solved = 0;
   std::size_t states = 0;
   while (true) {
@@ -566,10 +684,34 @@ MenuSolution TupleMenuSolver::solve(
                                  [&](std::size_t i) { return !needed(i); }),
                   pending.end());
     if (pending.empty()) break;
-    const std::size_t width = std::min(kWaveWidth, pending.size());
+    const std::size_t width =
+        std::min(prune && solved == 0 ? 1 : kWaveWidth, pending.size());
+    std::optional<EnergyCeiling> ceiling;
+    if (prune && solved > 0) {
+      std::vector<double> incumbent_j(num_targets,
+                                      std::numeric_limits<double>::infinity());
+      for (std::size_t t = 0; t < num_targets; ++t) {
+        if (incumbent[t]) incumbent_j[t] = incumbent[t]->energy_j;
+      }
+      ceiling.emplace(amat_targets_s, incumbent_j);
+    }
     auto scans = par::parallel_map(width, [&](std::size_t k) {
-      return scan_menu(pending[k], menus[pending[k]], amat_targets_s, frontier,
-                       mem, kStateCap);
+      const std::size_t i = pending[k];
+      if (!ceiling) {
+        return scan_menu(i, menus[i], amat_targets_s, frontier, mem);
+      }
+      auto scan = scan_menu(i, menus[i], amat_targets_s, frontier, mem,
+                            &*ceiling);
+      bool exact = !scan.thinned;
+      for (std::size_t t = 0; exact && t < num_targets; ++t) {
+        exact = !scan.best[t] || !beats(*scan.best[t], incumbent[t]);
+      }
+      if (exact) return scan;
+      menus_resolved.add(1);
+      const std::size_t pruned_states = scan.states;
+      scan = scan_menu(i, menus[i], amat_targets_s, frontier, mem);
+      scan.states += pruned_states;
+      return scan;
     });
     for (std::size_t k = 0; k < width; ++k) {
       auto& scan = scans[k];
@@ -588,7 +730,6 @@ MenuSolution TupleMenuSolver::solve(
     pending.erase(pending.begin(), pending.begin() + width);
     solved += width;
   }
-  auto& registry = metrics::Registry::instance();
   static auto& menus_solved = registry.counter("opt.menus_solved");
   static auto& designs_considered =
       registry.counter("opt.designs_considered");
@@ -662,7 +803,7 @@ void visit_dp_steps(const energy::MemorySystemModel& system,
                     const DpStepVisitor& visit) {
   const auto set = bound_menus(system, grid, spec, memory_terms(system));
   par::parallel_for(set.menus.size(), [&](std::size_t m) {
-    run_menu_dp(set.menus[m], TupleMenuSolver::kStateCap, &visit, m);
+    run_menu_dp(set.menus[m], TupleMenuSolver::kStateCap, nullptr, &visit, m);
   });
 }
 
@@ -674,7 +815,7 @@ std::vector<SystemDesignPoint> menu_states(
   NC_REQUIRE(menu < set.menus.size(), "menu index out of range");
   const auto& m = set.menus[menu];
   std::vector<SystemDesignPoint> out;
-  for (const auto& c : run_menu_dp(m, TupleMenuSolver::kStateCap)) {
+  for (const auto& c : run_menu_dp(m, TupleMenuSolver::kStateCap).states) {
     out.push_back(materialize(m.options, c, mem, set.vth(menu), set.tox(menu)));
   }
   return out;

@@ -9,9 +9,11 @@
 // merge of per-option sorted runs; menus are enumerated exhaustively over
 // grid subsets.  One enumeration answers every question about a spec
 // (solve()): every menu is bounded from its option tables alone, and only
-// the menus no bound rules out run their DP, in ascending-bound waves
-// (docs/MODELING.md §14).  Only the winning states are ever turned into
-// SystemDesignPoints.
+// the menus no bound rules out run their DP, in ascending-bound waves.
+// For targets, a DP drops the states that provably cannot beat the
+// incumbents, and is run again unpruned wherever that could change an
+// answer (docs/MODELING.md §14).  Only the winning states are ever turned
+// into SystemDesignPoints.
 #pragma once
 
 #include <array>
@@ -69,8 +71,8 @@ class TupleMenuSolver {
   /// and, when `frontier_max_points` is set, the frontier thinned to that
   /// many points.  Each piece is bitwise what min_amat_s / best_at /
   /// frontier return on their own, and what a first-wins fold over every
-  /// menu's DP states in enumeration order returns: menus a proven bound
-  /// rules out are skipped, never approximated.
+  /// menu's DP states in enumeration order returns: menus and DP states a
+  /// proven bound rules out are skipped, never approximated.
   MenuSolution solve(
       const MenuSpec& spec, const std::vector<double>& amat_targets_s,
       std::optional<std::size_t> frontier_max_points = std::nullopt) const;

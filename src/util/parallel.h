@@ -1,6 +1,7 @@
 // Fork-join pool for the two computations big enough to spread across
-// cores: Service::run_batch (one request per task) and the tuple-menu
-// passes in opt/tuple_menu.cc (bound_menus, the solve waves).  Every other
+// cores: Service::run_batch (one request, or one spec's tuple menus, per
+// task) and the tuple-menu passes in opt/tuple_menu.cc (bound_menus, the
+// solve waves), which run inline inside a batch worker.  Every other
 // sweep in the library — Section 4 delay ladders, Section 5 size sweeps,
 // option tables, Pareto filters — is a few milliseconds of work and runs
 // as a plain loop (docs/MODELING.md §9).

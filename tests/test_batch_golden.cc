@@ -11,8 +11,12 @@
 // pinned at full precision.  The fourth holds one line per way a request
 // can fail to parse, pinning every parse error's bytes; the fifth one
 // well-formed line per validation or infeasibility site a request can
-// reach, pinning every error message free of source locations.  The last
-// two are the benchmark's seed-7 and seed-9173 study pools.
+// reach, pinning every error message free of source locations.  The sixth
+// covers every menu spec the paper grid allows (1-5 Tox x 1-7 Vth): per
+// spec a 14-target ladder, four single targets and one target exactly at
+// the fastest AMAT, so the pruned DP and its re-solve rule are pinned
+// wherever the state cap binds.  The last two are the benchmark's seed-7
+// and seed-9173 study pools.
 //
 // The work golden (work_golden.txt, one "<fixture> <counter> <value>" line
 // each) pins how much search each fixture's batch does: the counters a
@@ -75,7 +79,8 @@ using Work = std::map<std::string, std::uint64_t>;
 
 /// The counters the work golden pins.  Every one reads exactly at one
 /// thread.  Only the batch's request dedup and which menus the tuple-menu
-/// bounds enumerate and solve also read the same at any thread count: the
+/// bounds enumerate, solve and solve again also read the same at any
+/// thread count: the
 /// rest depend on the memo, and MemoCache lets two threads compute one key
 /// (first insert wins), so at N threads a racing pair can add an optimize
 /// call, its grid points and combos, and a miss.
@@ -89,6 +94,7 @@ constexpr PinnedCounter kPinnedCounters[] = {
     {"api.batch.request_hits", true},
     {"opt.menus_enumerated", true},
     {"opt.menus_solved", true},
+    {"opt.menus_resolved", true},
     {"opt.designs_considered", true},
     {"api.memo.hits", false},
     {"api.memo.misses", false},
@@ -134,6 +140,8 @@ constexpr Fixture kMalformedFixture{"malformed_requests.jsonl",
                                     "malformed_responses_golden.jsonl"};
 constexpr Fixture kInvalidFixture{"invalid_requests.jsonl",
                                   "invalid_responses_golden.jsonl"};
+constexpr Fixture kAllSpecsFixture{"tuple_allspecs_requests.jsonl",
+                                   "tuple_allspecs_responses_golden.jsonl"};
 constexpr Fixture kStudySeed7Fixture{"study_seed7_requests.jsonl",
                                      "study_seed7_responses_golden.jsonl"};
 constexpr Fixture kStudySeed9173Fixture{
@@ -285,6 +293,10 @@ TEST(BatchGolden, FigureTwoFrontiersByteIdenticalAtAnyThreadCount) {
   expect_golden_at_any_thread_count(kFrontierFixture);
 }
 
+TEST(BatchGolden, EveryMenuSpecByteIdenticalAtAnyThreadCount) {
+  expect_golden_at_any_thread_count(kAllSpecsFixture);
+}
+
 TEST(BatchGolden, StudySeed7ByteIdenticalAtAnyThreadCount) {
   expect_golden_at_any_thread_count(kStudySeed7Fixture);
 }
@@ -328,9 +340,9 @@ TEST(BatchGolden, NineMenuFixtureServedMatchesGolden) {
 }
 
 TEST(BatchGolden, TupleMenuLinesMixedIntoTheFixtureKeepTheirBytes) {
-  // Tuple-menu lines run ahead of the other requests, one at a time across
-  // the pool.  Interleaved with optimize, sweep and eval lines they must
-  // still leave every response where it was and byte-equal to its golden.
+  // Tuple-menu lines are claimed ahead of the other requests, one task per
+  // spec.  Interleaved with optimize, sweep and eval lines they must still
+  // leave every response where it was and byte-equal to its golden.
   ThreadCountGuard guard;
   std::istringstream batch_lines(read_file(data_path(kBatchFixture.requests)));
   std::istringstream menu_lines(read_file(data_path(kMenuFixture.requests)));
