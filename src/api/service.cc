@@ -83,6 +83,13 @@ std::string key_double(double d) {
   return buf;
 }
 
+/// The spec part of every tuple-menu memo key ("menumin|", "menu|" and
+/// "menufront|" entries).  Requests with equal spec keys share memo
+/// entries, so run_batch serves them in one task, in request order.
+std::string menu_spec_key(int num_tox, int num_vth) {
+  return std::to_string(num_tox) + "|" + std::to_string(num_vth);
+}
+
 /// Library fingerprint for the persistent disk cache: a hash over everything
 /// that can change an answer — model selection, degradation policy, default
 /// sizes, the exact grid bit patterns, schema/API version, and the search
@@ -475,8 +482,7 @@ struct Service::Impl {
                        std::optional<std::size_t> frontier_points) const {
     using Best = std::optional<opt::SystemDesignPoint>;
     using Front = std::vector<opt::SystemDesignPoint>;
-    const std::string spec_key =
-        std::to_string(spec.num_tox) + "|" + std::to_string(spec.num_vth);
+    const std::string spec_key = menu_spec_key(spec.num_tox, spec.num_vth);
     const std::string min_key = "menumin|" + spec_key;
     const auto best_key = [&](double target_s) {
       return "menu|" + spec_key + "|" + key_double(target_s);
@@ -1059,17 +1065,20 @@ BatchResult Service::run_batch(const std::vector<Request>& requests) const {
     peak_queue.record_max(static_cast<std::int64_t>(first_occurrence.size()));
   }
 
-  // One region serves every unique request, one task per claim, each
-  // writing its unique slot u, so response assembly is independent of the
-  // schedule.  Tuple menus are claimed first: one of them outweighs most
-  // other requests, and nested regions run inline, so each menu enumeration
-  // runs on the worker that claimed it.  The menus of one spec share memo
-  // entries ("menumin|", "menu|", "menufront|"), so they form one task
-  // that serves them in request order: each then finds exactly what the
-  // earlier ones published, and which menus get solved is the same at any
-  // thread count.
-  std::vector<std::vector<std::size_t>> tasks;
-  std::map<std::pair<int, int>, std::size_t> spec_task;
+  // Tuple menus are the stragglers (one 3x3 menu outweighs most other
+  // requests).  The menus of one spec share memo entries (menu_spec_key),
+  // so they form one task that serves them in request order: each then
+  // finds exactly what the earlier ones published, and which menus get
+  // solved is the same at any thread count.  A spec task holding a
+  // frontier request runs first, on this thread, so the waves of its
+  // unpruned DPs fan out across the whole pool.  Every other task goes to
+  // one region, target-only menus claimed first; nested regions run
+  // inline, so each of those runs whole on the worker that claimed it.
+  // Every task writes only its unique slots u, so response assembly is
+  // independent of the schedule.
+  std::vector<std::vector<std::size_t>> spec_tasks;
+  std::vector<bool> spec_has_frontier;
+  std::unordered_map<std::string, std::size_t> spec_task_of;
   std::vector<std::size_t> rest;
   for (std::size_t u = 0; u < first_occurrence.size(); ++u) {
     const Request& request = requests[first_occurrence[u]];
@@ -1077,11 +1086,30 @@ BatchResult Service::run_batch(const std::vector<Request>& requests) const {
       rest.push_back(u);
       continue;
     }
-    const auto spec = std::make_pair(request.tuple_menu.num_tox,
-                                     request.tuple_menu.num_vth);
-    const auto [it, added] = spec_task.emplace(spec, tasks.size());
-    if (added) tasks.emplace_back();
-    tasks[it->second].push_back(u);
+    const auto& menu = request.tuple_menu;
+    const auto [it, added] = spec_task_of.emplace(
+        menu_spec_key(menu.num_tox, menu.num_vth), spec_tasks.size());
+    if (added) {
+      spec_tasks.emplace_back();
+      spec_has_frontier.push_back(false);
+    }
+    spec_tasks[it->second].push_back(u);
+    if (menu.include_frontier) spec_has_frontier[it->second] = true;
+  }
+
+  std::vector<Response> unique_responses(first_occurrence.size());
+  const auto serve_task = [&](const std::vector<std::size_t>& task) {
+    for (const std::size_t u : task) {
+      unique_responses[u] = serve(requests[first_occurrence[u]]);
+    }
+  };
+  std::vector<std::vector<std::size_t>> tasks;
+  for (std::size_t i = 0; i < spec_tasks.size(); ++i) {
+    if (spec_has_frontier[i]) {
+      serve_task(spec_tasks[i]);
+    } else {
+      tasks.push_back(std::move(spec_tasks[i]));
+    }
   }
   for (const std::size_t u : rest) tasks.push_back({u});
 
@@ -1089,16 +1117,10 @@ BatchResult Service::run_batch(const std::vector<Request>& requests) const {
   // the metrics registry.  Capped here at the service layer so explicit
   // oversubscribed thread counts still exercise the pool machinery in unit
   // tests that call par::parallel_for directly.
-  std::vector<Response> unique_responses(first_occurrence.size());
   const int batch_threads =
       std::min(par::default_threads(), par::hardware_threads());
   par::parallel_for(
-      tasks.size(),
-      [&](std::size_t i) {
-        for (const std::size_t u : tasks[i]) {
-          unique_responses[u] = serve(requests[first_occurrence[u]]);
-        }
-      },
+      tasks.size(), [&](std::size_t i) { serve_task(tasks[i]); },
       batch_threads);
 
   batch.responses.resize(requests.size());

@@ -352,28 +352,41 @@ class ParetoStep {
     head_wdelay_.resize(options.size());
     std::size_t total = 0;
     for (std::size_t o = 0; o < options.size(); ++o) {
-      const auto& opt = options[o];
       StepKey* keys = keys_.get() + o * stride;
-      std::size_t kept = 0;
-      bool sorted = true;
-      for (std::size_t m = 0; m < n; ++m) {
-        const auto& s = states[m];
-        const StepKey key{s.wdelay_s + opt.delay_s,
-                          s.leakage_w + opt.leakage_w,
-                          s.wdyn_j + opt.dynamic_j,
-                          static_cast<std::uint32_t>(m)};
-        if (filter != nullptr && !filter->keep(key, component)) continue;
-        if (kept > 0 && key_less(key, keys[kept - 1])) sorted = false;
-        keys[kept++] = key;
-      }
-      if (!sorted) std::stable_sort(keys, keys + kept, key_less);
-      keys[kept] = {kInf, kInf, kInf,
-                    std::numeric_limits<std::uint32_t>::max()};
+      total += filter == nullptr
+                   ? fill_run(states, options[o], keys,
+                              [](const StepKey&) { return true; })
+                   : fill_run(states, options[o], keys,
+                              [&](const StepKey& key) {
+                                return filter->keep(key, component);
+                              });
       head_[o] = o * stride;
       head_wdelay_[o] = keys[0].wdelay_s;
-      total += kept;
     }
     return total;
+  }
+
+  /// One option's run: the kept keys in order, then the sentinel; returns
+  /// how many were kept.  A template, so the unpruned DP's loop carries no
+  /// per-key filter test.
+  template <class Keep>
+  static std::size_t fill_run(const std::vector<SysCombo>& states,
+                              const ComponentOption& opt, StepKey* keys,
+                              Keep keep) {
+    std::size_t kept = 0;
+    bool sorted = true;
+    for (std::size_t m = 0; m < states.size(); ++m) {
+      const auto& s = states[m];
+      const StepKey key{s.wdelay_s + opt.delay_s, s.leakage_w + opt.leakage_w,
+                        s.wdyn_j + opt.dynamic_j,
+                        static_cast<std::uint32_t>(m)};
+      if (!keep(key)) continue;
+      if (kept > 0 && key_less(key, keys[kept - 1])) sorted = false;
+      keys[kept++] = key;
+    }
+    if (!sorted) std::stable_sort(keys, keys + kept, key_less);
+    keys[kept] = {kInf, kInf, kInf, std::numeric_limits<std::uint32_t>::max()};
+    return kept;
   }
 
   /// The run whose head comes first in (key, state, option) order.  The

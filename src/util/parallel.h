@@ -1,7 +1,8 @@
 // Fork-join pool for the two computations big enough to spread across
 // cores: Service::run_batch (one request, or one spec's tuple menus, per
 // task) and the tuple-menu passes in opt/tuple_menu.cc (bound_menus, the
-// solve waves), which run inline inside a batch worker.  Every other
+// solve waves), which run inline inside a batch worker, or fork when
+// run_batch serves a frontier spec on its own thread.  Every other
 // sweep in the library — Section 4 delay ladders, Section 5 size sweeps,
 // option tables, Pareto filters — is a few milliseconds of work and runs
 // as a plain loop (docs/MODELING.md §9).

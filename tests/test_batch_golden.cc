@@ -340,9 +340,10 @@ TEST(BatchGolden, NineMenuFixtureServedMatchesGolden) {
 }
 
 TEST(BatchGolden, TupleMenuLinesMixedIntoTheFixtureKeepTheirBytes) {
-  // Tuple-menu lines are claimed ahead of the other requests, one task per
-  // spec.  Interleaved with optimize, sweep and eval lines they must still
-  // leave every response where it was and byte-equal to its golden.
+  // Tuple-menu lines run ahead of the other requests, one task per spec;
+  // the two frontier specs before the region.  Interleaved with optimize,
+  // sweep and eval lines they must still leave every response where it was
+  // and byte-equal to its golden.
   ThreadCountGuard guard;
   std::istringstream batch_lines(read_file(data_path(kBatchFixture.requests)));
   std::istringstream menu_lines(read_file(data_path(kMenuFixture.requests)));
